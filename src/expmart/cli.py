@@ -24,6 +24,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import math
 import os
 import sys
@@ -101,6 +102,8 @@ MC_FLOOR = 1e-12
 
 # (-i)^n without complex powers, so eigenvalue checks stay exact
 _MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
+
+_LOG = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -594,19 +597,26 @@ def _build_tasks(cfg: RunConfig, suites: Sequence[str]) -> list[Task]:
 
 
 def _guard(label: str, thunk: Callable[[], list[Row]], cfg: RunConfig) -> Callable[[], list[Row]]:
+    """Run a task; an overflow or any other exception becomes one failing row."""
     suite = label.split("/", 1)[0]
-    meta = _Meta(cfg.seed, 0, 0, 0.0, "-")
+
+    def failed(note: str) -> list[Row]:
+        return [
+            Row(
+                suite, label, "match", cfg.seed, 0, 0, 0.0, "-", None, None,
+                math.inf, 0.0, math.inf, 0.0, False, note,
+            )
+        ]
 
     def run_task() -> list[Row]:
         try:
             return thunk()
         except (EvaluationOverflowError, OverflowError) as e:
-            return [
-                Row(
-                    suite, label, "match", meta.seed, 0, 0, 0.0, "-", None, None,
-                    math.inf, 0.0, math.inf, 0.0, False, f"overflow: {e}",
-                )
-            ]
+            return failed(f"overflow: {e}")
+        except Exception as e:
+            # one broken task must not lose the run: record it and go on
+            _LOG.error("task %s raised", label, exc_info=True)
+            return failed(f"error: {type(e).__name__}: {e}")
 
     return run_task
 
@@ -775,11 +785,14 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
 
 
 def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Row], int]:
-    """Run the suites; return the rows and the exit status (0/1/3)."""
+    """Run the suites; return the rows and the exit status (0/1/3/4)."""
     rows = _execute(_build_tasks(cfg, suites), cfg)
-    overflowed = any(row.note.startswith("overflow:") for row in rows)
-    failures = sum(not row.passed for row in rows)
-    status = 3 if overflowed else (1 if failures else 0)
+    if any(row.note.startswith("error:") for row in rows):
+        status = 4
+    elif any(row.note.startswith("overflow:") for row in rows):
+        status = 3
+    else:
+        status = 1 if any(not row.passed for row in rows) else 0
     return rows, status
 
 

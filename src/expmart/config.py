@@ -15,13 +15,14 @@ import configparser
 import dataclasses
 from dataclasses import dataclass
 
-from .processes import TimeChange
+from .processes import InvalidTimeChangeError, TimeChange
 from .verify import CenteringFunction
 
 __all__ = [
     "RunConfig",
     "PRESETS",
     "SUITES",
+    "L2_K_MAX",
     "ConfigError",
     "load_ini",
     "apply_preset",
@@ -36,6 +37,13 @@ __all__ = [
 ]
 
 SUITES = ("check-algebra", "lemma2", "isometry", "h1", "h2", "pde", "l2limit")
+
+# Largest [l2limit] k_max a run accepts.  The quotient (E(r) - 1)/r is formed
+# in float64, so its rounding error grows like eps/r while the norm it tracks
+# shrinks like r.  With the default exponents 0, 1, 1j at q = 1 every k_max
+# from 13 to 25 passes, 26 and 27 fail the ratio row, and from 40 on
+# r = 2^-k < CANONICAL_TOL merges E(r) E(c) into E(c), failing every row.
+L2_K_MAX = 25
 
 
 class ConfigError(ValueError):
@@ -91,8 +99,8 @@ class RunConfig:
             raise ConfigError("grid_steps must be >= 1 and path counts >= 2")
         if self.horizon <= 0:
             raise ConfigError("horizon must be > 0")
-        if self.l2_k_max < 2:
-            raise ConfigError("l2_k_max must be >= 2")
+        if not 2 <= self.l2_k_max <= L2_K_MAX:
+            raise ConfigError(f"l2_k_max must be in [2, {L2_K_MAX}]")
         if self.pde_step <= 0:
             raise ConfigError("pde_step must be > 0")
         if self.h1_tol <= 0:
@@ -195,7 +203,11 @@ def parse_centering(s: str) -> CenteringFunction:
         except ValueError:
             raise ConfigError(f"bad centering {s!r}") from None
     if s.startswith("pw:"):
-        return CenteringFunction.piecewise_linear(_parse_knots(s[3:]))
+        knots = _parse_knots(s[3:])
+        try:
+            return CenteringFunction.piecewise_linear(knots)
+        except ValueError as e:
+            raise ConfigError(f"bad centering {s!r}: {e}") from None
     raise ConfigError(f"unknown centering {s!r}")
 
 
@@ -209,7 +221,11 @@ def parse_time_change(s: str) -> TimeChange:
         except ValueError:
             raise ConfigError(f"bad time change {s!r}") from None
     if s.startswith("pw:"):
-        return TimeChange.piecewise_linear(_parse_knots(s[3:]))
+        knots = _parse_knots(s[3:])
+        try:
+            return TimeChange.piecewise_linear(knots)
+        except InvalidTimeChangeError as e:
+            raise ConfigError(f"bad time change {s!r}: {e}") from None
     raise ConfigError(f"unknown time change {s!r}")
 
 

@@ -10,6 +10,12 @@ keyed by (s, b) and fills its rows in one vectorized draw.  Path i of seed s
 is therefore a pure function of (s, i) - independent of the total path
 count, of how work is distributed across workers, and of everything
 generated before or after.
+
+Storage: ``PathEnsemble.paths`` from :func:`generate` is column-major
+(Fortran order), so the grid column X_{t_k} of all N paths is one contiguous
+vector.  Every sampled consumer reads whole columns (expectations at one
+time, the Ito sum column by column), so this is the layout they stream
+through; row access still works, only strided.
 """
 
 from __future__ import annotations
@@ -209,6 +215,7 @@ def _grid_variances(h: TimeChange, grid: TimeGrid) -> np.ndarray:
 def generate(h: TimeChange, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Sample n_paths independent paths of X_t = B_{h(t)} on the grid.
 
+    The returned ``paths`` matrix is column-major (see the module docstring).
     Block b draws from Philox keyed by seed * 2**64 + b, so any path index
     maps to the same numbers regardless of n_paths or scheduling.
     """
@@ -220,12 +227,14 @@ def generate(h: TimeChange, grid: TimeGrid, n_paths: int, seed: int) -> PathEnse
     dv = _grid_variances(h, grid)
     stds = np.sqrt(dv)
     m = len(dv)
-    paths = np.empty((n_paths, m + 1), dtype=float)
+    paths = np.empty((n_paths, m + 1), dtype=float, order="F")
     paths[:, 0] = 0.0
     for start in range(0, n_paths, BLOCK_PATHS):
         stop = min(start + BLOCK_PATHS, n_paths)
         block_index = start // BLOCK_PATHS
         rng = np.random.Generator(np.random.Philox(key=seed * 2**64 + block_index))
         draws = rng.standard_normal((BLOCK_PATHS, m))[: stop - start]
-        np.cumsum(draws * stds, axis=1, out=paths[start:stop, 1:])
+        draws *= stds
+        # per-row running sums in k order, whatever the layout of the output
+        np.cumsum(draws, axis=1, out=paths[start:stop, 1:])
     return PathEnsemble(grid=grid, time_change=h, paths=paths, seed=seed)

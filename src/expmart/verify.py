@@ -90,6 +90,70 @@ class EvaluationOverflowError(ArithmeticError):
         super().__init__(message)
 
 
+def _horner(p: Sequence[complex], xs: np.ndarray) -> np.ndarray:
+    """Polynomial p (low degree first) at real points: float64 if p is real.
+
+    Complex coefficients run as two float64 recurrences, one per component.
+    Since the points are real, each step a*x + c of a complex recurrence is
+    (a.real*x + c.real, a.imag*x + c.imag): the same bits, up to the sign of
+    a zero.
+    """
+
+    def real_horner(coeffs: Sequence[float]) -> np.ndarray:
+        acc = np.full(xs.shape, coeffs[-1])
+        for coeff in coeffs[-2::-1]:
+            acc *= xs
+            acc += coeff
+        return acc
+
+    re = real_horner([v.real for v in p])
+    if all(v.imag == 0.0 for v in p):
+        return re
+    out = np.empty(xs.shape, dtype=complex)
+    out.real = re
+    out.imag = real_horner([v.imag for v in p])
+    return out
+
+
+def _check_exponent(w_real: np.ndarray, c: complex, q: float) -> None:
+    max_real = float(np.max(w_real))
+    if max_real > OVERFLOW_LIMIT:
+        raise EvaluationOverflowError(c, q, max_real)
+
+
+def _evaluate(f: PolyExpElement, xs: np.ndarray) -> np.ndarray:
+    """f at real points xs: float64 when every term is real, else complex128.
+
+    The values are bit-identical to a complex128 evaluation (complex Horner,
+    complex exponent, complex exp, complex sum in term order) up to the sign
+    of zero parts.  A real exponent forms w in float64 but still takes the
+    exponential through complex ``np.exp``: numpy's float64 ``exp`` is a SIMD
+    routine that differs from the C library's ``cexp`` by one ulp on a few
+    percent of inputs, and the reports are pinned to the ``cexp`` bits.
+    """
+    total = None
+    for c, p in f.terms:
+        val = _horner(p, xs)
+        if c.imag == 0.0:
+            if c.real != 0.0:
+                w = c.real * xs
+                w -= (0.5 * c * c * f.q).real
+                _check_exponent(w, c, f.q)
+                e = w.astype(complex)
+                np.exp(e, out=e)
+                val *= e.real
+        else:
+            w = c * xs - 0.5 * c * c * f.q
+            _check_exponent(w.real, c, f.q)
+            # Keep this one expression.  numpy may compute a product into the
+            # buffer of its temporary operand with the operands swapped, and
+            # a complex product is not bitwise commutative (fused
+            # multiply-add), so the order it picks here is part of the bits.
+            val = val * np.exp(w)
+        total = val if total is None else total + val
+    return np.zeros(xs.shape) if total is None else total
+
+
 def evaluate_element(f: PolyExpElement, x):
     """Evaluate f at scalar x or a numpy array of points (complex result).
 
@@ -97,25 +161,10 @@ def evaluate_element(f: PolyExpElement, x):
     exceeds OVERFLOW_LIMIT on the points, EvaluationOverflowError is raised.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    xs = np.atleast_1d(arr)
-    total = np.zeros(xs.shape, dtype=complex)
-    for c, p in f.terms:
-        acc = np.full(xs.shape, p[-1], dtype=complex)
-        for coeff in p[-2::-1]:
-            acc *= xs
-            acc += coeff
-        if c == 0:
-            total += acc
-            continue
-        w = c * xs - 0.5 * c * c * f.q
-        max_real = float(np.max(w.real))
-        if max_real > OVERFLOW_LIMIT:
-            raise EvaluationOverflowError(c, f.q, max_real)
-        total += acc * np.exp(w)
-    if scalar:
+    total = _evaluate(f, np.atleast_1d(arr))
+    if arr.ndim == 0:
         return complex(total[0])
-    return total
+    return total.astype(complex, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +242,9 @@ class CenteringFunction:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "const", "piecewise"):
             raise ValueError(f"unknown centering kind {self.kind!r}")
+        numbers = [self.value] + [v for knot in self.knots for v in knot]
+        if not all(math.isfinite(v) for v in numbers):
+            raise ValueError("centering values and knots must be finite")
         if self.kind == "piecewise":
             if len(self.knots) < 2:
                 raise ValueError("piecewise centering needs >= 2 knots")
@@ -293,34 +345,46 @@ def _template_label(tpl: tuple) -> str:
 # Ito integrals and exact integral energies
 
 def ito_integral(z: ProcessElement, ensemble: PathEnsemble) -> np.ndarray:
-    """Left-endpoint Ito sums: per path, sum_k z(t_k, X_{t_k}) (X_{t_k+1} - X_{t_k})."""
+    """Left-endpoint Ito sums: per path, sum_k z(t_k, X_{t_k}) (X_{t_k+1} - X_{t_k}).
+
+    Each column's element is built once and evaluated on the column in
+    place (contiguous for ensembles from ``generate``).  Every path sums its
+    terms left to right over k, in float64 while the integrand is real and
+    in complex128 from its first complex column on; the result (complex128)
+    equals a complex accumulation throughout, up to the sign of zero parts.
+    """
     pts = ensemble.grid.points
     x = ensemble.paths
-    acc = np.zeros(x.shape[0], dtype=complex)
+    acc = np.zeros(x.shape[0])
     for k in range(len(pts) - 1):
-        vals = evaluate_element(z.at(pts[k]), x[:, k])
-        acc += vals * (x[:, k + 1] - x[:, k])
-    return acc
+        vals = _evaluate(z.at(pts[k]), x[:, k])
+        if vals.dtype.kind == "c" and acc.dtype.kind != "c":
+            acc = acc.astype(complex)
+        vals *= x[:, k + 1] - x[:, k]
+        acc += vals
+    return acc.astype(complex, copy=False)
+
+
+def _trapezoid_energy(z: ProcessElement, grid: TimeGrid, weighted: bool) -> float:
+    """Exact trapezoid of E|z_t|^2 * w(t) against dh, w = h when weighted, else 1."""
+    hv = [quadratic_variation_at(z.time_change, t) for t in grid.points]
+    u = []
+    for t, q in zip(grid.points, hv):
+        el = z.at(t)
+        u.append(inner_product(el, el).real * (q if weighted else 1.0))
+    return math.fsum(
+        0.5 * (u[k] + u[k + 1]) * (hv[k + 1] - hv[k]) for k in range(len(u) - 1)
+    )
 
 
 def energy_integral(z: ProcessElement, grid: TimeGrid) -> float:
     """Exact trapezoid of E|z_t|^2 against dh on the grid."""
-    h = z.time_change
-    hv = [quadratic_variation_at(h, t) for t in grid.points]
-    u = [inner_product(z.at(t), z.at(t)).real for t in grid.points]
-    return math.fsum(
-        0.5 * (u[k] + u[k + 1]) * (hv[k + 1] - hv[k]) for k in range(len(u) - 1)
-    )
+    return _trapezoid_energy(z, grid, weighted=False)
 
 
 def weighted_energy_integral(y: ProcessElement, grid: TimeGrid) -> float:
     """Exact trapezoid of E|Y_t|^2 * h(t) against dh (the h2 right-hand side)."""
-    h = y.time_change
-    hv = [quadratic_variation_at(h, t) for t in grid.points]
-    u = [inner_product(y.at(t), y.at(t)).real * hv[k] for k, t in enumerate(grid.points)]
-    return math.fsum(
-        0.5 * (u[k] + u[k + 1]) * (hv[k + 1] - hv[k]) for k in range(len(u) - 1)
-    )
+    return _trapezoid_energy(y, grid, weighted=True)
 
 
 # ---------------------------------------------------------------------------

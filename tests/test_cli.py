@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from expmart.cli import main
+from expmart import cli
 from expmart.config import (
+    L2_K_MAX,
     PRESETS,
     ConfigError,
     RunConfig,
@@ -117,6 +119,12 @@ def test_presets_cover_documented_names():
         dict(suites=("h3",)),
         dict(time_change="sqrt"),
         dict(h2_cases=("lognormal",)),
+        dict(time_change="pw:0:0,1:-1"),
+        dict(time_change="pw:0:0,1:inf"),
+        dict(h2_cases=("template:1@0;g=pw:0:0,0.5:1,0.5:2",)),
+        dict(h2_cases=("template:1@0;g=const:nan",)),
+        dict(l2_k_max=L2_K_MAX + 1),
+        dict(l2_k_max=45),
     ],
 )
 def test_validated_rejects_bad_configs(kwargs):
@@ -222,6 +230,52 @@ def test_failing_check_exits_1(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().err
     _, doc = _read_reports(tmp_path)
     assert any(not c["passed"] for c in doc["cases"])
+
+
+@pytest.mark.parametrize(
+    "ini_text",
+    [
+        "[run]\nsuites = isometry\ntime_change = pw:0:0,1:-1\n",
+        "[run]\nsuites = h2\n\n[h2]\ncases = template:1@0;g=pw:0:0,0.5:1,0.5:2\n",
+    ],
+    ids=["time-change", "h2-centering"],
+)
+def test_malformed_pw_knots_exit_2(tmp_path, capsys, ini_text):
+    ini = tmp_path / "run.ini"
+    ini.write_text(ini_text)
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("k_max, status", [(L2_K_MAX, 0), (L2_K_MAX + 1, 2)])
+def test_l2limit_k_max_bound(tmp_path, k_max, status):
+    # the largest accepted k_max still passes every row for the default
+    # exponents; the next one is refused before anything runs
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[run]\nsuites = l2limit\n\n[l2limit]\nk_max = {k_max}\n")
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == status
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_crashing_task_becomes_failing_row(tmp_path, monkeypatch, workers):
+    real_pde_tasks = cli._pde_tasks
+
+    def boom():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(
+        cli, "_pde_tasks", lambda cfg: [("pde/boom", boom)] + real_pde_tasks(cfg)
+    )
+    rc = main(["pde", "--workers", str(workers), "--out-dir", str(tmp_path)])
+    assert rc == 4
+    _, doc = _read_reports(tmp_path)
+    crashed = [c for c in doc["cases"] if c["case"] == "pde/boom"]
+    assert len(crashed) == 1
+    assert crashed[0]["note"] == "error: RuntimeError: boom"
+    assert crashed[0]["passed"] is False
+    # the other tasks still ran and reported
+    assert sum(c["passed"] for c in doc["cases"]) == len(doc["cases"]) - 1 > 0
 
 
 def test_overflowing_case_exits_3_with_report(tmp_path):

@@ -1,0 +1,166 @@
+"""The sampled Ito kernel against a reference copy of the complex loop.
+
+``ito_integral`` reads columns of a column-major path matrix and evaluates
+real terms in float64.  The reference below is the plain loop it replaced:
+a row-major copy of the paths, every term in complex128 (complex Horner,
+complex exponent, complex ``np.exp``) and a complex accumulator.  Only the
+signs of zero parts may differ between the two, so every sampled quantity a
+report uses - |I|^2 per path and its Estimate - must be bitwise equal.
+
+Path counts straddle 16384, where a complex column reaches numpy's 256 KiB
+threshold for computing a product in the buffer of a temporary operand.
+Above it numpy may swap the operands of ``acc * np.exp(w)``, which changes
+the last bit of a complex product; the kernel has to follow it either way.
+"""
+
+import numpy as np
+import pytest
+
+from expmart import TimeChange, TimeGrid, generate, make_element, make_exponential
+from expmart.processes import BLOCK_PATHS, PathEnsemble
+from expmart.verify import (
+    OVERFLOW_LIMIT,
+    CenteringFunction,
+    Estimate,
+    EvaluationOverflowError,
+    ProcessElement,
+    _abs_squared,
+    evaluate_element,
+    ito_integral,
+)
+
+
+def reference_evaluate(f, xs):
+    total = np.zeros(xs.shape, dtype=complex)
+    for c, p in f.terms:
+        acc = np.full(xs.shape, p[-1], dtype=complex)
+        for coeff in p[-2::-1]:
+            acc *= xs
+            acc += coeff
+        if c == 0:
+            total += acc
+            continue
+        w = c * xs - 0.5 * c * c * f.q
+        max_real = float(np.max(w.real))
+        if max_real > OVERFLOW_LIMIT:
+            raise EvaluationOverflowError(c, f.q, max_real)
+        total += acc * np.exp(w)
+    return total
+
+
+def reference_ito(z, ensemble):
+    pts = ensemble.grid.points
+    x = np.ascontiguousarray(ensemble.paths)
+    acc = np.zeros(x.shape[0], dtype=complex)
+    for k in range(len(pts) - 1):
+        vals = reference_evaluate(z.at(pts[k]), x[:, k])
+        acc += vals * (x[:, k + 1] - x[:, k])
+    return acc
+
+
+def reference_generate(h, grid, n_paths, seed):
+    """The row-major generator: same Philox blocks, same per-row cumsum."""
+    stds = np.sqrt(np.maximum(np.diff(h(np.asarray(grid.points))), 0.0))
+    m = len(stds)
+    paths = np.zeros((n_paths, m + 1))
+    for start in range(0, n_paths, BLOCK_PATHS):
+        stop = min(start + BLOCK_PATHS, n_paths)
+        rng = np.random.Generator(np.random.Philox(key=seed * 2**64 + start // BLOCK_PATHS))
+        draws = rng.standard_normal((BLOCK_PATHS, m))[: stop - start]
+        np.cumsum(draws * stds, axis=1, out=paths[start:stop, 1:])
+    return paths
+
+
+TIME_CHANGES = {
+    "identity": TimeChange.identity(),
+    "power": TimeChange.power(0.5),
+    "pw": TimeChange.piecewise_linear([(0.0, 0.0), (0.4, 1.2), (0.7, 1.2), (1.0, 2.0)]),
+}
+PW_CENTERING = CenteringFunction.piecewise_linear([(0.0, 0.3), (0.5, -0.4), (1.0, 0.2)])
+
+
+def integrands(h):
+    """label -> integrand: polynomial, real/imaginary exponent, mixed, transform."""
+    y_complex = ProcessElement.from_template(h, [(0.5j, (0.0, 1.0))])
+    return {
+        "polynomial": ProcessElement.from_template(h, [(0.0, (1.0, -0.3, 0.7))]),
+        "real-exponent": ProcessElement.from_template(h, [(0.4, (1.0, 0.5))]),
+        "imaginary-exponent": ProcessElement.exponential(h, 0.7j),
+        "mixed-complex": ProcessElement.from_template(
+            h, [(0.3 - 0.2j, (1 + 2j, 0.5)), (0.6, (0.25, -1j))]
+        ),
+        "gauss-transform-pw-centering": y_complex.gauss_transform().centered_position(
+            PW_CENTERING
+        ),
+        "complex-pw-centering": y_complex.centered_position(PW_CENTERING),
+    }
+
+
+@pytest.fixture(scope="module", params=sorted(TIME_CHANGES))
+def ensemble(request):
+    # not a multiple of BLOCK_PATHS, so the last block is partial
+    return generate(TIME_CHANGES[request.param], TimeGrid.uniform(1.0, 24), BLOCK_PATHS + 1234, 99)
+
+
+@pytest.mark.parametrize("label", sorted(integrands(TimeChange.identity())))
+def test_ito_integral_is_bitwise_the_complex_loop(ensemble, label):
+    z = integrands(ensemble.time_change)[label]
+    new = ito_integral(z, ensemble)
+    old = reference_ito(z, ensemble)
+    assert new.dtype == complex
+    assert np.array_equal(new, old)
+    new_sq, old_sq = _abs_squared(new), _abs_squared(old)
+    assert np.array_equal(new_sq, old_sq)
+    assert Estimate.from_samples(new_sq) == Estimate.from_samples(old_sq)
+
+
+@pytest.mark.parametrize("n_paths", [2, 1000, BLOCK_PATHS])
+def test_small_and_whole_block_ensembles(n_paths):
+    ens = generate(TimeChange.identity(), TimeGrid.uniform(1.0, 16), n_paths, 5)
+    for z in integrands(ens.time_change).values():
+        new, old = _abs_squared(ito_integral(z, ens)), _abs_squared(reference_ito(z, ens))
+        assert np.array_equal(new, old)
+        assert Estimate.from_samples(new) == Estimate.from_samples(old)
+
+
+def test_evaluate_element_is_bitwise_the_complex_loop():
+    xs = np.random.default_rng(3).normal(0.0, 2.0, 20_000)
+    for z in integrands(TimeChange.identity()).values():
+        f = z.at(0.6)
+        got = evaluate_element(f, xs)
+        assert got.dtype == complex
+        assert np.array_equal(got, reference_evaluate(f, xs))
+
+
+def test_real_integrand_sums_in_float64_and_matches_telescoping():
+    ens = generate(TimeChange.identity(), TimeGrid.uniform(1.0, 24), 3000, 8)
+    acc = ito_integral(ProcessElement.constant_one(ens.time_change), ens)
+    assert np.array_equal(acc.real, ens.paths[:, -1]) and not acc.imag.any()
+
+
+@pytest.mark.parametrize(
+    "element",
+    [make_exponential(1.0, 0.5), make_element(0.5, [(1.0 + 0.5j, (1.0, 2.0))])],
+    ids=["real-exponent", "complex-exponent"],
+)
+def test_overflow_guard_raises_on_both_paths(element):
+    # X_{t_1} = 800 at q = 0.5: Re(c x - c^2 q/2) is near 800 > OVERFLOW_LIMIT
+    grid = TimeGrid.uniform(1.0, 2)
+    paths = np.array([[0.0, 800.0, 800.5], [0.0, 1.0, 0.5]])
+    ens = PathEnsemble(grid=grid, time_change=TimeChange.identity(), paths=paths, seed=0)
+    z = ProcessElement(ens.time_change, lambda t, q: element if t == 0.5 else make_exponential(0.0, q))
+    with pytest.raises(EvaluationOverflowError):
+        ito_integral(z, ens)
+    with pytest.raises(EvaluationOverflowError):
+        evaluate_element(element, paths[:, 1])
+
+
+@pytest.mark.parametrize("label", sorted(TIME_CHANGES))
+@pytest.mark.parametrize("n_paths", [7, BLOCK_PATHS + 1234])
+def test_generate_columns_are_contiguous_and_values_unchanged(label, n_paths):
+    h = TIME_CHANGES[label]
+    grid = TimeGrid.uniform(1.0, 24)
+    ens = generate(h, grid, n_paths, 17)
+    assert ens.paths.flags.f_contiguous
+    assert all(ens.paths[:, k].flags.c_contiguous for k in range(grid.steps + 1))
+    assert np.array_equal(ens.paths, reference_generate(h, grid, n_paths, 17))

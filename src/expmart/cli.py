@@ -13,9 +13,11 @@ from failing on pure rounding noise when their sample variance collapses.
 
 Reproducibility contract: with a fixed config and seed, report.csv is
 byte-identical across runs and across ``--workers`` values; report.json is
-identical outside the ``header`` object (timestamp, worker count, out dir).
-All randomness is drawn in the main thread from counter-based streams keyed
-by (seed + channel) before any worker starts.
+identical outside the ``header`` object (timestamp, worker count, out dir,
+paths generated, peak RSS).  All randomness comes from counter-based
+streams keyed by (seed + channel): randomized inputs are drawn in the main
+thread before any task starts, and each path block of the sampled sweep
+from its own (seed, block) stream, whichever thread draws it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import logging
 import math
 import os
+import resource
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,16 +70,18 @@ from .config import (
     parse_isometry_case,
     parse_time_change,
 )
-from .processes import TimeGrid, generate, quadratic_variation_at
+from .processes import PathEnsemble, TimeChange, TimeGrid, generate, quadratic_variation_at
 from .verify import (
     Estimate,
     EvaluationOverflowError,
     ProcessElement,
+    h2_integrands,
+    h2_report,
+    isometry_report,
+    ito_sweep,
     lemma2_case,
     mc_expectation,
     verify_h1,
-    verify_h2,
-    verify_isometry,
     verify_l2_limit,
     verify_pde,
 )
@@ -322,8 +327,7 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
     ]
 
 
-def _lemma2_tasks(cfg: RunConfig, ensembles: dict) -> list[Task]:
-    ensemble = ensembles["lemma2"]
+def _lemma2_tasks(cfg: RunConfig, ensemble: PathEnsemble) -> list[Task]:
     h = ensemble.time_change
     t = ensemble.grid.horizon
     q = quadratic_variation_at(h, t)
@@ -372,19 +376,48 @@ def _lemma2_tasks(cfg: RunConfig, ensembles: dict) -> list[Task]:
     return tasks
 
 
-def _isometry_tasks(cfg: RunConfig, ensembles: dict) -> list[Task]:
-    ensemble = ensembles["main"]
-    meta = _Meta(
-        cfg.seed, ensemble.n_paths, ensemble.grid.steps,
-        ensemble.grid.horizon, ensemble.time_change.kind,
-    )
+class _MainPaths:
+    """The main ensemble's integrands, summed by one ``ito_sweep``.
+
+    Task builders register each integrand with ``integral`` and hand the
+    returned callable to their task; ``sweep`` then runs once, before any
+    task, so no task ever sees the N x (M+1) path matrix.
+    """
+
+    def __init__(self, cfg: RunConfig, h: TimeChange) -> None:
+        self.cfg = cfg
+        self.time_change = h
+        self.grid = TimeGrid.uniform(cfg.horizon, cfg.grid_steps)
+        self.meta = _Meta(cfg.seed, cfg.paths, self.grid.steps, self.grid.horizon, h.kind)
+        self._integrands: list[ProcessElement] = []
+        self._sums: list[Callable[[], np.ndarray]] = []
+
+    def integral(self, z: ProcessElement) -> Callable[[], np.ndarray]:
+        i = len(self._integrands)
+        self._integrands.append(z)
+        return lambda: self._sums[i]()
+
+    def sweep(self) -> int:
+        """Sum every registered integrand; return the number of paths drawn."""
+        if not self._integrands:
+            return 0
+        cfg = self.cfg
+        self._sums = ito_sweep(
+            self._integrands, self.time_change, self.grid, cfg.paths, cfg.seed, cfg.workers
+        )
+        return cfg.paths
+
+
+def _isometry_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
+    meta = main.meta
     tasks: list[Task] = []
     for case_name in cfg.isometry_cases:
         label, template = parse_isometry_case(case_name)
+        z = ProcessElement.from_template(main.time_change, template, label)
+        integral = main.integral(z)
 
-        def task(label=label, template=template) -> list[Row]:
-            z = ProcessElement.from_template(ensemble.time_change, template, label)
-            rep = verify_isometry(z, ensemble)
+        def task(z=z, integral=integral) -> list[Row]:
+            rep = isometry_report(z, main.grid, integral)
             allowance = 4.0 * rep.mc.stderr + MC_FLOOR
             return [
                 _match_row(
@@ -457,22 +490,17 @@ def _h1_tasks(cfg: RunConfig) -> list[Task]:
     return tasks
 
 
-def _h2_tasks(cfg: RunConfig, ensembles: dict) -> list[Task]:
-    ensemble = ensembles["main"]
-    meta = _Meta(
-        cfg.seed, ensemble.n_paths, ensemble.grid.steps,
-        ensemble.grid.horizon, ensemble.time_change.kind,
-    )
+def _h2_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
+    meta = main.meta
     tasks: list[Task] = []
     for case_name in cfg.h2_cases:
         case = parse_h2_case(case_name)
+        y = ProcessElement.from_template(main.time_change, case["template"], case["name"])
+        integrals = [main.integral(z) for z in h2_integrands(y, case["g"], case["g_tilde"])]
 
-        def task(case=case) -> list[Row]:
-            y = ProcessElement.from_template(
-                ensemble.time_change, case["template"], case["name"]
-            )
-            rep = verify_h2(
-                y, case["g"], case["g_tilde"], ensemble,
+        def task(case=case, y=y, integrals=integrals) -> list[Row]:
+            rep = h2_report(
+                y, main.grid, *integrals,
                 k_sigma=cfg.h2_k_sigma, disc_factor=cfg.h2_disc_factor,
                 case=f"h2[{case['name']}]",
             )
@@ -564,36 +592,40 @@ def _l2limit_tasks(cfg: RunConfig) -> list[Task]:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _build_tasks(cfg: RunConfig, suites: Sequence[str]) -> list[Task]:
-    ensembles: dict = {}
+def _build_tasks(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Task], dict[str, int]]:
+    """The tasks of the suites, and the paths drawn per ensemble (main, lemma2).
+
+    The main ensemble is never materialized: its integrands' Ito sums come
+    from one ``ito_sweep`` over path blocks, run here before any task.
+    """
     h = parse_time_change(cfg.time_change)
-    if any(s in suites for s in ("isometry", "h2")):
-        ensembles["main"] = generate(
-            h, TimeGrid.uniform(cfg.horizon, cfg.grid_steps), cfg.paths, cfg.seed
-        )
+    main = _MainPaths(cfg, h)
+    lemma2 = None
     if "lemma2" in suites:
-        ensembles["lemma2"] = generate(
-            h, TimeGrid.uniform(cfg.horizon, 1), cfg.lemma2_paths, cfg.seed + 1
-        )
+        lemma2 = generate(h, TimeGrid.uniform(cfg.horizon, 1), cfg.lemma2_paths, cfg.seed + 1)
     tasks: list[Task] = []
     for suite in suites:
         if suite == "check-algebra":
             tasks.extend(_check_algebra_tasks(cfg))
         elif suite == "lemma2":
-            tasks.extend(_lemma2_tasks(cfg, ensembles))
+            tasks.extend(_lemma2_tasks(cfg, lemma2))
         elif suite == "isometry":
-            tasks.extend(_isometry_tasks(cfg, ensembles))
+            tasks.extend(_isometry_tasks(cfg, main))
         elif suite == "h1":
             tasks.extend(_h1_tasks(cfg))
         elif suite == "h2":
-            tasks.extend(_h2_tasks(cfg, ensembles))
+            tasks.extend(_h2_tasks(cfg, main))
         elif suite == "pde":
             tasks.extend(_pde_tasks(cfg))
         elif suite == "l2limit":
             tasks.extend(_l2limit_tasks(cfg))
         else:
             raise ConfigError(f"unknown suite {suite!r}")
-    return tasks
+    paths_generated = {
+        "main": main.sweep(),
+        "lemma2": lemma2.n_paths if lemma2 is not None else 0,
+    }
+    return tasks, paths_generated
 
 
 def _guard(label: str, thunk: Callable[[], list[Row]], cfg: RunConfig) -> Callable[[], list[Row]]:
@@ -692,7 +724,17 @@ def _json_case(row: Row) -> dict:
     }
 
 
-def write_reports(rows: list[Row], cfg: RunConfig, suites: Sequence[str]) -> tuple[str, str]:
+def _peak_rss_mb() -> float:
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def write_reports(
+    rows: list[Row],
+    cfg: RunConfig,
+    suites: Sequence[str],
+    paths_generated: dict[str, int],
+) -> tuple[str, str]:
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "report.csv")
     json_path = os.path.join(cfg.out_dir, "report.json")
@@ -713,6 +755,8 @@ def write_reports(rows: list[Row], cfg: RunConfig, suites: Sequence[str]) -> tup
             "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "workers": cfg.workers,
             "out_dir": cfg.out_dir,
+            "paths_generated": paths_generated,
+            "peak_rss_mb": _peak_rss_mb(),
         },
         "run": run_echo,
         "cases": [_json_case(row) for row in rows],
@@ -743,7 +787,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid", type=int, default=argparse.SUPPRESS,
                         help="time grid steps M")
     common.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                        help="max concurrent cases (results are worker-count independent)")
+                        help="max concurrent cases and path-block threads "
+                        "(results are worker-count independent)")
     common.add_argument("--out-dir", default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="expmart",
@@ -784,16 +829,18 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     return cfg.validated()
 
 
-def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Row], int]:
-    """Run the suites; return the rows and the exit status (0/1/3/4)."""
-    rows = _execute(_build_tasks(cfg, suites), cfg)
+def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Row], int, dict[str, int]]:
+    """Run the suites; return the rows, the exit status (0/1/3/4) and the
+    paths drawn per ensemble."""
+    tasks, paths_generated = _build_tasks(cfg, suites)
+    rows = _execute(tasks, cfg)
     if any(row.note.startswith("error:") for row in rows):
         status = 4
     elif any(row.note.startswith("overflow:") for row in rows):
         status = 3
     else:
         status = 1 if any(not row.passed for row in rows) else 0
-    return rows, status
+    return rows, status, paths_generated
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -818,8 +865,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("expmart: no suite selected (give a subcommand or a [run] suites key)",
               file=sys.stderr)
         return 2
-    rows, status = run(cfg, suites)
-    csv_path, json_path = write_reports(rows, cfg, suites)
+    rows, status, paths_generated = run(cfg, suites)
+    csv_path, json_path = write_reports(rows, cfg, suites, paths_generated)
     for row in rows:
         flag = "PASS" if row.passed else "FAIL"
         print(f"[{flag}] {row.suite:<13} {row.case:<44} "

@@ -6,16 +6,20 @@ quadratic variation of X on [0, t] is exactly h(t).
 
 Randomness contract: paths are generated in fixed-size blocks of
 ``BLOCK_PATHS`` rows; block b of seed s uses an independent Philox stream
-keyed by (s, b) and fills its rows in one vectorized draw.  Path i of seed s
-is therefore a pure function of (s, i) - independent of the total path
-count, of how work is distributed across workers, and of everything
+keyed by (s, b), which fills its rows in order, M normals per row.  Path i
+of seed s is therefore a pure function of (s, i) - independent of the total
+path count, of how work is distributed across workers, and of everything
 generated before or after.
 
-Storage: ``PathEnsemble.paths`` from :func:`generate` is column-major
-(Fortran order), so the grid column X_{t_k} of all N paths is one contiguous
-vector.  Every sampled consumer reads whole columns (expectations at one
-time, the Ito sum column by column), so this is the layout they stream
-through; row access still works, only strided.
+Storage: blocks are column-major (Fortran order), so the grid column
+X_{t_k} of a block's paths is one contiguous vector.  Every sampled
+consumer reads whole columns (expectations at one time, the Ito sum column
+by column), so this is the layout they stream through; row access still
+works, only strided.  :func:`generate` stacks every block into one
+N x (M+1) ``PathEnsemble``.  A consumer that only needs per-path results
+(the Ito sums of ``verify.ito_sweep``) fills one block at a time instead,
+so its memory scales as workers x ``BLOCK_PATHS`` x (M+1), not as
+N x (M+1).
 """
 
 from __future__ import annotations
@@ -33,11 +37,15 @@ __all__ = [
     "TimeChange",
     "TimeGrid",
     "PathEnsemble",
+    "block_count",
+    "fill_block",
     "generate",
     "quadratic_variation_at",
 ]
 
 BLOCK_PATHS = 16384
+# rows drawn at a time within a block: bounds the draw buffer to a few MB
+_DRAW_ROWS = 1024
 GENERATOR_NAME = "philox-blocked"
 
 
@@ -180,10 +188,7 @@ class PathEnsemble:
             raise ValueError("paths must be N x (M+1)")
         if self.paths.shape[0] < 1:
             raise ValueError("ensemble needs at least one path")
-        if np.any(self.paths[:, 0] != 0.0):
-            raise ValueError("paths must start at X_0 = 0")
-        if not np.all(np.isfinite(self.paths)):
-            raise ValueError("paths must be finite")
+        _check_paths(self.paths)
 
     @property
     def n_paths(self) -> int:
@@ -197,10 +202,6 @@ class PathEnsemble:
         inc = np.diff(self.paths, axis=1)
         return np.einsum("ij,ij->i", inc, inc)
 
-    def dump_csv(self, path: str) -> None:
-        header = ",".join(f"t={p!r}" for p in self.grid.points)
-        np.savetxt(path, self.paths, delimiter=",", header=header, comments="# ")
-
 
 def _grid_variances(h: TimeChange, grid: TimeGrid) -> np.ndarray:
     hv = np.asarray(h(np.asarray(grid.points)), dtype=float)
@@ -212,29 +213,73 @@ def _grid_variances(h: TimeChange, grid: TimeGrid) -> np.ndarray:
     return np.maximum(dv, 0.0)
 
 
-def generate(h: TimeChange, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
-    """Sample n_paths independent paths of X_t = B_{h(t)} on the grid.
+def _check_paths(paths: np.ndarray) -> None:
+    if np.any(paths[:, 0] != 0.0):
+        raise ValueError("paths must start at X_0 = 0")
+    if not np.all(np.isfinite(paths)):
+        raise ValueError("paths must be finite")
 
-    The returned ``paths`` matrix is column-major (see the module docstring).
-    Block b draws from Philox keyed by seed * 2**64 + b, so any path index
-    maps to the same numbers regardless of n_paths or scheduling.
-    """
+
+def _check_size(n_paths: int, seed: int) -> int:
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    dv = _grid_variances(h, grid)
-    stds = np.sqrt(dv)
-    m = len(dv)
-    paths = np.empty((n_paths, m + 1), dtype=float, order="F")
-    paths[:, 0] = 0.0
-    for start in range(0, n_paths, BLOCK_PATHS):
-        stop = min(start + BLOCK_PATHS, n_paths)
-        block_index = start // BLOCK_PATHS
-        rng = np.random.Generator(np.random.Philox(key=seed * 2**64 + block_index))
-        draws = rng.standard_normal((BLOCK_PATHS, m))[: stop - start]
+    return seed
+
+
+def block_count(n_paths: int) -> int:
+    """Number of ``BLOCK_PATHS`` blocks that hold n_paths paths."""
+    return -(-n_paths // BLOCK_PATHS)
+
+
+def fill_block(
+    h: TimeChange, grid: TimeGrid, n_paths: int, seed: int, block: int, out: np.ndarray
+) -> np.ndarray:
+    """Write block ``block`` of an n_paths ensemble into ``out`` and return it.
+
+    The block is paths block * BLOCK_PATHS onward, at most BLOCK_PATHS of
+    them: the same rows as ``generate(h, grid, n_paths, seed)``.  ``out`` is
+    rows x (M+1), a slice of a larger matrix or a buffer reused across
+    blocks; column-major keeps each of its columns contiguous.  Block b
+    draws from Philox keyed by seed * 2**64 + b, so any path index maps to
+    the same numbers regardless of n_paths or scheduling.  Like a
+    ``PathEnsemble``, every block is checked to start at X_0 = 0 and to be
+    finite.
+    """
+    seed = _check_size(n_paths, seed)
+    start = block * BLOCK_PATHS
+    if not 0 <= start < n_paths:
+        raise ValueError(f"block {block!r} outside the {block_count(n_paths)} blocks")
+    rows = min(BLOCK_PATHS, n_paths - start)
+    stds = np.sqrt(_grid_variances(h, grid))
+    m = len(stds)
+    if out.shape != (rows, m + 1):
+        raise ValueError(f"out has shape {out.shape}, block needs {(rows, m + 1)}")
+    out[:, 0] = 0.0
+    rng = np.random.Generator(np.random.Philox(key=seed * 2**64 + block))
+    # The stream fills a (BLOCK_PATHS, M) draw row by row, so drawing the
+    # rows in chunks reads the same numbers, without a block-sized buffer.
+    for lo in range(0, rows, _DRAW_ROWS):
+        hi = min(lo + _DRAW_ROWS, rows)
+        draws = rng.standard_normal((hi - lo, m))
         draws *= stds
         # per-row running sums in k order, whatever the layout of the output
-        np.cumsum(draws, axis=1, out=paths[start:stop, 1:])
+        np.cumsum(draws, axis=1, out=out[lo:hi, 1:])
+    _check_paths(out)
+    return out
+
+
+def generate(h: TimeChange, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
+    """Sample n_paths independent paths of X_t = B_{h(t)} on the grid.
+
+    The N x (M+1) matrix is the stack of :func:`fill_block` blocks, stored
+    column-major (see the module docstring).
+    """
+    seed = _check_size(n_paths, seed)
+    paths = np.empty((n_paths, len(grid.points)), dtype=float, order="F")
+    for block in range(block_count(n_paths)):
+        start = block * BLOCK_PATHS
+        fill_block(h, grid, n_paths, seed, block, paths[start : start + BLOCK_PATHS])
     return PathEnsemble(grid=grid, time_change=h, paths=paths, seed=seed)

@@ -12,12 +12,28 @@ with I1 = int (X - g) Y dX and I2 = int (X - gt) GY dX are checked against
 their exact right-hand sides.  Every stochastic check reports an explicit
 statistical allowance (k_sigma standard errors, delta-method propagated
 through square roots) plus a discretization allowance for the Ito sums.
+
+Sampled memory: ``ito_integral`` reads a materialized ``PathEnsemble``
+(N x (M+1) floats).  ``ito_sweep`` forms the Ito sums of several integrands
+in one pass over path blocks generated on the fly, so the CLI's memory
+scales as workers x ``BLOCK_PATHS`` x (M+1) instead.  Both run the same
+column kernel, and their per-path sums are bitwise equal.
+
+Product order: a term with a complex exponent is val * exp(w), and a
+complex product is not bitwise commutative (fused multiply-add).  The bits
+the reports are pinned to are those of the expression ``val * np.exp(w)``
+on a whole column, which numpy computes in the buffer of the ``np.exp``
+temporary, operands swapped, once that temporary reaches 256 KiB
+(``ELISION_PATHS`` complex values).  The kernel therefore fixes the order
+from the total path count N, not from the length of the block it is given:
+exp(w) * val when N >= ``ELISION_PATHS``, val * exp(w) otherwise.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -39,7 +55,15 @@ from .algebra import (
     scale,
     sub,
 )
-from .processes import PathEnsemble, TimeChange, TimeGrid, quadratic_variation_at
+from .processes import (
+    BLOCK_PATHS,
+    PathEnsemble,
+    TimeChange,
+    TimeGrid,
+    block_count,
+    fill_block,
+    quadratic_variation_at,
+)
 
 __all__ = [
     "OVERFLOW_LIMIT",
@@ -52,11 +76,15 @@ __all__ = [
     "evaluate_element",
     "mc_expectation",
     "ito_integral",
+    "ito_sweep",
     "energy_integral",
     "weighted_energy_integral",
     "verify_isometry",
+    "isometry_report",
     "verify_h1",
     "verify_h2",
+    "h2_integrands",
+    "h2_report",
     "verify_pde",
     "verify_l2_limit",
     "lemma2_case",
@@ -66,11 +94,21 @@ __all__ = [
 # could silently saturate well before that.
 OVERFLOW_LIMIT = 700.0
 
+# complex128 values in 256 KiB: from this many points numpy computes a
+# binary operation in the buffer of a temporary operand (see the module
+# docstring for the product order this fixes)
+ELISION_PATHS = 16384
+
 H1_TOL = 1e-9
 
 
 class EvaluationOverflowError(ArithmeticError):
-    """An evaluation or sample moment exceeds the float64 range."""
+    """An evaluation or sample moment exceeds the float64 range.
+
+    ``column`` is the grid column of the Ito sum that raised it, when known.
+    """
+
+    column: int | None = None
 
     def __init__(
         self,
@@ -121,7 +159,7 @@ def _check_exponent(w_real: np.ndarray, c: complex, q: float) -> None:
         raise EvaluationOverflowError(c, q, max_real)
 
 
-def _evaluate(f: PolyExpElement, xs: np.ndarray) -> np.ndarray:
+def _evaluate(f: PolyExpElement, xs: np.ndarray, swap: bool) -> np.ndarray:
     """f at real points xs: float64 when every term is real, else complex128.
 
     The values are bit-identical to a complex128 evaluation (complex Horner,
@@ -130,6 +168,9 @@ def _evaluate(f: PolyExpElement, xs: np.ndarray) -> np.ndarray:
     exponential through complex ``np.exp``: numpy's float64 ``exp`` is a SIMD
     routine that differs from the C library's ``cexp`` by one ulp on a few
     percent of inputs, and the reports are pinned to the ``cexp`` bits.
+    ``swap`` selects the product order of complex exponents: true when the
+    whole column these points belong to has at least ``ELISION_PATHS``
+    points (module docstring).
     """
     total = None
     for c, p in f.terms:
@@ -145,11 +186,8 @@ def _evaluate(f: PolyExpElement, xs: np.ndarray) -> np.ndarray:
         else:
             w = c * xs - 0.5 * c * c * f.q
             _check_exponent(w.real, c, f.q)
-            # Keep this one expression.  numpy may compute a product into the
-            # buffer of its temporary operand with the operands swapped, and
-            # a complex product is not bitwise commutative (fused
-            # multiply-add), so the order it picks here is part of the bits.
-            val = val * np.exp(w)
+            e = np.exp(w)
+            val = np.multiply(e, val, out=e) if swap else val * e
         total = val if total is None else total + val
     return np.zeros(xs.shape) if total is None else total
 
@@ -161,7 +199,7 @@ def evaluate_element(f: PolyExpElement, x):
     exceeds OVERFLOW_LIMIT on the points, EvaluationOverflowError is raised.
     """
     arr = np.asarray(x, dtype=float)
-    total = _evaluate(f, np.atleast_1d(arr))
+    total = _evaluate(f, np.atleast_1d(arr), arr.size >= ELISION_PATHS)
     if arr.ndim == 0:
         return complex(total[0])
     return total.astype(complex, copy=False)
@@ -344,25 +382,123 @@ def _template_label(tpl: tuple) -> str:
 # ---------------------------------------------------------------------------
 # Ito integrals and exact integral energies
 
-def ito_integral(z: ProcessElement, ensemble: PathEnsemble) -> np.ndarray:
-    """Left-endpoint Ito sums: per path, sum_k z(t_k, X_{t_k}) (X_{t_k+1} - X_{t_k}).
+def _ito_columns(elements: Iterable[PolyExpElement], x: np.ndarray, swap: bool) -> np.ndarray:
+    """The column kernel: per row of x, sum_k elements[k](x_k) (x_{k+1} - x_k).
 
-    Each column's element is built once and evaluated on the column in
-    place (contiguous for ensembles from ``generate``).  Every path sums its
-    terms left to right over k, in float64 while the integrand is real and
-    in complex128 from its first complex column on; the result (complex128)
-    equals a complex accumulation throughout, up to the sign of zero parts.
+    Each element is evaluated on its column in place (contiguous for
+    column-major paths).  Every path sums its terms left to right over k, in
+    float64 while the integrand is real and in complex128 from its first
+    complex column on, which equals a complex accumulation throughout up to
+    the sign of zero parts.  An overflow is raised with its ``column`` set.
     """
-    pts = ensemble.grid.points
-    x = ensemble.paths
     acc = np.zeros(x.shape[0])
-    for k in range(len(pts) - 1):
-        vals = _evaluate(z.at(pts[k]), x[:, k])
+    for k, el in enumerate(elements):
+        try:
+            vals = _evaluate(el, x[:, k], swap)
+        except EvaluationOverflowError as e:
+            e.column = k
+            raise
         if vals.dtype.kind == "c" and acc.dtype.kind != "c":
             acc = acc.astype(complex)
         vals *= x[:, k + 1] - x[:, k]
         acc += vals
+    return acc
+
+
+def ito_integral(z: ProcessElement, ensemble: PathEnsemble) -> np.ndarray:
+    """Left-endpoint Ito sums: per path, sum_k z(t_k, X_{t_k}) (X_{t_k+1} - X_{t_k}).
+
+    Each column's element is built just before the column is evaluated, so
+    a build error at column k surfaces after columns 0..k-1 evaluated
+    cleanly.  The result is complex128.
+    """
+    x = ensemble.paths
+    elements = (z.at(t) for t in ensemble.grid.points[:-1])
+    acc = _ito_columns(elements, x, x.shape[0] >= ELISION_PATHS)
     return acc.astype(complex, copy=False)
+
+
+def _build_columns(z: ProcessElement, times: Sequence[float]):
+    """z at each time, up to the first that fails: (elements, error or None)."""
+    elements = []
+    for t in times:
+        try:
+            elements.append(z.at(t))
+        except Exception as e:  # handed to the integrand's consumer, in order
+            return elements, e
+    return elements, None
+
+
+def _outcome(values: np.ndarray, error: BaseException | None) -> Callable[[], np.ndarray]:
+    def get() -> np.ndarray:
+        if error is not None:
+            raise error
+        return values
+
+    return get
+
+
+def ito_sweep(
+    integrands: Sequence[ProcessElement],
+    h: TimeChange,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    workers: int = 1,
+) -> list[Callable[[], np.ndarray]]:
+    """Ito sums of several integrands in one pass over generated path blocks.
+
+    Returns one callable per integrand.  Calling it returns what
+    ``ito_integral(z, generate(h, grid, n_paths, seed))`` returns, bitwise,
+    or raises what that call raises, with the same message.  The N x (M+1)
+    matrix is never built: each ``BLOCK_PATHS`` block is generated, every
+    integrand is summed on it into its slice of an N-vector, and the block
+    is dropped.  Memory scales as workers x BLOCK_PATHS x (M+1).
+
+    Each integrand's column elements are built once, before the sweep.  A
+    build error at column k is kept, and columns 0..k-1 are still summed,
+    because an overflow there comes first in ``ito_integral``.  An overflow
+    is reported at the first (column, term) where any block overflows, with
+    the maximum over those blocks: the maximum of the whole column.  With
+    workers > 1 the blocks are spread over that many threads; each writes
+    disjoint slices, so the results do not depend on scheduling.
+    """
+    built = [_build_columns(z, grid.points[:-1]) for z in integrands]
+    swap = n_paths >= ELISION_PATHS
+    sums = [np.empty(n_paths, dtype=complex) for _ in integrands]
+    overflows: list[list] = [[] for _ in integrands]
+    n_blocks = block_count(n_paths)
+    workers = max(1, min(workers, n_blocks))
+
+    def run_blocks(first: int) -> None:
+        buffer = np.empty((min(BLOCK_PATHS, n_paths), len(grid.points)), order="F")
+        for block in range(first, n_blocks, workers):
+            start = block * BLOCK_PATHS
+            stop = min(start + BLOCK_PATHS, n_paths)
+            x = fill_block(h, grid, n_paths, seed, block, buffer[: stop - start])
+            for i, (elements, _) in enumerate(built):
+                try:
+                    sums[i][start:stop] = _ito_columns(elements, x, swap)
+                except EvaluationOverflowError as e:
+                    term = [c for c, _ in elements[e.column].terms].index(e.exponent)
+                    overflows[i].append((e.column, term, e.max_real, e.exponent, e.q))
+
+    if workers == 1:
+        run_blocks(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done in [pool.submit(run_blocks, first) for first in range(workers)]:
+                done.result()
+    results = []
+    for (_, error), values, failed in zip(built, sums, overflows):
+        if failed:
+            column, term = min(f[:2] for f in failed)
+            at_first = [f for f in failed if f[:2] == (column, term)]
+            _, _, _, exponent, q = at_first[0]
+            error = EvaluationOverflowError(exponent, q, max(f[2] for f in at_first))
+            error.column = column
+        results.append(_outcome(values, error))
+    return results
 
 
 def _trapezoid_energy(z: ProcessElement, grid: TimeGrid, weighted: bool) -> float:
@@ -429,9 +565,19 @@ def _abs_squared(values: np.ndarray) -> np.ndarray:
 
 def verify_isometry(z: ProcessElement, ensemble: PathEnsemble, z_max: float = 4.0) -> IsometryReport:
     """E[|int z dX|^2] from sampling vs the exact integral int E|z|^2 dh."""
-    integral = ito_integral(z, ensemble)
-    mc = Estimate.from_samples(_abs_squared(integral))
-    exact = energy_integral(z, ensemble.grid)
+    return isometry_report(z, ensemble.grid, lambda: ito_integral(z, ensemble), z_max)
+
+
+def isometry_report(
+    z: ProcessElement,
+    grid: TimeGrid,
+    integral: Callable[[], np.ndarray],
+    z_max: float = 4.0,
+) -> IsometryReport:
+    """``verify_isometry`` from z's per-path Ito sums, as ``integral()`` returns
+    them (an item of ``ito_sweep``)."""
+    mc = Estimate.from_samples(_abs_squared(integral()))
+    exact = energy_integral(z, grid)
     zscore = mc.z_against(exact)
     return IsometryReport(
         case=f"isometry[{z.label}]", mc=mc, exact=exact, z=zscore, passed=zscore <= z_max
@@ -498,11 +644,38 @@ def verify_h2(
     conservative f2*s1 + f1*s2 for the product); the discretization
     allowance is disc_factor * (T/M) for the left-endpoint sums.
     """
-    grid = ensemble.grid
-    z1 = y.centered_position(g)
-    z2 = y.gauss_transform().centered_position(g_tilde)
-    e1 = Estimate.from_samples(_abs_squared(ito_integral(z1, ensemble)))
-    e2 = Estimate.from_samples(_abs_squared(ito_integral(z2, ensemble)))
+    z1, z2 = h2_integrands(y, g, g_tilde)
+    return h2_report(
+        y, ensemble.grid,
+        lambda: ito_integral(z1, ensemble), lambda: ito_integral(z2, ensemble),
+        k_sigma, disc_factor, case,
+    )
+
+
+def h2_integrands(
+    y: ProcessElement, g: CenteringFunction | None, g_tilde: CenteringFunction | None
+) -> tuple[ProcessElement, ProcessElement]:
+    """(X - g) Y and (X - gt) GY: the integrands of the two h2 factors."""
+    return y.centered_position(g), y.gauss_transform().centered_position(g_tilde)
+
+
+def h2_report(
+    y: ProcessElement,
+    grid: TimeGrid,
+    integral1: Callable[[], np.ndarray],
+    integral2: Callable[[], np.ndarray],
+    k_sigma: float = 4.0,
+    disc_factor: float = 10.0,
+    case: str = "",
+) -> InequalityReport:
+    """``verify_h2`` from the per-path Ito sums of the two ``h2_integrands``.
+
+    Each ``integral()`` returns its sums or raises (items of ``ito_sweep``);
+    the second is called only once the first factor is formed, so errors
+    surface in the order ``verify_h2`` meets them.
+    """
+    e1 = Estimate.from_samples(_abs_squared(integral1()))
+    e2 = Estimate.from_samples(_abs_squared(integral2()))
     f1 = _sqrt_estimate(e1)
     f2 = _sqrt_estimate(e2)
     lhs = f1.mean.real * f2.mean.real

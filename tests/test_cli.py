@@ -8,6 +8,8 @@ import pytest
 
 from expmart.cli import main
 from expmart import cli
+from expmart.processes import TimeChange, TimeGrid, generate
+from expmart.verify import EvaluationOverflowError, ProcessElement, ito_integral
 from expmart.config import (
     L2_K_MAX,
     PRESETS,
@@ -311,6 +313,71 @@ def test_reports_identical_across_worker_counts(tmp_path):
     assert csv_a == csv_b
     assert _strip_json_header(doc_a) == _strip_json_header(doc_b)
     assert doc_a["header"]["workers"] == 1 and doc_b["header"]["workers"] == 3
+    for doc in (doc_a, doc_b):
+        assert doc["header"]["paths_generated"] == {"main": 2000, "lemma2": 0}
+        assert doc["header"]["peak_rss_mb"] > 0
+
+
+OVERFLOW_CASE = "template:1@1+45j"
+
+
+def _isometry_h2_run(out_dir, workers, extra_case=""):
+    # the real part of 1@1+45j's exponent is x + 1012 q: it overflows from
+    # t = 0.75 on, in all three blocks; at seed 8 the column maximum lies in
+    # the last block and reads 763 there against 762 in the first
+    out_dir.mkdir()
+    ini = out_dir / "run.ini"
+    ini.write_text(
+        "[run]\nsuites = isometry h2\npaths = 40000\ngrid_steps = 16\nseed = 8\n\n"
+        f"[isometry]\ncases = one x {extra_case}\n"
+    )
+    rc = main(["--config", str(ini), "--workers", str(workers), "--out-dir", str(out_dir)])
+    return rc, _read_reports(out_dir)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_overflowing_integrand_fails_only_its_own_task(tmp_path, workers):
+    rc, (csv_text, doc) = _isometry_h2_run(tmp_path / "with", workers, OVERFLOW_CASE)
+    assert rc == 3
+    _, (csv_clean, doc_clean) = _isometry_h2_run(tmp_path / "without", workers)
+    label = f"isometry/{OVERFLOW_CASE}"
+    failed = [c for c in doc["cases"] if c["case"] == label]
+    assert len(failed) == 1 and failed[0]["passed"] is False
+
+    h = TimeChange.identity()
+    ens = generate(h, TimeGrid.uniform(1.0, 16), 40000, 8)
+    z = ProcessElement.from_template(h, [(1 + 45j, (1.0,))])
+    with pytest.raises(EvaluationOverflowError) as e:
+        ito_integral(z, ens)
+    assert failed[0]["note"] == f"overflow: {e.value}"
+
+    assert [c for c in doc["cases"] if c["case"] != label] == doc_clean["cases"]
+    assert [line for line in csv_text.splitlines() if f",{label}," not in line] == (
+        csv_clean.splitlines()
+    )
+
+
+def test_main_ensemble_is_never_materialized(tmp_path, monkeypatch):
+    real_generate = cli.generate
+    steps = []
+
+    def single_step_only(h, grid, n_paths, seed):
+        steps.append(grid.steps)
+        if grid.steps > 1:
+            raise AssertionError("the main N x (M+1) path matrix was built")
+        return real_generate(h, grid, n_paths, seed)
+
+    monkeypatch.setattr(cli, "generate", single_step_only)
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nsuites = lemma2 isometry h2\npaths = 20000\ngrid_steps = 32\n\n"
+        "[lemma2]\npaths = 20000\n"
+    )
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 0
+    assert steps == [1]
+    _, doc = _read_reports(tmp_path)
+    assert doc["header"]["paths_generated"] == {"main": 20000, "lemma2": 20000}
+    assert {c["suite"] for c in doc["cases"]} == {"lemma2", "isometry", "h2"}
 
 
 def test_seed_changes_sampled_rows(tmp_path):

@@ -27,6 +27,7 @@ from expmart.verify import (
     _abs_squared,
     evaluate_element,
     ito_integral,
+    ito_sweep,
 )
 
 
@@ -164,3 +165,65 @@ def test_generate_columns_are_contiguous_and_values_unchanged(label, n_paths):
     assert ens.paths.flags.f_contiguous
     assert all(ens.paths[:, k].flags.c_contiguous for k in range(grid.steps + 1))
     assert np.array_equal(ens.paths, reference_generate(h, grid, n_paths, 17))
+
+
+# ---------------------------------------------------------------------------
+# the path-blocked sweep: blocks of BLOCK_PATHS and a short tail, summed into
+# slices of one N-vector, must give the materialized kernel's bits
+
+# complex polynomial times complex exponent: the product whose operand order
+# numpy's buffer reuse fixes for whole columns of >= 16384 paths
+COMPLEX_PRODUCT = [(0.5 + 0.5j, (1j, 1 + 0.5j)), (-0.3j, (0.2, 1j))]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_paths", [2, 1000, BLOCK_PATHS, BLOCK_PATHS + 1234, 40_000])
+@pytest.mark.parametrize("h_label", sorted(TIME_CHANGES))
+def test_sweep_is_bitwise_the_complex_loop(h_label, n_paths, workers):
+    h = TIME_CHANGES[h_label]
+    grid = TimeGrid.uniform(1.0, 8)
+    zs = [*integrands(h).values(), ProcessElement.from_template(h, COMPLEX_PRODUCT)]
+    ens = generate(h, grid, n_paths, 21)
+    for z, swept in zip(zs, ito_sweep(zs, h, grid, n_paths, 21, workers)):
+        got = swept()
+        assert got.dtype == complex
+        assert np.array_equal(got, ito_integral(z, ens))
+        new, old = _abs_squared(got), _abs_squared(reference_ito(z, ens))
+        assert np.array_equal(new, old)
+        assert Estimate.from_samples(new) == Estimate.from_samples(old)
+
+
+def _cut_off(h, t_fail):
+    """1@1+45j, whose exponent overflows from t = 0.75 on, failing to build at t_fail."""
+    element = ProcessElement.from_template(h, [(1 + 45j, (1.0,))])
+
+    def build(t, q):
+        if t >= t_fail:
+            raise ValueError(f"no element at t={t!r}")
+        return element.build(t, q)
+
+    return ProcessElement(h, build, "cut-off")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "t_fail, error", [(2.0, EvaluationOverflowError), (0.875, EvaluationOverflowError),
+                      (0.5, ValueError)],
+    ids=["overflow", "overflow-before-build-error", "build-error-first"],
+)
+def test_sweep_raises_what_ito_integral_raises(workers, t_fail, error):
+    # Re(c x - c^2 q/2) = x + 1012 t: every block overflows at t = 0.75 with
+    # its own maximum, and the message must carry the whole column's
+    h = TimeChange.identity()
+    grid = TimeGrid.uniform(1.0, 16)
+    n_paths = 40_000
+    ens = generate(h, grid, n_paths, 3)
+    good, bad = ProcessElement.coordinate(h), _cut_off(h, t_fail)
+    with pytest.raises(error) as expected:
+        ito_integral(bad, ens)
+    swept_good, swept_bad = ito_sweep([good, bad], h, grid, n_paths, 3, workers)
+    with pytest.raises(error) as got:
+        swept_bad()
+    assert str(got.value) == str(expected.value)
+    assert getattr(got.value, "max_real", None) == getattr(expected.value, "max_real", None)
+    assert np.array_equal(swept_good(), ito_integral(good, ens))

@@ -135,14 +135,6 @@ def test_ensemble_shape_validation():
                      paths=bad, seed=0)
 
 
-def test_dump_csv_round_trips(tmp_path):
-    ens = generate(TimeChange.identity(), TimeGrid.uniform(1.0, 3), 7, seed=5)
-    out = tmp_path / "paths.csv"
-    ens.dump_csv(str(out))
-    back = np.loadtxt(out, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(back, ens.paths)
-
-
 # ---------------------------------------------------------------------------
 # distributional checks (all at 4 standard errors)
 

@@ -21,12 +21,14 @@ Canonical form
 Every operation returns a normalized element: terms sorted by exponent
 (real part, then imaginary part), exponents equal to within 1e-12 per
 component merged, trailing zero coefficients trimmed, zero polynomials
-dropped.  Operations that can cancel (addition, subtraction, products with
-colliding exponents, commutator residuals) also drop coefficients smaller
-than 1e-12 relative to the pre-cancellation coefficient scale, so that
-f - f collapses to the literal zero element (no terms).  Exact unary maps
-(conjugation, X, D, D*, G, scalar multiples) never drop small coefficients:
-a legitimate element may mix coefficient magnitudes across many orders.
+dropped.  Where terms merge (addition, subtraction, colliding exponents,
+commutator residuals) and in products, coefficients at or below 1e-12
+relative to the pre-cancellation coefficient scale are dropped, so that
+f - f collapses to the literal zero element (no terms).  A term copied
+unchanged keeps every coefficient, and exact unary maps (conjugation, X,
+D, D*, G, scalar multiples) never drop small coefficients: a legitimate
+element may mix coefficient magnitudes across many orders.  Canonicalization
+is therefore a projection: make_element(f.q, f.terms) == f.
 """
 
 from __future__ import annotations
@@ -39,6 +41,19 @@ import mpmath as mp
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
+
+from mpmath.libmp import (
+    fone,
+    from_float,
+    fzero,
+    mpc_add,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_pow,
+    mpc_to_complex,
+    mpf_e,
+    mpf_mul_int,
+)
 
 __all__ = [
     "CANONICAL_TOL",
@@ -135,16 +150,16 @@ def _poly_scale(a: Sequence[complex], s: complex) -> tuple[complex, ...]:
     return tuple(s * v for v in a)
 
 
-def _poly_mul(a: Sequence[complex], b: Sequence[complex]) -> tuple[complex, ...]:
+def _poly_mul(a: Sequence[complex], b: Sequence[complex]) -> list[complex]:
     if not a or not b:
-        return ()
+        return []
     out = [0j] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         if u == 0:
             continue
         for j, v in enumerate(b):
             out[i + j] += u * v
-    return tuple(out)
+    return out
 
 
 def _poly_diff(a: Sequence[complex]) -> tuple[complex, ...]:
@@ -168,38 +183,49 @@ def _max_abs(coeffs: Iterable[complex]) -> float:
 # ---------------------------------------------------------------------------
 # canonicalization
 
-def _clean_zero(z: complex) -> complex:
-    # -0.0 components break nothing but make reprs and golden files unstable
-    return complex(z.real + 0.0, z.imag + 0.0)
-
-
-def _canonical_terms(raw: Iterable[Term], scale: float) -> tuple[Term, ...]:
+def _canonical_terms(raw: Iterable[Term], scale: float, computed: bool = False) -> tuple[Term, ...]:
     """Sort, merge near-equal exponents, drop sub-scale coefficients.
 
+    An exponent joins the first cluster, latest first, whose representative
+    (its smallest member in (re, im) order) lies within CANONICAL_TOL in both
+    components; every representative in that real-part window is tried, so
+    the clusters depend only on the exponents, and the representatives of
+    the output are pairwise apart, which makes this a projection.
+
     ``scale`` is the pre-cancellation coefficient magnitude of the operation
-    that produced ``raw``; coefficients below CANONICAL_TOL * scale are set
-    to zero.  Pass 0.0 to disable dropping (exact unary operations).
+    that produced ``raw``; coefficients at or below CANONICAL_TOL * scale are
+    set to zero in merged terms, which are sums.  Unmerged terms are copied
+    unchanged and keep every coefficient, unless ``computed`` says that the
+    operation computed all of ``raw`` (a product): then every term drops.
     """
+    # v + 0j turns -0.0 components into +0.0: they break nothing but make
+    # reprs and golden files unstable
     items = sorted(
-        ((_clean_zero(c), tuple(_clean_zero(v) for v in p)) for c, p in raw),
+        ((c + 0j, [v + 0j for v in p]) for c, p in raw),
         key=lambda t: (t[0].real, t[0].imag),
     )
-    merged: list[tuple[complex, list[complex]]] = []
+    clusters: list[list] = []  # [representative, coefficients, droppable]
     for c, p in items:
-        if merged:
-            rep = merged[-1][0]
-            if abs(c.real - rep.real) <= CANONICAL_TOL and abs(c.imag - rep.imag) <= CANONICAL_TOL:
-                merged[-1] = (rep, list(_poly_add(merged[-1][1], p)))
-                continue
-        merged.append((c, list(p)))
+        k = len(clusters) - 1
+        while k >= 0 and c.real - clusters[k][0].real <= CANONICAL_TOL:
+            if abs(c.imag - clusters[k][0].imag) <= CANONICAL_TOL:
+                break
+            k -= 1
+        else:
+            clusters.append([c, p, computed])
+            continue
+        cluster = clusters[k]
+        cluster[1] = _poly_add(cluster[1], p)
+        cluster[2] = True
 
     drop = CANONICAL_TOL * scale
     out: list[Term] = []
-    for c, p in merged:
-        cleaned = tuple(0j if abs(v) <= drop else v for v in p)
-        cleaned = _poly_trim(cleaned)
-        if cleaned:
-            out.append((c, cleaned))
+    for c, p, droppable in clusters:
+        if droppable:
+            p = [0j if abs(v) <= drop else v for v in p]
+        p = _poly_trim(p)
+        if p:
+            out.append((c, p))
     return tuple(out)
 
 
@@ -218,17 +244,27 @@ class PolyExpElement:
 
     def __post_init__(self) -> None:
         _require_variance(self.q)
-        last_key = None
+        keys: list[tuple[float, float]] = []
         for c, p in self.terms:
-            _require_finite_complex(c, "exponent")
+            if not cmath.isfinite(c):
+                _require_finite_complex(c, "exponent")
             if not p or p[-1] == 0:
                 raise ValueError("canonical terms must have trimmed, nonzero polynomials")
-            for v in p:
-                _require_finite_complex(v, "coefficient")
+            if not all(map(cmath.isfinite, p)):
+                for v in p:
+                    _require_finite_complex(v, "coefficient")
             key = (c.real, c.imag)
-            if last_key is not None and key <= last_key:
+            if keys and key <= keys[-1]:
                 raise ValueError("canonical terms must be strictly ordered by exponent")
-            last_key = key
+            for re, im in reversed(keys):
+                if c.real - re > CANONICAL_TOL:
+                    break
+                if abs(c.imag - im) <= CANONICAL_TOL:
+                    raise ValueError(
+                        "canonical exponents must differ by more than CANONICAL_TOL "
+                        f"in some component, got {complex(re, im)!r} and {c!r}"
+                    )
+            keys.append(key)
 
     # -- convenience ------------------------------------------------------
     @property
@@ -334,7 +370,7 @@ def mul(f: PolyExpElement, g: PolyExpElement) -> PolyExpElement:
             factor = cmath.exp(c * d * q)
             raw.append((c + d, _poly_scale(_poly_mul(p, r), factor)))
     scale_ = max((_max_abs(p) for _, p in raw), default=0.0)
-    return PolyExpElement(q, _canonical_terms(raw, scale_))
+    return PolyExpElement(q, _canonical_terms(raw, scale_, computed=True))
 
 
 def conjugate(f: PolyExpElement) -> PolyExpElement:
@@ -351,6 +387,23 @@ def conjugate(f: PolyExpElement) -> PolyExpElement:
 # can lose every digit.  All scalar reductions therefore fall back to mpmath
 # at a cancellation-adapted precision whenever more than _ESCALATE_DIGITS
 # decimal digits cancel; coefficients stay exact float64 inputs either way.
+#
+# The escalated sums need 27-35 digits on the CLI's randomized families
+# (check-algebra at seed 1: 328 of 10,000 inner products escalate, all in
+# that range), more than double-double's ~32, so double-double cannot
+# replace mpmath exactly.  They run on libmp value tuples rather than mpf/mpc
+# objects, because mpmath's object layer (conversion and allocation per
+# operation) costs more than its arithmetic.
+#
+# The kernels below obey one rule: every rounded float, complex or mpmath
+# operation of the plain object-level formulation runs with the same
+# operands in the same order; only the operands of a single + or * may be
+# swapped (both commute bitwise).  Nothing is reassociated, fused or
+# vectorized, so results are bit-identical to that formulation by
+# construction (tests/test_algebra_kernels.py keeps it as the oracle).  An
+# escalated block reads its precision from mpmath's global context inside
+# ``mp.workdps``, which ``verify_pde`` also sets, so the blocks keep holding
+# _MP_LOCK.
 
 _ESCALATE_DIGITS = 2
 _MAX_DPS = 70
@@ -359,30 +412,54 @@ _MAX_DPS = 70
 # holds this lock so concurrent evaluations cannot observe each other's dps.
 _MP_LOCK = threading.Lock()
 
+# [escalated reductions, highest dps used], process-wide like the precision
+# they describe and updated under _MP_LOCK; cli.run resets and reads them
+_MP_STATS = [0, 0]
 
-def _csum(values: Iterable[complex]) -> complex:
-    vals = [complex(v) for v in values]
+
+def take_mp_stats() -> dict[str, int]:
+    """The escalation count and highest dps since the last call; resets both."""
+    with _MP_LOCK:
+        out = {"mp_escalations": _MP_STATS[0], "mp_max_dps": _MP_STATS[1]}
+        _MP_STATS[:] = [0, 0]
+    return out
+
+
+def _escalated_block(dps: int) -> tuple[int, str]:
+    """Count one escalation and return the libmp (prec, rounding) of the block.
+
+    Call inside ``with _MP_LOCK, mp.workdps(dps)``.
+    """
+    _MP_STATS[0] += 1
+    if dps > _MP_STATS[1]:
+        _MP_STATS[1] = dps
+    return mp.mp._prec_rounding
+
+
+def _csum(values: Sequence[complex]) -> complex:
     return complex(
-        math.fsum(v.real for v in vals),
-        math.fsum(v.imag for v in vals),
+        math.fsum([v.real for v in values]),
+        math.fsum([v.imag for v in values]),
     )
 
 
-def _moment_addends(p: Sequence[complex], a: complex, q: float) -> list[complex]:
-    """Addends p[k] * m_k with m_k = E[X^k exp(aX - a^2 q/2)], X ~ N(0, q).
+def _moment_addends(
+    out: list[complex], p: Sequence[complex], a: complex, q: float, factor: complex | None = None
+) -> None:
+    """Append the addends p[k] * m_k, times ``factor`` if given, to ``out``.
 
-    The tilted moments follow m_0 = 1, m_1 = a q,
-    m_k = a q m_{k-1} + (k-1) q m_{k-2}.
+    m_k = E[X^k exp(aX - a^2 q/2)], X ~ N(0, q), follows the tilted moment
+    recursion m_0 = 1, m_1 = a q, m_k = a q m_{k-1} + (k-1) q m_{k-2}.
     """
     if not p:
-        return []
-    addends = [complex(p[0])]
+        return
+    out.append(p[0] if factor is None else factor * p[0])
     m_prev2 = 1 + 0j
-    m_prev1 = a * q
+    m_prev1 = aq = a * q
     for k in range(1, len(p)):
-        addends.append(complex(p[k]) * m_prev1)
-        m_prev2, m_prev1 = m_prev1, a * q * m_prev1 + k * q * m_prev2
-    return addends
+        v = p[k] * m_prev1
+        out.append(v if factor is None else factor * v)
+        m_prev2, m_prev1 = m_prev1, aq * m_prev1 + k * q * m_prev2
 
 
 def _needs_escalation(addends: Sequence[complex], total: complex) -> tuple[bool, int]:
@@ -397,18 +474,24 @@ def _needs_escalation(addends: Sequence[complex], total: complex) -> tuple[bool,
     return True, min(_MAX_DPS, 25 + int(math.log10(ratio)))
 
 
-def _mp_moment_sum(p, a, q):
-    """sum_k p[k] m_k in the current mpmath context (p entries mpc-able)."""
-    if not len(p):
-        return mp.mpc(0)
-    a = mp.mpmathify(a)
-    q = mp.mpf(q)
-    total = mp.mpc(p[0])
-    m_prev2 = mp.mpc(1)
-    m_prev1 = a * q
+def _mpc(z: complex) -> tuple:
+    """A complex double as an exact libmp (re, im) pair."""
+    return from_float(z.real), from_float(z.imag)
+
+
+def _mp_moment_sum(p: Sequence[tuple], a: tuple, q: tuple, prec: int, rnd: str) -> tuple:
+    """sum_k p[k] m_k on libmp values: p and a are mpc pairs, q an mpf; p nonempty."""
+    total = p[0]
+    m_prev2 = (fone, fzero)
+    m_prev1 = aq = mpc_mul_mpf(a, q, prec, rnd)
     for k in range(1, len(p)):
-        total += mp.mpc(p[k]) * m_prev1
-        m_prev2, m_prev1 = m_prev1, a * q * m_prev1 + k * q * m_prev2
+        total = mpc_add(total, mpc_mul(p[k], m_prev1, prec, rnd), prec, rnd)
+        m_prev2, m_prev1 = m_prev1, mpc_add(
+            mpc_mul(aq, m_prev1, prec, rnd),
+            mpc_mul_mpf(m_prev2, mpf_mul_int(q, k, prec, rnd), prec, rnd),
+            prec,
+            rnd,
+        )
     return total
 
 
@@ -421,7 +504,8 @@ def gaussian_expectation(p: Sequence[complex], a: complex, q: float) -> complex:
     a = _require_finite_complex(a, "tilt")
     q = _require_variance(q)
     coeffs = [complex(v) for v in p]
-    addends = _moment_addends(coeffs, a, q)
+    addends: list[complex] = []
+    _moment_addends(addends, coeffs, a, q)
     if not addends:
         return 0j
     total = _csum(addends)
@@ -429,14 +513,16 @@ def gaussian_expectation(p: Sequence[complex], a: complex, q: float) -> complex:
     if not escalate:
         return total
     with _MP_LOCK, mp.workdps(dps):
-        return complex(_mp_moment_sum(coeffs, a, q))
+        prec, rnd = _escalated_block(dps)
+        acc = _mp_moment_sum([_mpc(v) for v in coeffs], _mpc(a), from_float(q), prec, rnd)
+        return mpc_to_complex(acc, rnd=rnd)
 
 
 def expectation(f: PolyExpElement) -> complex:
     """E[f(X)] for X ~ N(0, q); each exponential term has expectation one."""
     addends: list[complex] = []
     for c, p in f.terms:
-        addends.extend(_moment_addends(p, c, f.q))
+        _moment_addends(addends, p, c, f.q)
     if not addends:
         return 0j
     total = _csum(addends)
@@ -444,20 +530,13 @@ def expectation(f: PolyExpElement) -> complex:
     if not escalate:
         return total
     with _MP_LOCK, mp.workdps(dps):
-        acc = mp.mpc(0)
+        prec, rnd = _escalated_block(dps)
+        q = from_float(f.q)
+        acc = (fzero, fzero)
         for c, p in f.terms:
-            acc += _mp_moment_sum(p, c, f.q)
-        return complex(acc)
-
-
-def _pair_addends(
-    c: complex, p: Sequence[complex], d: complex, r: Sequence[complex], q: float
-) -> list[complex]:
-    """Addends of exp(c conj(d) q) E[p(X) conj(r)(X) E(c + conj(d))]."""
-    dd = d.conjugate()
-    factor = cmath.exp(c * dd * q)
-    conv = _poly_mul(p, tuple(v.conjugate() for v in r))
-    return [factor * v for v in _moment_addends(conv, c + dd, q)]
+            moment = _mp_moment_sum([_mpc(v) for v in p], _mpc(c), q, prec, rnd)
+            acc = mpc_add(acc, moment, prec, rnd)
+        return mpc_to_complex(acc, rnd=rnd)
 
 
 def inner_product(f: PolyExpElement, g: PolyExpElement) -> complex:
@@ -465,13 +544,16 @@ def inner_product(f: PolyExpElement, g: PolyExpElement) -> complex:
 
     For pure exponentials this reduces to exp(c * conj(d) * q).  Terms are
     paired directly (no intermediate canonicalized product), so the adaptive
-    precision sees the complete cancellation structure.
+    precision sees the complete cancellation structure: the pair (c, p),
+    (d, r) adds exp(c conj(d) q) E[p(X) conj(r)(X) E(c + conj(d))].
     """
     q = _check_same_q(f, g)
+    g_conj = [(d.conjugate(), [v.conjugate() for v in r]) for d, r in g.terms]
     addends: list[complex] = []
     for c, p in f.terms:
-        for d, r in g.terms:
-            addends.extend(_pair_addends(c, p, d, r, q))
+        for dd, rr in g_conj:
+            factor = cmath.exp(c * dd * q)
+            _moment_addends(addends, _poly_mul(p, rr), c + dd, q, factor)
     if not addends:
         return 0j
     total = _csum(addends)
@@ -479,17 +561,29 @@ def inner_product(f: PolyExpElement, g: PolyExpElement) -> complex:
     if not escalate:
         return total
     with _MP_LOCK, mp.workdps(dps):
-        acc = mp.mpc(0)
-        for c, p in f.terms:
-            for d, r in g.terms:
-                cc = mp.mpmathify(c)
-                dd = mp.mpmathify(d).conjugate()
-                conv = [mp.mpc(0)] * (len(p) + len(r) - 1)
-                for i, u in enumerate(p):
-                    for j, v in enumerate(r):
-                        conv[i + j] += mp.mpmathify(u) * mp.mpmathify(v).conjugate()
-                acc += mp.e ** (cc * dd * mp.mpf(q)) * _mp_moment_sum(conv, cc + dd, q)
-        return complex(acc)
+        prec, rnd = _escalated_block(dps)
+        return mpc_to_complex(_mp_inner_product(f, g, prec, rnd), rnd=rnd)
+
+
+def _mp_inner_product(f: PolyExpElement, g: PolyExpElement, prec: int, rnd: str) -> tuple:
+    """<f, g> on libmp values: the pair sum of :func:`inner_product`, with the
+    factor evaluated as e ** (c conj(d) q)."""
+    e = (mpf_e(prec, rnd), fzero)
+    q = from_float(f.q)
+    g_mp = [(_mpc(d.conjugate()), [_mpc(v.conjugate()) for v in r]) for d, r in g.terms]
+    acc = (fzero, fzero)
+    for c, p in f.terms:
+        cc = _mpc(c)
+        pp = [_mpc(u) for u in p]
+        for dd, rr in g_mp:
+            conv = [(fzero, fzero)] * (len(pp) + len(rr) - 1)
+            for i, u in enumerate(pp):
+                for j, v in enumerate(rr):
+                    conv[i + j] = mpc_add(conv[i + j], mpc_mul(u, v, prec, rnd), prec, rnd)
+            factor = mpc_pow(e, mpc_mul_mpf(mpc_mul(cc, dd, prec, rnd), q, prec, rnd), prec, rnd)
+            moment = _mp_moment_sum(conv, mpc_add(cc, dd, prec, rnd), q, prec, rnd)
+            acc = mpc_add(acc, mpc_mul(factor, moment, prec, rnd), prec, rnd)
+    return acc
 
 
 def norm(f: PolyExpElement) -> float:
@@ -562,20 +656,31 @@ def apply_G(f: PolyExpElement) -> PolyExpElement:
     which reproduces G H_n = (-i)^n H_n on the variance-q Hermite basis.
     """
     q = f.q
+    b1 = -1j  # x coefficient of beta
+    b1_shift0 = b1 * 0j  # beta's x term times P_n, at degree 0
     raw: list[Term] = []
     for c, p in f.terms:
-        beta = (2.0 * c * q, -1j)  # constant and x coefficient
-        out: tuple[complex, ...] = ()
-        p_nm1: tuple[complex, ...] = ()  # P_{n-1}
-        p_n: tuple[complex, ...] = (1 + 0j,)  # P_0
+        b0 = 2.0 * c * q  # constant coefficient of beta
+        out: list[complex] = []
+        p_nm1: list[complex] = []  # P_{n-1}
+        p_n = [1 + 0j]  # P_0
+        last = len(p) - 1
         for n, coeff in enumerate(p):
             if coeff != 0:
-                out = _poly_add(out, _poly_scale(p_n, coeff))
-            # advance P_{n} -> P_{n+1} = beta P_n + 2 q n P_{n-1}
-            nxt = _poly_add(
-                _poly_add(_poly_scale(p_n, beta[0]), _poly_scale(_poly_shift(p_n), beta[1])),
-                _poly_scale(p_nm1, 2.0 * q * n),
-            )
+                # out += coeff * P_n; out is shorter than P_n
+                m = len(out)
+                for i in range(m):
+                    out[i] += coeff * p_n[i]
+                out += [coeff * v for v in p_n[m:]]
+            if n == last:
+                break
+            # advance P_n -> P_{n+1} = (b1 x P_n + b0 P_n) + 2 q n P_{n-1}
+            s = 2.0 * q * n
+            shifted = [b1_shift0] + [b1 * v for v in p_n]
+            nxt = [u + b0 * v for u, v in zip(shifted, p_n)]
+            nxt.append(shifted[-1])
+            for i, v in enumerate(p_nm1):
+                nxt[i] += s * v
             p_nm1, p_n = p_n, nxt
         raw.append((-1j * c, out))
     return PolyExpElement(q, _canonical_terms(raw, 0.0))
@@ -651,7 +756,9 @@ def from_hermite(h: HermiteExpansion) -> PolyExpElement:
     for n, a in enumerate(h.coeffs):
         if a != 0:
             poly = _poly_add(poly, _poly_scale(hermite_coefficients(n, h.q), a))
-    return make_element(h.q, [(0.0, poly)] if poly else [])
+    # the sums can cancel, so they drop like a product's coefficients
+    scale_ = _max_abs(poly)
+    return PolyExpElement(_require_variance(h.q), _canonical_terms([(0j, poly)], scale_, computed=True))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from failing on pure rounding noise when their sample variance collapses.
 Reproducibility contract: with a fixed config and seed, report.csv is
 byte-identical across runs and across ``--workers`` values; report.json is
 identical outside the ``header`` object (timestamp, worker count, out dir,
-paths generated, peak RSS).  All randomness comes from counter-based
-streams keyed by (seed + channel): randomized inputs are drawn in the main
-thread before any task starts, and each path block of the sampled sweep
-from its own (seed, block) stream, whichever thread draws it.
+paths generated, mpmath escalations, peak RSS).  All randomness comes from
+counter-based streams keyed by (seed + channel): randomized inputs are
+drawn in the main thread before any task starts, and each path block of the
+sampled sweep from its own (seed, block) stream, whichever thread draws it.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .algebra import (
     norm,
     scale,
     sub,
+    take_mp_stats,
     to_hermite,
 )
 from .config import (
@@ -248,9 +249,11 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
     def adjointness() -> list[Row]:
         worst = 0.0
         for f, g in zip(fs, gs):
-            left = inner_product(apply_D(f), g)
-            right = inner_product(f, apply_D_star(g))
-            cs = max(norm(apply_D(f)) * norm(g), norm(f) * norm(apply_D_star(g)), 1e-300)
+            df = apply_D(f)
+            dsg = apply_D_star(g)
+            left = inner_product(df, g)
+            right = inner_product(f, dsg)
+            cs = max(norm(df) * norm(g), norm(f) * norm(dsg), 1e-300)
             worst = max(worst, abs(left - right) / cs)
         return [
             _match_row(
@@ -733,8 +736,10 @@ def write_reports(
     rows: list[Row],
     cfg: RunConfig,
     suites: Sequence[str],
-    paths_generated: dict[str, int],
+    telemetry: dict,
 ) -> tuple[str, str]:
+    """Write report.csv and report.json; ``telemetry`` (what ``run`` returns
+    besides the rows) goes into the JSON header."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "report.csv")
     json_path = os.path.join(cfg.out_dir, "report.json")
@@ -755,7 +760,7 @@ def write_reports(
             "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "workers": cfg.workers,
             "out_dir": cfg.out_dir,
-            "paths_generated": paths_generated,
+            **telemetry,
             "peak_rss_mb": _peak_rss_mb(),
         },
         "run": run_echo,
@@ -829,18 +834,21 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     return cfg.validated()
 
 
-def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Row], int, dict[str, int]]:
+def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Row], int, dict]:
     """Run the suites; return the rows, the exit status (0/1/3/4) and the
-    paths drawn per ensemble."""
+    run's telemetry: paths drawn per ensemble, and the count and highest dps
+    of the algebra's mpmath escalations."""
+    take_mp_stats()  # count this run's escalations only
     tasks, paths_generated = _build_tasks(cfg, suites)
     rows = _execute(tasks, cfg)
+    telemetry = {"paths_generated": paths_generated, **take_mp_stats()}
     if any(row.note.startswith("error:") for row in rows):
         status = 4
     elif any(row.note.startswith("overflow:") for row in rows):
         status = 3
     else:
         status = 1 if any(not row.passed for row in rows) else 0
-    return rows, status, paths_generated
+    return rows, status, telemetry
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -865,8 +873,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("expmart: no suite selected (give a subcommand or a [run] suites key)",
               file=sys.stderr)
         return 2
-    rows, status, paths_generated = run(cfg, suites)
-    csv_path, json_path = write_reports(rows, cfg, suites, paths_generated)
+    rows, status, telemetry = run(cfg, suites)
+    csv_path, json_path = write_reports(rows, cfg, suites, telemetry)
     for row in rows:
         flag = "PASS" if row.passed else "FAIL"
         print(f"[{flag}] {row.suite:<13} {row.case:<44} "

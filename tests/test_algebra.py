@@ -12,13 +12,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from expmart import (
     CANONICAL_TOL,
     NonPolynomialElementError,
+    PolyExpElement,
     VarianceMismatchError,
     add,
     apply_D,
@@ -217,8 +218,15 @@ def test_canonical_form_invariants(terms, q):
         assert p[-1] != 0  # no trailing zeros, no empty polynomials
 
 
+# A zero polynomial at 8e-245 - 1j sorts between the exponents 0 and 8e-245
+# and then vanishes: clustering that compared each exponent only with the
+# last kept one left 0 and 8e-245 apart, and a later re-sort merged them.
+SPLIT_BY_VANISHED_TERM = [(0j, [1 + 0j]), (8e-245 - 1j, [0j]), (8e-245 + 0j, [1 + 0j])]
+
+
 @given(terms_st, st.sampled_from([0.5, 1.0]))
 @settings(max_examples=100, deadline=None)
+@example(SPLIT_BY_VANISHED_TERM, 0.5)
 def test_self_subtraction_cancels(terms, q):
     f = make_element(q, terms)
     assert sub(f, f).is_zero
@@ -242,6 +250,7 @@ tame_terms_st = st.lists(
 
 @given(tame_terms_st, st.sampled_from([0.5, 1.0]))
 @settings(max_examples=100, deadline=None)
+@example(SPLIT_BY_VANISHED_TERM, 0.5)
 def test_additive_and_multiplicative_identities(terms, q):
     f = make_element(q, terms)
     assert add(f, zero_element(q)) == f
@@ -249,19 +258,64 @@ def test_additive_and_multiplicative_identities(terms, q):
 
 
 def test_canonicalization_drops_relative_dust():
-    # coefficients <= 1e-12 of the producing operation's scale are dropped:
-    # construction measures the raw inputs, binary ops the operands
+    # coefficients <= 1e-12 of the producing operation's scale are dropped
+    # where terms merge (construction measures the raw inputs, binary ops the
+    # operands) and in products; a term copied unchanged keeps them all
     f = make_element(0.5, [(0.0, (0.0, 1e6, 1e-7))])
-    assert f.terms[0][1] == (0.0, 1e6)
+    assert f.terms[0][1] == (0.0, 1e6, 1e-7)
+    merged = make_element(0.5, [(0.0, (0.0, 1e6)), (0.0, (0.0, 0.0, 1e-7))])
+    assert merged.terms[0][1] == (0.0, 1e6)
     g = make_element(0.5, [(0.0, (0.0, 5e5)), (0.0, (0.0, 5e5, 1e-6))])
     assert g.terms[0][1] == (0.0, 1e6, 1e-6)  # raw scale 5e5 keeps the dust
-    assert add(g, zero_element(0.5)) == f     # operand scale 1e6 drops it
+    assert add(g, zero_element(0.5)) == g     # nothing merges, nothing drops
+    one = one_element(0.5)
+    assert add(g, one).terms[0][1] == (1.0, 1e6)  # operand scale 1e6 drops it
+    assert mul(g, one).terms[0][1] == (0.0, 1e6)  # so does the product's scale
     kept = make_element(0.5, [(0.0, (0.0, 1e6, 1e-4))])
-    assert add(kept, zero_element(0.5)) == kept
+    assert add(kept, one).terms[0][1] == (1.0, 1e6, 1e-4)
+
+
+def test_exponents_cluster_independently_of_sort_neighbours():
+    f = make_element(0.5, SPLIT_BY_VANISHED_TERM)
+    assert f.terms == ((0j, (2 + 0j,)),)
+    # a cluster's members may straddle an exponent of another cluster
+    g = make_element(1.0, [(0j, [1]), (5e-13 - 1j, [1]), (5e-13 + 5e-13j, [1])])
+    assert [c for c, _ in g.terms] == [0j, 5e-13 - 1j]
+    assert g.terms[0][1] == (2 + 0j,)
+
+
+def test_constructor_rejects_exponents_within_tolerance():
+    with pytest.raises(ValueError, match="CANONICAL_TOL"):
+        PolyExpElement(1.0, ((0j, (1 + 0j,)), (5e-13j, (1 + 0j,))))
+    # not adjacent in (re, im) order, still within tolerance of each other
+    with pytest.raises(ValueError, match="CANONICAL_TOL"):
+        PolyExpElement(1.0, ((0j, (1 + 0j,)), (5e-13 - 1j, (1 + 0j,)), (5e-13 + 0j, (1 + 0j,))))
+    PolyExpElement(1.0, ((0j, (1 + 0j,)), (2e-12 + 0j, (1 + 0j,))))
+
+
+@given(terms_st, terms_st, st.sampled_from([0.0, 0.5, 1.0, 4.0]), coeff_st)
+@settings(max_examples=100, deadline=None)
+@example(SPLIT_BY_VANISHED_TERM, [], 0.5, 1 + 0j)
+def test_canonical_form_is_a_projection(terms_f, terms_g, q, s):
+    f = make_element(q, terms_f)
+    g = make_element(q, terms_g)
+    results = [
+        f, make_exponential(terms_f[0][0] if terms_f else 0j, q), monomial(3, q),
+        zero_element(q), one_element(q), hermite_element(4, q),
+        add(f, g), sub(f, g), mul(f, g), scale(f, s), conjugate(f),
+        apply_X(f), apply_D(f), apply_D_star(f), apply_G(f),
+        element_from_text(element_to_text(f)),
+        commutator_residual("DG", f), commutator_residual("DstarG", f),
+    ]
+    if len(f.terms) == 1 and f.terms[0][0] == 0:
+        results.append(from_hermite(to_hermite(f)))
+    for el in results:
+        assert make_element(el.q, el.terms) == el
 
 
 @given(terms_st)
 @settings(max_examples=100, deadline=None)
+@example([(0j, [0j, 5e5 + 0j]), (0j, [0j, 5e5 + 0j, 1e-6 + 0j])])
 def test_text_serialization_round_trips_bit_exact(terms):
     f = make_element(1.0, terms)
     assert element_from_text(element_to_text(f)) == f

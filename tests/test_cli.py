@@ -300,7 +300,8 @@ def _strip_json_header(doc):
 def test_reports_identical_across_worker_counts(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(
-        "[run]\nsuites = isometry h1 pde l2limit\npaths = 2000\ngrid_steps = 64\n"
+        "[run]\nsuites = check-algebra isometry h1 pde l2limit\npaths = 2000\n"
+        "grid_steps = 64\n[algebra]\nn_random = 60\n"
     )
     outs = []
     for workers, tag in ((1, "a"), (3, "b")):
@@ -316,6 +317,11 @@ def test_reports_identical_across_worker_counts(tmp_path):
     for doc in (doc_a, doc_b):
         assert doc["header"]["paths_generated"] == {"main": 2000, "lemma2": 0}
         assert doc["header"]["peak_rss_mb"] > 0
+    # escalations are counted under the mpmath lock, so threads lose none
+    escalations = [(doc["header"]["mp_escalations"], doc["header"]["mp_max_dps"])
+                   for doc in (doc_a, doc_b)]
+    assert escalations[0] == escalations[1]
+    assert escalations[0][0] > 0 and 25 <= escalations[0][1] <= 70
 
 
 OVERFLOW_CASE = "template:1@1+45j"

@@ -40,7 +40,7 @@ import threading
 import mpmath as mp
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from mpmath.libmp import (
     fone,
@@ -75,7 +75,6 @@ __all__ = [
     "expectation",
     "inner_product",
     "norm",
-    "cross_time_inner_product",
     "apply_X",
     "apply_D",
     "apply_D_star",
@@ -589,24 +588,6 @@ def _mp_inner_product(f: PolyExpElement, g: PolyExpElement, prec: int, rnd: str)
 def norm(f: PolyExpElement) -> float:
     v = inner_product(f, f).real
     return math.sqrt(v) if v > 0.0 else 0.0
-
-
-def cross_time_inner_product(
-    c: complex, s: float, d: complex, t: float, h: Callable[[float], float]
-) -> complex:
-    """<E(c) at time s, E(d) at time t> = exp(c * conj(d) * h(min(s, t))).
-
-    ``h`` is any callable time change (nondecreasing, h(0) = 0).  Exposed for
-    exponential pairs only; no closed joint law is used for polynomial parts.
-    """
-    c = _require_finite_complex(c, "exponent")
-    d = _require_finite_complex(d, "exponent")
-    if s < 0 or t < 0:
-        raise ValueError("times must be >= 0")
-    q = float(h(min(s, t)))
-    if q < 0:
-        raise ValueError("time change must be nonnegative")
-    return cmath.exp(c * d.conjugate() * q)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ Each subcommand runs one suite (or ``all`` runs the full battery) against a
 single RunConfig, producing ``report.csv`` and ``report.json`` in the output
 directory plus one PASS/FAIL console line per check.
 
-Report rows come in two kinds.  ``bound`` rows are inequalities: they pass
-when slack = lhs_product - rhs_exact >= -allowance.  ``match`` rows are
-equalities or residual bounds: they pass when |slack| <= allowance.  Every
-statistical allowance is k_sigma standard errors plus a 1e-12 absolute floor;
-the floor keeps degenerate cases (constant integrands, exact cancellations)
-from failing on pure rounding noise when their sample variance collapses.
+Each report row is one ``verify.Check`` next to its suite's run metadata
+(seed, path count, grid steps, horizon, time change).  ``bound`` rows pass
+when slack = lhs_product - rhs_exact >= -allowance, ``match`` rows when
+|slack| <= allowance.  Sampled rows come from ``verify`` with k_sigma
+standard errors plus ``verify.MC_FLOOR`` as allowance; the exact suites use
+the fixed tolerances below.  A skipped entry is a match of 0 against 0.  A
+task that raises becomes one failing match row (lhs inf, rhs 0, allowance 0,
+no sampled metadata) whose note starts with ``overflow:`` or ``error:``.
 
 Reproducibility contract: with a fixed config and seed, report.csv is
 byte-identical across runs and across ``--workers`` values; report.json is
@@ -34,7 +36,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,13 +47,10 @@ from .algebra import (
     apply_D_star,
     apply_G,
     commutator_residual,
-    conjugate,
     from_hermite,
     hermite_element,
     inner_product,
     make_element,
-    make_exponential,
-    mul,
     norm,
     scale,
     sub,
@@ -73,21 +72,22 @@ from .config import (
 )
 from .processes import PathEnsemble, TimeChange, TimeGrid, generate, quadratic_variation_at
 from .verify import (
+    Check,
     Estimate,
     EvaluationOverflowError,
     ProcessElement,
+    format_complex,
     h2_integrands,
     h2_report,
     isometry_report,
     ito_sweep,
-    lemma2_case,
-    mc_expectation,
     verify_h1,
     verify_l2_limit,
+    verify_lemma2,
     verify_pde,
 )
 
-__all__ = ["main", "run", "random_element", "Row"]
+__all__ = ["main", "run", "random_element"]
 
 # q values cycled through by the randomized algebra family
 ALGEBRA_QS = (0.0, 0.5, 1.0, 4.0)
@@ -100,11 +100,9 @@ HERMITE_TOL = 1e-12
 # basis coefficients grow like n!! q^(n/2); the round trip keeps ~4 digits
 # of headroom over the measured worst case at degree 8, q = 4
 HERMITE_ROUNDTRIP_TOL = 1e-9
-LEMMA2_EXACT_TOL = 1e-12
 PDE_TOL = 1e-6
 L2_FINAL_TOL = 1e-3
 L2_RATIO_TOL = 0.05
-MC_FLOOR = 1e-12
 
 # (-i)^n without complex powers, so eigenvalue checks stay exact
 _MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
@@ -116,58 +114,19 @@ _LOG = logging.getLogger(__name__)
 # report rows
 
 @dataclass(frozen=True)
-class Row:
-    suite: str
-    case: str
-    kind: str  # "bound" or "match"
-    seed: int
-    n_paths: int
-    grid_steps: int
-    horizon: float
-    h_kind: str
-    factor1: Estimate | None
-    factor2: Estimate | None
-    lhs_product: float
-    rhs_exact: float
-    slack: float
-    allowance: float
-    passed: bool
-    note: str = ""
-    extra: tuple[tuple[str, float], ...] = ()
-
-
-@dataclass(frozen=True)
 class _Meta:
+    """The run metadata written next to each check of a suite."""
+
+    suite: str
     seed: int
-    n_paths: int
-    grid_steps: int
-    horizon: float
-    h_kind: str
+    n_paths: int = 0
+    grid_steps: int = 0
+    horizon: float = 0.0
+    h_kind: str = "-"
 
 
-def _bound_row(suite, case, meta, f1, f2, lhs, rhs, allowance, note="", extra=()):
-    slack = lhs - rhs
-    return Row(
-        suite, case, "bound", meta.seed, meta.n_paths, meta.grid_steps,
-        meta.horizon, meta.h_kind, f1, f2, lhs, rhs, slack, allowance,
-        slack >= -allowance, note, tuple(extra),
-    )
-
-
-def _match_row(suite, case, meta, lhs, rhs, allowance, f1=None, f2=None, note="", extra=()):
-    slack = lhs - rhs
-    return Row(
-        suite, case, "match", meta.seed, meta.n_paths, meta.grid_steps,
-        meta.horizon, meta.h_kind, f1, f2, lhs, rhs, slack, allowance,
-        abs(slack) <= allowance, note, tuple(extra),
-    )
-
-
-def _skip_row(suite, case, meta, note):
-    return Row(
-        suite, case, "match", meta.seed, meta.n_paths, meta.grid_steps,
-        meta.horizon, meta.h_kind, None, None, 0.0, 0.0, 0.0, 0.0, True, note,
-    )
+# one report row: a check and the run metadata of its suite
+Result = tuple[_Meta, Check]
 
 
 # ---------------------------------------------------------------------------
@@ -197,42 +156,32 @@ def random_element(
     return make_element(q, terms)
 
 
-def _fmt_c(z: complex) -> str:
-    z = complex(z)
-    re = f"{z.real:g}"
-    if z.imag == 0.0:
-        return re
-    return f"{re}{'+' if z.imag >= 0 else '-'}{abs(z.imag):g}j"
-
-
 # ---------------------------------------------------------------------------
-# suites: each builder returns [(label, thunk)] with thunk() -> list[Row]
+# suites: each builder returns [(label, thunk)] with thunk() -> the checks
 
-Task = tuple[str, Callable[[], "list[Row]"]]
+Task = tuple[str, Callable[[], Iterable[Check]]]
 
 
 def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
-    meta = _Meta(cfg.seed, 0, 0, 0.0, "-")
     n = cfg.algebra_n_random
     rng_f = _rng(cfg.seed, 2)
     rng_g = _rng(cfg.seed, 3)
     fs = [random_element(rng_f, ALGEBRA_QS[i % 4]) for i in range(n)]
     gs = [random_element(rng_g, ALGEBRA_QS[i % 4]) for i in range(n)]
-    suite = "check-algebra"
 
-    def commutators() -> list[Row]:
-        rows = []
+    def commutators() -> list[Check]:
+        checks = []
         for which in ("DX", "DDstar", "DG", "DstarG"):
             worst = max(commutator_residual(which, f).max_abs_coeff() for f in fs)
-            rows.append(
-                _match_row(
-                    suite, f"commutator[{which}]", meta, worst, 0.0, 0.0,
+            checks.append(
+                Check(
+                    f"commutator[{which}]", "match", worst, 0.0, 0.0,
                     note=f"{n} randomized elements; residual must canonicalize to zero",
                 )
             )
-        return rows
+        return checks
 
-    def unitarity() -> list[Row]:
+    def unitarity() -> list[Check]:
         worst = 0.0
         for f, g in zip(fs, gs):
             ref = inner_product(f, g)
@@ -240,13 +189,13 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
             cs = max(norm(f) * norm(g), 1e-300)
             worst = max(worst, abs(img - ref) / cs)
         return [
-            _match_row(
-                suite, "unitarity", meta, worst, 0.0, UNITARITY_TOL,
+            Check(
+                "unitarity", "match", worst, 0.0, UNITARITY_TOL,
                 note=f"worst |<Gf,Gg> - <f,g>| over {n} pairs, relative to ||f||*||g||",
             )
         ]
 
-    def adjointness() -> list[Row]:
+    def adjointness() -> list[Check]:
         worst = 0.0
         for f, g in zip(fs, gs):
             df = apply_D(f)
@@ -256,13 +205,13 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
             cs = max(norm(df) * norm(g), norm(f) * norm(dsg), 1e-300)
             worst = max(worst, abs(left - right) / cs)
         return [
-            _match_row(
-                suite, "adjointness", meta, worst, 0.0, ADJOINT_TOL,
+            Check(
+                "adjointness", "match", worst, 0.0, ADJOINT_TOL,
                 note=f"worst |<Df,g> - <f,D*g>| over {n} pairs, relative scale",
             )
         ]
 
-    def g_fourth() -> list[Row]:
+    def g_fourth() -> list[Check]:
         worst = 0.0
         cycle_breaks = 0
         for f in fs:
@@ -278,8 +227,8 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
                 worst = max(worst, sub(back, f).max_abs_coeff() / inter_scale)
         lhs = math.inf if cycle_breaks else worst
         return [
-            _match_row(
-                suite, "g-fourth-power", meta, lhs, 0.0, G_FOURTH_TOL,
+            Check(
+                "g-fourth-power", "match", lhs, 0.0, G_FOURTH_TOL,
                 note=(
                     f"exponent cycle exact on all {n} elements; residual relative to "
                     "the largest intermediate image coefficient"
@@ -289,7 +238,7 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
             )
         ]
 
-    def hermite_diagonal() -> list[Row]:
+    def hermite_diagonal() -> list[Check]:
         worst = 0.0
         for q in ALGEBRA_QS:
             for order in range(11):
@@ -297,13 +246,13 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
                 dev = sub(apply_G(h_el), scale(h_el, _MINUS_I_POW[order % 4]))
                 worst = max(worst, dev.max_abs_coeff() / h_el.max_abs_coeff())
         return [
-            _match_row(
-                suite, "hermite-diagonal", meta, worst, 0.0, HERMITE_TOL,
+            Check(
+                "hermite-diagonal", "match", worst, 0.0, HERMITE_TOL,
                 note="G H_n = (-i)^n H_n for n <= 10, q in {0, 0.5, 1, 4}",
             )
         ]
 
-    def hermite_roundtrip() -> list[Row]:
+    def hermite_roundtrip() -> list[Check]:
         rng = _rng(cfg.seed, 5)
         worst = 0.0
         for i in range(200):
@@ -314,8 +263,8 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
             back = from_hermite(to_hermite(el))
             worst = max(worst, sub(back, el).max_abs_coeff() / el.max_abs_coeff())
         return [
-            _match_row(
-                suite, "hermite-roundtrip", meta, worst, 0.0, HERMITE_ROUNDTRIP_TOL,
+            Check(
+                "hermite-roundtrip", "match", worst, 0.0, HERMITE_ROUNDTRIP_TOL,
                 note="from_hermite(to_hermite(p)) on 200 random polynomials",
             )
         ]
@@ -331,52 +280,16 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
 
 
 def _lemma2_tasks(cfg: RunConfig, ensemble: PathEnsemble) -> list[Task]:
-    h = ensemble.time_change
-    t = ensemble.grid.horizon
-    q = quadratic_variation_at(h, t)
-    meta = _Meta(cfg.seed, ensemble.n_paths, ensemble.grid.steps, t, h.kind)
-    suite = "lemma2"
-    tasks: list[Task] = []
+    q = quadratic_variation_at(ensemble.time_change, ensemble.grid.horizon)
     exps = [parse_complex(s) for s in cfg.lemma2_exponents]
-    for c in exps:
-        for d in exps:
-            label = f"c={_fmt_c(c)},d={_fmt_c(d)}"
-
-            def task(c=c, d=d, label=label) -> list[Row]:
-                res = lemma2_case(c, d, q)
-                rows = [
-                    _match_row(
-                        suite, f"lemma2-exact[{label}]", meta,
-                        res["algebra_deviation"], 0.0, LEMMA2_EXACT_TOL,
-                        f1=Estimate.exact(res["algebra"]),
-                        f2=Estimate.exact(res["reference"]),
-                        note="inner product vs exp(c*conj(d)*q)",
-                    )
-                ]
-                try:
-                    element = mul(make_exponential(c, q), conjugate(make_exponential(d, q)))
-                    est = mc_expectation(element, ensemble)
-                except EvaluationOverflowError as e:
-                    rows.append(
-                        _skip_row(
-                            suite, f"lemma2-mc[{label}]", meta,
-                            f"skipped: evaluation overflow ({e.max_real:.3g})",
-                        )
-                    )
-                    return rows
-                dev = abs(est.mean - res["reference"])
-                allowance = 4.0 * est.stderr + MC_FLOOR
-                rows.append(
-                    _match_row(
-                        suite, f"lemma2-mc[{label}]", meta, dev, 0.0, allowance,
-                        f1=est, f2=Estimate.exact(res["reference"]),
-                        note="sample mean of E(c)*conj(E(d)) vs exp(c*conj(d)*q)",
-                    )
-                )
-                return rows
-
-            tasks.append((f"lemma2/{label}", task))
-    return tasks
+    return [
+        (
+            f"lemma2/c={format_complex(c)},d={format_complex(d)}",
+            lambda c=c, d=d: verify_lemma2(c, d, q, ensemble),
+        )
+        for c in exps
+        for d in exps
+    ]
 
 
 class _MainPaths:
@@ -391,7 +304,6 @@ class _MainPaths:
         self.cfg = cfg
         self.time_change = h
         self.grid = TimeGrid.uniform(cfg.horizon, cfg.grid_steps)
-        self.meta = _Meta(cfg.seed, cfg.paths, self.grid.steps, self.grid.horizon, h.kind)
         self._integrands: list[ProcessElement] = []
         self._sums: list[Callable[[], np.ndarray]] = []
 
@@ -412,56 +324,35 @@ class _MainPaths:
 
 
 def _isometry_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
-    meta = main.meta
     tasks: list[Task] = []
     for case_name in cfg.isometry_cases:
         label, template = parse_isometry_case(case_name)
         z = ProcessElement.from_template(main.time_change, template, label)
         integral = main.integral(z)
 
-        def task(z=z, integral=integral) -> list[Row]:
-            rep = isometry_report(z, main.grid, integral)
-            allowance = 4.0 * rep.mc.stderr + MC_FLOOR
-            return [
-                _match_row(
-                    "isometry", rep.case, meta, rep.mc.mean.real, rep.exact,
-                    allowance, f1=rep.mc, f2=Estimate.exact(rep.exact),
-                    note=f"z={rep.z:.3f}",
-                )
-            ]
+        def task(z=z, integral=integral) -> list[Check]:
+            return [isometry_report(z, main.grid, integral)]
 
         tasks.append((f"isometry/{label}", task))
     return tasks
 
 
 def _h1_tasks(cfg: RunConfig) -> list[Task]:
-    meta = _Meta(cfg.seed, 0, 0, 0.0, "-")
-    suite = "h1"
-    tasks: list[Task] = []
-
-    def named() -> list[Row]:
-        rows = []
+    def named() -> list[Check]:
+        checks = []
         for case_name in cfg.h1_cases:
             case = parse_h1_case(case_name)
             y = make_element(case["q"], case["template"])
-            rep = verify_h1(y, case["c"], case["ct"], tol=cfg.h1_tol)
-            rows.append(
-                _bound_row(
-                    suite, f"h1[{case['name']}]", meta, rep.lhs_factor1,
-                    rep.lhs_factor2, rep.lhs_product, rep.rhs, rep.allowance,
-                )
-            )
+            chk = verify_h1(y, case["c"], case["ct"], tol=cfg.h1_tol)
+            checks.append(dataclasses.replace(chk, case=f"h1[{case['name']}]"))
             if case["name"].endswith("equality"):
-                rows.append(
-                    _match_row(
-                        suite, f"h1-equality[{case['name']}]", meta,
-                        rep.lhs_product, rep.rhs, cfg.h1_tol,
-                        note="derived equality case: slack must vanish",
+                checks.append(
+                    Check(
+                        f"h1-equality[{case['name']}]", "match", chk.lhs, chk.rhs,
+                        cfg.h1_tol, note="derived equality case: slack must vanish",
                     )
                 )
-        return rows
-
-    tasks.append(("h1/named", named))
+        return checks
 
     n = cfg.h1_n_random
     rng = _rng(cfg.seed, 4)
@@ -470,18 +361,14 @@ def _h1_tasks(cfg: RunConfig) -> list[Task]:
         y = random_element(rng, H1_QS[i % 3], max_degree=4, max_terms=2, c_bound=2.0)
         params.append((y, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-2.0, 2.0))))
 
-    def randomized() -> list[Row]:
-        worst = None
-        failures = 0
-        for y, c, ct in params:
-            rep = verify_h1(y, c, ct, tol=cfg.h1_tol)
-            failures += not rep.passed
-            if worst is None or rep.slack < worst.slack:
-                worst = rep
+    def randomized() -> list[Check]:
+        checks = [verify_h1(y, c, ct, tol=cfg.h1_tol) for y, c, ct in params]
+        worst = min(checks, key=lambda chk: chk.slack)
+        failures = sum(not chk.passed for chk in checks)
         return [
-            _bound_row(
-                suite, f"h1-random-worst[n={n}]", meta, worst.lhs_factor1,
-                worst.lhs_factor2, worst.lhs_product, worst.rhs, worst.allowance,
+            dataclasses.replace(
+                worst,
+                case=f"h1-random-worst[n={n}]",
                 note=(
                     f"minimum slack over {n} randomized cases at {worst.case}; "
                     f"{failures} failed"
@@ -489,59 +376,44 @@ def _h1_tasks(cfg: RunConfig) -> list[Task]:
             )
         ]
 
-    tasks.append(("h1/randomized", randomized))
-    return tasks
+    return [("h1/named", named), ("h1/randomized", randomized)]
 
 
 def _h2_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
-    meta = main.meta
     tasks: list[Task] = []
     for case_name in cfg.h2_cases:
         case = parse_h2_case(case_name)
         y = ProcessElement.from_template(main.time_change, case["template"], case["name"])
         integrals = [main.integral(z) for z in h2_integrands(y, case["g"], case["g_tilde"])]
 
-        def task(case=case, y=y, integrals=integrals) -> list[Row]:
-            rep = h2_report(
+        def task(case=case, y=y, integrals=integrals) -> list[Check]:
+            bound = h2_report(
                 y, main.grid, *integrals,
                 k_sigma=cfg.h2_k_sigma, disc_factor=cfg.h2_disc_factor,
-                case=f"h2[{case['name']}]",
             )
-            allowance = rep.allowance + MC_FLOOR
-            rows = [
-                _bound_row(
-                    "h2", rep.case, meta, rep.lhs_factor1, rep.lhs_factor2,
-                    rep.lhs_product, rep.rhs, allowance,
-                    note="RHS by trapezoid in t; refinement study in extra",
-                    extra=rep.extra,
-                )
-            ]
-            if case["target_lhs"] is not None:
-                rows.append(
-                    _match_row(
-                        "h2", f"h2-target[{case['name']}]", meta, rep.lhs_product,
-                        case["target_lhs"], allowance,
-                        f1=rep.lhs_factor1, f2=rep.lhs_factor2,
-                        note="LHS vs its derived closed-form target",
-                    )
-                )
-            return rows
+            if case["target_lhs"] is None:
+                return [bound]
+            target = Check(
+                f"h2-target[{case['name']}]", "match", bound.lhs, case["target_lhs"],
+                bound.allowance, bound.factor1, bound.factor2,
+                note="LHS vs its derived closed-form target",
+            )
+            return [bound, target]
 
         tasks.append((f"h2/{case['name']}", task))
     return tasks
 
 
 def _pde_tasks(cfg: RunConfig) -> list[Task]:
-    meta = _Meta(cfg.seed, 0, 0, 0.0, "-")
     tasks: list[Task] = []
     for c_str in cfg.pde_exponents:
         c = parse_complex(c_str)
 
-        def task(c=c) -> list[Row]:
+        def task(c=c) -> list[Check]:
             worst = verify_pde(c, step=cfg.pde_step)
             return [
-                _match_row(
-                    "pde", f"pde[c={_fmt_c(c)}]", meta, worst, 0.0, PDE_TOL,
+                Check(
+                    f"pde[c={format_complex(c)}]", "match", worst, 0.0, PDE_TOL,
                     note=(
                         "max |u_xx/2 + u_y| for both element shapes, central "
                         f"differences at step {cfg.pde_step:g}"
@@ -549,54 +421,55 @@ def _pde_tasks(cfg: RunConfig) -> list[Task]:
                 )
             ]
 
-        tasks.append((f"pde/{_fmt_c(c)}", task))
+        tasks.append((f"pde/{format_complex(c)}", task))
     return tasks
 
 
 def _l2limit_tasks(cfg: RunConfig) -> list[Task]:
-    meta = _Meta(cfg.seed, 0, 0, cfg.horizon, cfg.time_change)
     h = parse_time_change(cfg.time_change)
     q = quadratic_variation_at(h, cfg.horizon)
     tasks: list[Task] = []
     for c_str in cfg.l2_exponents:
         c = parse_complex(c_str)
 
-        def task(c=c) -> list[Row]:
-            label = f"c={_fmt_c(c)}"
+        def task(c=c) -> list[Check]:
+            label = f"c={format_complex(c)}"
             if q == 0.0:
                 return [
-                    _skip_row(
-                        "l2limit", f"l2limit[{label}]", meta,
+                    Check.skipped(
+                        f"l2limit[{label}]",
                         "skipped: degenerate time change (q = 0, X identically 0)",
                     )
                 ]
             norms = verify_l2_limit(c, q, ks=range(1, cfg.l2_k_max + 1))
             bad = sum(b >= a for a, b in zip(norms, norms[1:]))
             return [
-                _match_row(
-                    "l2limit", f"l2limit-final[{label}]", meta, norms[-1], 0.0,
-                    L2_FINAL_TOL, note=f"norm at r = 2^-{cfg.l2_k_max}",
+                Check(
+                    f"l2limit-final[{label}]", "match", norms[-1], 0.0, L2_FINAL_TOL,
+                    note=f"norm at r = 2^-{cfg.l2_k_max}",
                 ),
-                _match_row(
-                    "l2limit", f"l2limit-ratio[{label}]", meta,
-                    norms[-1] / norms[-2], 0.5, L2_RATIO_TOL,
-                    note="successive-norm ratio, first-order convergence",
+                Check(
+                    f"l2limit-ratio[{label}]", "match", norms[-1] / norms[-2], 0.5,
+                    L2_RATIO_TOL, note="successive-norm ratio, first-order convergence",
                 ),
-                _match_row(
-                    "l2limit", f"l2limit-decreasing[{label}]", meta, float(bad),
-                    0.0, 0.0, note="count of non-decreasing steps in the norm sequence",
+                Check(
+                    f"l2limit-decreasing[{label}]", "match", float(bad), 0.0, 0.0,
+                    note="count of non-decreasing steps in the norm sequence",
                 ),
             ]
 
-        tasks.append((f"l2limit/{_fmt_c(c)}", task))
+        tasks.append((f"l2limit/{format_complex(c)}", task))
     return tasks
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _build_tasks(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Task], dict[str, int]]:
-    """The tasks of the suites, and the paths drawn per ensemble (main, lemma2).
+def _build_tasks(
+    cfg: RunConfig, suites: Sequence[str]
+) -> tuple[list[tuple[_Meta, Task]], dict[str, int]]:
+    """The tasks of the suites, each with its suite's run metadata, and the
+    paths drawn per ensemble (main, lemma2).
 
     The main ensemble is never materialized: its integrands' Ito sums come
     from one ``ito_sweep`` over path blocks, run here before any task.
@@ -606,24 +479,34 @@ def _build_tasks(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Task], dic
     lemma2 = None
     if "lemma2" in suites:
         lemma2 = generate(h, TimeGrid.uniform(cfg.horizon, 1), cfg.lemma2_paths, cfg.seed + 1)
-    tasks: list[Task] = []
+
+    def sampled(suite: str, n_paths: int, grid: TimeGrid) -> _Meta:
+        return _Meta(suite, cfg.seed, n_paths, grid.steps, grid.horizon, h.kind)
+
+    tasks = []
     for suite in suites:
+        meta = _Meta(suite, cfg.seed)
         if suite == "check-algebra":
-            tasks.extend(_check_algebra_tasks(cfg))
+            built = _check_algebra_tasks(cfg)
         elif suite == "lemma2":
-            tasks.extend(_lemma2_tasks(cfg, lemma2))
+            meta = sampled(suite, lemma2.n_paths, lemma2.grid)
+            built = _lemma2_tasks(cfg, lemma2)
         elif suite == "isometry":
-            tasks.extend(_isometry_tasks(cfg, main))
+            meta = sampled(suite, cfg.paths, main.grid)
+            built = _isometry_tasks(cfg, main)
         elif suite == "h1":
-            tasks.extend(_h1_tasks(cfg))
+            built = _h1_tasks(cfg)
         elif suite == "h2":
-            tasks.extend(_h2_tasks(cfg, main))
+            meta = sampled(suite, cfg.paths, main.grid)
+            built = _h2_tasks(cfg, main)
         elif suite == "pde":
-            tasks.extend(_pde_tasks(cfg))
+            built = _pde_tasks(cfg)
         elif suite == "l2limit":
-            tasks.extend(_l2limit_tasks(cfg))
+            meta = _Meta(suite, cfg.seed, horizon=cfg.horizon, h_kind=cfg.time_change)
+            built = _l2limit_tasks(cfg)
         else:
             raise ConfigError(f"unknown suite {suite!r}")
+        tasks.extend((meta, task) for task in built)
     paths_generated = {
         "main": main.sweep(),
         "lemma2": lemma2.n_paths if lemma2 is not None else 0,
@@ -631,33 +514,30 @@ def _build_tasks(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Task], dic
     return tasks, paths_generated
 
 
-def _guard(label: str, thunk: Callable[[], list[Row]], cfg: RunConfig) -> Callable[[], list[Row]]:
+def _guard(meta: _Meta, task: Task) -> Callable[[], list[Result]]:
     """Run a task; an overflow or any other exception becomes one failing row."""
-    suite = label.split("/", 1)[0]
+    label, thunk = task
 
-    def failed(note: str) -> list[Row]:
-        return [
-            Row(
-                suite, label, "match", cfg.seed, 0, 0, 0.0, "-", None, None,
-                math.inf, 0.0, math.inf, 0.0, False, note,
-            )
-        ]
+    def failed(note: str) -> list[Result]:
+        chk = Check(label, "match", math.inf, 0.0, 0.0, note=note)
+        return [(_Meta(meta.suite, meta.seed), chk)]
 
-    def run_task() -> list[Row]:
+    def run_task() -> list[Result]:
         try:
-            return thunk()
+            checks = list(thunk())
         except (EvaluationOverflowError, OverflowError) as e:
             return failed(f"overflow: {e}")
         except Exception as e:
             # one broken task must not lose the run: record it and go on
             _LOG.error("task %s raised", label, exc_info=True)
             return failed(f"error: {type(e).__name__}: {e}")
+        return [(meta, chk) for chk in checks]
 
     return run_task
 
 
-def _execute(tasks: list[Task], cfg: RunConfig) -> list[Row]:
-    thunks = [_guard(label, thunk, cfg) for label, thunk in tasks]
+def _execute(tasks: list[tuple[_Meta, Task]], cfg: RunConfig) -> list[Result]:
+    thunks = [_guard(*task) for task in tasks]
     if cfg.workers <= 1:
         results = [t() for t in thunks]
     else:
@@ -685,45 +565,45 @@ def _fmt_complex_repr(z: complex) -> str:
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
 
 
-def _csv_cells(row: Row) -> list[str]:
-    f1 = row.factor1
-    f2 = row.factor2
+def _csv_cells(meta: _Meta, chk: Check) -> list[str]:
+    f1 = chk.factor1
+    f2 = chk.factor2
     return [
-        row.suite, row.case, row.kind, str(row.seed), str(row.n_paths),
-        str(row.grid_steps), repr(row.horizon), row.h_kind,
+        meta.suite, chk.case, chk.kind, str(meta.seed), str(meta.n_paths),
+        str(meta.grid_steps), repr(meta.horizon), meta.h_kind,
         _fmt_complex_repr(f1.mean) if f1 else "",
         repr(f1.stderr) if f1 else "",
         _fmt_complex_repr(f2.mean) if f2 else "",
         repr(f2.stderr) if f2 else "",
-        repr(row.lhs_product), repr(row.rhs_exact), repr(row.slack),
-        repr(row.allowance), str(row.passed), row.note,
+        repr(chk.lhs), repr(chk.rhs), repr(chk.slack),
+        repr(chk.allowance), str(chk.passed), chk.note,
     ]
 
 
-def _json_case(row: Row) -> dict:
+def _json_case(meta: _Meta, chk: Check) -> dict:
     def est(e: Estimate | None):
         if e is None:
             return None
         return {"mean": _fmt_complex_repr(e.mean), "stderr": e.stderr, "n": e.n}
 
     return {
-        "suite": row.suite,
-        "case": row.case,
-        "kind": row.kind,
-        "seed": row.seed,
-        "n_paths": row.n_paths,
-        "grid_steps": row.grid_steps,
-        "horizon": row.horizon,
-        "h_kind": row.h_kind,
-        "factor1": est(row.factor1),
-        "factor2": est(row.factor2),
-        "lhs_product": row.lhs_product,
-        "rhs_exact": row.rhs_exact,
-        "slack": row.slack,
-        "allowance": row.allowance,
-        "passed": row.passed,
-        "note": row.note,
-        "extra": {k: v for k, v in row.extra},
+        "suite": meta.suite,
+        "case": chk.case,
+        "kind": chk.kind,
+        "seed": meta.seed,
+        "n_paths": meta.n_paths,
+        "grid_steps": meta.grid_steps,
+        "horizon": meta.horizon,
+        "h_kind": meta.h_kind,
+        "factor1": est(chk.factor1),
+        "factor2": est(chk.factor2),
+        "lhs_product": chk.lhs,
+        "rhs_exact": chk.rhs,
+        "slack": chk.slack,
+        "allowance": chk.allowance,
+        "passed": chk.passed,
+        "note": chk.note,
+        "extra": {k: v for k, v in chk.extra},
     }
 
 
@@ -733,7 +613,7 @@ def _peak_rss_mb() -> float:
 
 
 def write_reports(
-    rows: list[Row],
+    rows: list[Result],
     cfg: RunConfig,
     suites: Sequence[str],
     telemetry: dict,
@@ -746,8 +626,8 @@ def write_reports(
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(_csv_cells(row))
+        for meta, chk in rows:
+            writer.writerow(_csv_cells(meta, chk))
     run_echo = dataclasses.asdict(cfg)
     # execution details that may legitimately differ between identical runs
     # live in the header; everything under "run" is semantic configuration
@@ -764,7 +644,7 @@ def write_reports(
             "peak_rss_mb": _peak_rss_mb(),
         },
         "run": run_echo,
-        "cases": [_json_case(row) for row in rows],
+        "cases": [_json_case(meta, chk) for meta, chk in rows],
     }
     with open(json_path, "w") as f:
         json.dump(doc, f, indent=1)
@@ -834,7 +714,7 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     return cfg.validated()
 
 
-def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Row], int, dict]:
+def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Result], int, dict]:
     """Run the suites; return the rows, the exit status (0/1/3/4) and the
     run's telemetry: paths drawn per ensemble, and the count and highest dps
     of the algebra's mpmath escalations."""
@@ -842,12 +722,13 @@ def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Row], int, dict]:
     tasks, paths_generated = _build_tasks(cfg, suites)
     rows = _execute(tasks, cfg)
     telemetry = {"paths_generated": paths_generated, **take_mp_stats()}
-    if any(row.note.startswith("error:") for row in rows):
+    checks = [chk for _, chk in rows]
+    if any(chk.note.startswith("error:") for chk in checks):
         status = 4
-    elif any(row.note.startswith("overflow:") for row in rows):
+    elif any(chk.note.startswith("overflow:") for chk in checks):
         status = 3
     else:
-        status = 1 if any(not row.passed for row in rows) else 0
+        status = 1 if any(not chk.passed for chk in checks) else 0
     return rows, status, telemetry
 
 
@@ -875,18 +756,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     rows, status, telemetry = run(cfg, suites)
     csv_path, json_path = write_reports(rows, cfg, suites, telemetry)
-    for row in rows:
-        flag = "PASS" if row.passed else "FAIL"
-        print(f"[{flag}] {row.suite:<13} {row.case:<44} "
-              f"slack={row.slack:<12.4g} allowance={row.allowance:.4g}")
-    n_failed = sum(not row.passed for row in rows)
-    print(f"{len(rows) - n_failed}/{len(rows)} checks passed; "
+    for meta, chk in rows:
+        flag = "PASS" if chk.passed else "FAIL"
+        print(f"[{flag}] {meta.suite:<13} {chk.case:<44} "
+              f"slack={chk.slack:<12.4g} allowance={chk.allowance:.4g}")
+    failed = [(meta, chk) for meta, chk in rows if not chk.passed]
+    print(f"{len(rows) - len(failed)}/{len(rows)} checks passed; "
           f"reports: {csv_path}, {json_path}")
-    if n_failed:
-        for row in rows:
-            if not row.passed:
-                print(f"expmart: FAILED {row.suite}: {row.case} ({row.note})",
-                      file=sys.stderr)
+    for meta, chk in failed:
+        print(f"expmart: FAILED {meta.suite}: {chk.case} ({chk.note})", file=sys.stderr)
     return status
 
 

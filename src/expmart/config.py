@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .processes import InvalidTimeChangeError, TimeChange
@@ -97,14 +98,19 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if self.grid_steps < 1 or self.paths < 2 or self.lemma2_paths < 2:
             raise ConfigError("grid_steps must be >= 1 and path counts >= 2")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be > 0")
+        # "not (finite and ...)" also refuses nan, which fails every comparison
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ConfigError("horizon must be finite and > 0")
+        if self.algebra_n_random < 1 or self.h1_n_random < 1:
+            raise ConfigError("randomized case counts must be >= 1")
         if not 2 <= self.l2_k_max <= L2_K_MAX:
             raise ConfigError(f"l2_k_max must be in [2, {L2_K_MAX}]")
-        if self.pde_step <= 0:
-            raise ConfigError("pde_step must be > 0")
-        if self.h1_tol <= 0:
-            raise ConfigError("h1_tol must be > 0")
+        if not (math.isfinite(self.pde_step) and self.pde_step > 0):
+            raise ConfigError("pde_step must be finite and > 0")
+        if not (math.isfinite(self.h1_tol) and self.h1_tol > 0):
+            raise ConfigError("h1_tol must be finite and > 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.h2_k_sigma, self.h2_disc_factor)):
+            raise ConfigError("h2_k_sigma and h2_disc_factor must be finite and >= 0")
         for s in self.suites:
             if s not in SUITES and s != "all":
                 raise ConfigError(
@@ -126,8 +132,6 @@ class RunConfig:
 PRESETS: dict[str, dict] = {
     "default": {},
     "acceptance": dict(paths=100_000, grid_steps=512, lemma2_paths=1_000_000),
-    "commutators": dict(algebra_n_random=1000),
-    "lemma2-grid": dict(lemma2_paths=1_000_000),
     "brownian-equality": dict(
         paths=100_000, grid_steps=512, h2_cases=("brownian-equality",)
     ),
@@ -135,9 +139,6 @@ PRESETS: dict[str, dict] = {
         paths=100_000, grid_steps=512, h2_cases=("brownian-strict",)
     ),
     "isometry-basic": dict(paths=100_000, grid_steps=512),
-    "h1-random": dict(h1_n_random=500),
-    "pde-box": {},
-    "l2limit-dyadic": {},
 }
 
 
@@ -167,7 +168,7 @@ def parse_complex_list(s: str) -> tuple[str, ...]:
 
 def parse_element_template(s: str) -> tuple[tuple[complex, tuple[complex, ...]], ...]:
     terms = []
-    for chunk in s.split("+++") if "+++" in s else s.split(" + "):
+    for chunk in s.split(" + "):
         chunk = chunk.strip()
         if not chunk:
             continue

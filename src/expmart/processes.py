@@ -197,11 +197,6 @@ class PathEnsemble:
     def values_at(self, t: float) -> np.ndarray:
         return self.paths[:, self.grid.index_of(t)]
 
-    def realized_quadratic_variation(self) -> np.ndarray:
-        """Per-path sum of squared increments over the whole grid."""
-        inc = np.diff(self.paths, axis=1)
-        return np.einsum("ij,ij->i", inc, inc)
-
 
 def _grid_variances(h: TimeChange, grid: TimeGrid) -> np.ndarray:
     hv = np.asarray(h(np.asarray(grid.points)), dtype=float)

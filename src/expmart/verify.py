@@ -9,9 +9,18 @@ the two uncertainty inequalities
   (h2)  sqrt(E|I1|^2) * sqrt(E|I2|^2)     >=  int E|Y_t|^2 h dh  (integrated)
 
 with I1 = int (X - g) Y dX and I2 = int (X - gt) GY dX are checked against
-their exact right-hand sides.  Every stochastic check reports an explicit
-statistical allowance (k_sigma standard errors, delta-method propagated
-through square roots) plus a discretization allowance for the Ito sums.
+their exact right-hand sides.
+
+Every verification returns ``Check`` records, one per report row.  A
+``bound`` check is an inequality: it passes when slack = lhs - rhs >=
+-allowance.  A ``match`` check is an equality or a residual bound: it passes
+when |slack| <= allowance.  Exact checks carry a fixed tolerance.  Sampled
+checks carry k_sigma standard errors (delta-method propagated through
+square roots for h2) plus ``MC_FLOOR``, an absolute floor that keeps
+degenerate cases (constant integrands, exact cancellations) from failing on
+rounding noise when their sample variance collapses; h2 adds a
+discretization allowance for the Ito sums.  A skipped entry is a match of 0
+against 0 with its reason in the note.
 
 Sampled memory: ``ito_integral`` reads a materialized ``PathEnsemble``
 (N x (M+1) floats).  ``ito_sweep`` forms the Ito sums of several integrands
@@ -71,8 +80,8 @@ __all__ = [
     "Estimate",
     "CenteringFunction",
     "ProcessElement",
-    "InequalityReport",
-    "IsometryReport",
+    "Check",
+    "MC_FLOOR",
     "evaluate_element",
     "mc_expectation",
     "ito_integral",
@@ -87,7 +96,7 @@ __all__ = [
     "h2_report",
     "verify_pde",
     "verify_l2_limit",
-    "lemma2_case",
+    "verify_lemma2",
 ]
 
 # exp() overflows near 709.78; refuse anything whose exponent real part
@@ -100,6 +109,12 @@ OVERFLOW_LIMIT = 700.0
 ELISION_PATHS = 16384
 
 H1_TOL = 1e-9
+LEMMA2_EXACT_TOL = 1e-12
+
+# standard errors allowed to a sampled check, and the absolute floor added
+# to its allowance (module docstring)
+K_SIGMA = 4.0
+MC_FLOOR = 1e-12
 
 
 class EvaluationOverflowError(ArithmeticError):
@@ -524,36 +539,50 @@ def weighted_energy_integral(y: ProcessElement, grid: TimeGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reports
+# checks
 
 @dataclass(frozen=True)
-class IsometryReport:
-    case: str
-    mc: Estimate
-    exact: float
-    z: float
-    passed: bool
+class Check:
+    """One verified claim: one row of the reports (module docstring).
 
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """One verified inequality instance: LHS (product of two factors) vs RHS.
-
-    ``allowance`` is the total tolerance budget (statistical + discretization
-    + exactness slop); the check passes when slack = lhs - rhs >= -allowance.
-    ``extra`` carries auxiliary diagnostics (e.g. refined-grid RHS values).
+    ``factor1``/``factor2`` are the estimates behind ``lhs`` (sampled, or
+    exact with n = 0); ``extra`` carries auxiliary diagnostics, such as the
+    h2 refinement study.  ``slack`` and ``passed`` are derived.
     """
 
     case: str
-    lhs_factor1: Estimate
-    lhs_factor2: Estimate
-    lhs_product: float
+    kind: str  # "bound" or "match"
+    lhs: float
     rhs: float
-    slack: float
     allowance: float
-    passed: bool
+    factor1: Estimate | None = None
+    factor2: Estimate | None = None
     note: str = ""
     extra: tuple[tuple[str, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("bound", "match"):
+            raise ValueError(f"unknown check kind {self.kind!r}")
+
+    @classmethod
+    def skipped(cls, case: str, note: str) -> "Check":
+        return cls(case, "match", 0.0, 0.0, 0.0, note=note)
+
+    @property
+    def slack(self) -> float:
+        return self.lhs - self.rhs
+
+    @property
+    def passed(self) -> bool:
+        if self.kind == "bound":
+            return self.slack >= -self.allowance
+        return abs(self.slack) <= self.allowance
+
+
+def _sampled_allowance(stderr: float, k_sigma: float = K_SIGMA, disc: float = 0.0) -> float:
+    """The allowance of a sampled check: k_sigma standard errors, plus a
+    discretization allowance, plus ``MC_FLOOR``."""
+    return k_sigma * stderr + disc + MC_FLOOR
 
 
 def _abs_squared(values: np.ndarray) -> np.ndarray:
@@ -563,24 +592,26 @@ def _abs_squared(values: np.ndarray) -> np.ndarray:
         return np.abs(values) ** 2
 
 
-def verify_isometry(z: ProcessElement, ensemble: PathEnsemble, z_max: float = 4.0) -> IsometryReport:
+def verify_isometry(z: ProcessElement, ensemble: PathEnsemble) -> Check:
     """E[|int z dX|^2] from sampling vs the exact integral int E|z|^2 dh."""
-    return isometry_report(z, ensemble.grid, lambda: ito_integral(z, ensemble), z_max)
+    return isometry_report(z, ensemble.grid, lambda: ito_integral(z, ensemble))
 
 
 def isometry_report(
-    z: ProcessElement,
-    grid: TimeGrid,
-    integral: Callable[[], np.ndarray],
-    z_max: float = 4.0,
-) -> IsometryReport:
+    z: ProcessElement, grid: TimeGrid, integral: Callable[[], np.ndarray]
+) -> Check:
     """``verify_isometry`` from z's per-path Ito sums, as ``integral()`` returns
-    them (an item of ``ito_sweep``)."""
+    them (an item of ``ito_sweep``).
+
+    A match check: factor1 is the sampled E|I|^2, factor2 the exact
+    integral, and the note gives the deviation in standard errors.
+    """
     mc = Estimate.from_samples(_abs_squared(integral()))
     exact = energy_integral(z, grid)
-    zscore = mc.z_against(exact)
-    return IsometryReport(
-        case=f"isometry[{z.label}]", mc=mc, exact=exact, z=zscore, passed=zscore <= z_max
+    return Check(
+        f"isometry[{z.label}]", "match", mc.mean.real, exact,
+        _sampled_allowance(mc.stderr), mc, Estimate.exact(exact),
+        note=f"z={mc.z_against(exact):.3f}",
     )
 
 
@@ -600,10 +631,11 @@ def verify_h1(
     c_tilde: float,
     q: float | None = None,
     tol: float = H1_TOL,
-) -> InequalityReport:
+) -> Check:
     """Fixed-time inequality, all factors in closed form.
 
-    ||(X - c) Y|| * ||(X - ct) G Y|| >= q ||Y||^2, with real centerings.
+    ||(X - c) Y|| * ||(X - ct) G Y|| >= q ||Y||^2, with real centerings: a
+    bound check with allowance ``tol``.
     """
     if q is not None and q != y.q:
         raise VarianceMismatchError(f"q={q!r} does not match element q={y.q!r}")
@@ -614,17 +646,9 @@ def verify_h1(
     gy = apply_G(y)
     f2 = norm(sub(apply_X(gy), scale(gy, c_tilde)))
     rhs = q * inner_product(y, y).real
-    lhs = f1 * f2
-    slack = lhs - rhs
-    return InequalityReport(
-        case=f"h1[c={c:g},ct={c_tilde:g},q={q:g}]",
-        lhs_factor1=Estimate.exact(f1),
-        lhs_factor2=Estimate.exact(f2),
-        lhs_product=lhs,
-        rhs=rhs,
-        slack=slack,
-        allowance=tol,
-        passed=slack >= -tol,
+    return Check(
+        f"h1[c={c:g},ct={c_tilde:g},q={q:g}]", "bound", f1 * f2, rhs, tol,
+        Estimate.exact(f1), Estimate.exact(f2),
     )
 
 
@@ -633,10 +657,9 @@ def verify_h2(
     g: CenteringFunction | None,
     g_tilde: CenteringFunction | None,
     ensemble: PathEnsemble,
-    k_sigma: float = 4.0,
+    k_sigma: float = K_SIGMA,
     disc_factor: float = 10.0,
-    case: str = "",
-) -> InequalityReport:
+) -> Check:
     """Integrated inequality via sampled Ito integrals vs the exact RHS.
 
     The statistical allowance is k_sigma times the propagated standard error
@@ -648,7 +671,7 @@ def verify_h2(
     return h2_report(
         y, ensemble.grid,
         lambda: ito_integral(z1, ensemble), lambda: ito_integral(z2, ensemble),
-        k_sigma, disc_factor, case,
+        k_sigma, disc_factor,
     )
 
 
@@ -664,39 +687,32 @@ def h2_report(
     grid: TimeGrid,
     integral1: Callable[[], np.ndarray],
     integral2: Callable[[], np.ndarray],
-    k_sigma: float = 4.0,
+    k_sigma: float = K_SIGMA,
     disc_factor: float = 10.0,
-    case: str = "",
-) -> InequalityReport:
+) -> Check:
     """``verify_h2`` from the per-path Ito sums of the two ``h2_integrands``.
 
     Each ``integral()`` returns its sums or raises (items of ``ito_sweep``);
     the second is called only once the first factor is formed, so errors
-    surface in the order ``verify_h2`` meets them.
+    surface in the order ``verify_h2`` meets them.  The bound check's
+    ``extra`` holds the right side on the refined grid, the two parts of
+    the allowance and the raw sampled energies.
     """
     e1 = Estimate.from_samples(_abs_squared(integral1()))
     e2 = Estimate.from_samples(_abs_squared(integral2()))
     f1 = _sqrt_estimate(e1)
     f2 = _sqrt_estimate(e2)
-    lhs = f1.mean.real * f2.mean.real
-    stat = k_sigma * (f1.mean.real * f2.stderr + f2.mean.real * f1.stderr)
+    stderr = f1.mean.real * f2.stderr + f2.mean.real * f1.stderr
     disc = disc_factor * (grid.horizon / grid.steps)
     rhs = weighted_energy_integral(y, grid)
     rhs_refined = weighted_energy_integral(y, grid.refined())
-    slack = lhs - rhs
-    allowance = stat + disc
-    return InequalityReport(
-        case=case or f"h2[{y.label}]",
-        lhs_factor1=f1,
-        lhs_factor2=f2,
-        lhs_product=lhs,
-        rhs=rhs,
-        slack=slack,
-        allowance=allowance,
-        passed=slack >= -allowance,
+    return Check(
+        f"h2[{y.label}]", "bound", f1.mean.real * f2.mean.real, rhs,
+        _sampled_allowance(stderr, k_sigma, disc), f1, f2,
+        note="RHS by trapezoid in t; refinement study in extra",
         extra=(
             ("rhs_refined", rhs_refined),
-            ("stat_allowance", stat),
+            ("stat_allowance", k_sigma * stderr),
             ("disc_allowance", disc),
             ("raw_energy1", e1.mean.real),
             ("raw_energy2", e2.mean.real),
@@ -732,6 +748,8 @@ def verify_pde(
     (4 eps |u| / step^2, up to ~3e-6 on the target box) exceeds the
     residual sizes of interest.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, not {step!r}")
     pts = tuple(points) if points is not None else pde_grid()
     worst = 0.0
     with _MP_LOCK, mp.workdps(dps):
@@ -780,30 +798,52 @@ def verify_l2_limit(
 # ---------------------------------------------------------------------------
 # two-point exponential formula (double entry)
 
-def lemma2_case(
-    c: complex, d: complex, q: float, ensemble: PathEnsemble | None = None
-) -> dict:
-    """Compare exp(c conj(d) q) against the algebra and (optionally) sampling.
+def format_complex(z: complex) -> str:
+    """Short label form of a complex number: 1, -0.5, 0+1j, 1-2j."""
+    z = complex(z)
+    re = f"{z.real:g}"
+    if z.imag == 0.0:
+        return re
+    return f"{re}{'+' if z.imag >= 0 else '-'}{abs(z.imag):g}j"
 
-    Returns a dict with the reference value, the algebra inner product, their
-    deviation, and when an ensemble is given the sampled estimate of
-    E[E(c) conj(E(d))] with its deviation and stderr.
+
+def verify_lemma2(
+    c: complex, d: complex, q: float, ensemble: PathEnsemble | None = None
+) -> list[Check]:
+    """The two-point formula <E(c), E(d)> = exp(c conj(d) q), double entry.
+
+    The first check compares the algebra's inner product with the closed
+    form.  Given an ensemble whose final variance is q, a second compares the
+    sample mean of E(c) conj(E(d)) at its horizon with it; when that
+    evaluation overflows float64, the second check is skipped and says so.
     """
     c = complex(c)
     d = complex(d)
-    reference = cmath.exp(c * d.conjugate() * q)
+    label = f"c={format_complex(c)},d={format_complex(d)}"
+    reference = Estimate.exact(cmath.exp(c * d.conjugate() * q))
     algebra = inner_product(make_exponential(c, q), make_exponential(d, q))
-    row = {
-        "c": c,
-        "d": d,
-        "q": float(q),
-        "reference": reference,
-        "algebra": algebra,
-        "algebra_deviation": abs(algebra - reference),
-    }
-    if ensemble is not None:
-        element = mul(make_exponential(c, q), conjugate(make_exponential(d, q)))
+    checks = [
+        Check(
+            f"lemma2-exact[{label}]", "match", abs(algebra - reference.mean), 0.0,
+            LEMMA2_EXACT_TOL, Estimate.exact(algebra), reference,
+            note="inner product vs exp(c*conj(d)*q)",
+        )
+    ]
+    if ensemble is None:
+        return checks
+    case = f"lemma2-mc[{label}]"
+    element = mul(make_exponential(c, q), conjugate(make_exponential(d, q)))
+    try:
         est = mc_expectation(element, ensemble)
-        row["mc"] = est
-        row["mc_deviation"] = abs(est.mean - reference)
-    return row
+    except EvaluationOverflowError as e:
+        reach = "squared samples" if e.max_real is None else f"{e.max_real:.3g}"
+        checks.append(Check.skipped(case, f"skipped: evaluation overflow ({reach})"))
+        return checks
+    checks.append(
+        Check(
+            case, "match", abs(est.mean - reference.mean), 0.0,
+            _sampled_allowance(est.stderr), est, reference,
+            note="sample mean of E(c)*conj(E(d)) vs exp(c*conj(d)*q)",
+        )
+    )
+    return checks

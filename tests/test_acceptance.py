@@ -156,7 +156,7 @@ def test_criterion_05_pde_residuals():
 def test_criterion_06_fixed_time_inequality_suite():
     t0 = time.perf_counter()
     eq = verify_h1(one_element(1.0), 0.0, 0.0)
-    assert abs(eq.lhs_product - 1.0) <= 1e-9
+    assert abs(eq.lhs - 1.0) <= 1e-9
     assert abs(eq.rhs - 1.0) <= 1e-9
     assert abs(eq.slack) <= 1e-9
 
@@ -169,10 +169,10 @@ def test_criterion_06_fixed_time_inequality_suite():
         if y.is_zero:
             continue
         c, ct = rng.uniform(-2.0, 2.0, size=2)
-        rep = verify_h1(y, c, ct)
+        chk = verify_h1(y, c, ct)
         n_run += 1
-        n_pass += rep.passed
-        min_slack = min(min_slack, rep.slack)
+        n_pass += chk.passed
+        min_slack = min(min_slack, chk.slack)
     dt = time.perf_counter() - t0
     ok = n_pass == 500 and dt < 10.0
     _banner(6, "fixed-time inequality, 500 randomized + equality case", ok,
@@ -237,16 +237,17 @@ def test_criterion_09_integral_isometry():
     t0 = time.perf_counter()
     h = TimeChange.identity()
     ens = generate(h, TimeGrid.uniform(1.0, 512), 100_000, SEED)
-    rep_one = verify_isometry(ProcessElement.constant_one(h), ens)
-    rep_x = verify_isometry(ProcessElement.coordinate(h), ens)
+    chk_one = verify_isometry(ProcessElement.constant_one(h), ens)
+    chk_x = verify_isometry(ProcessElement.coordinate(h), ens)
     dt = time.perf_counter() - t0
-    ok = (rep_one.passed and rep_x.passed
-          and rep_one.exact == 1.0 and abs(rep_x.exact - 0.5) <= 1e-12
+    within = [abs(chk.slack) <= 4.0 * chk.factor1.stderr for chk in (chk_one, chk_x)]
+    ok = (all(within)
+          and chk_one.rhs == 1.0 and abs(chk_x.rhs - 0.5) <= 1e-12
           and dt < 60.0)
     _banner(9, "sampled vs exact integral energies", ok,
-            f"z = {rep_one.z:.2f} (exact 1), {rep_x.z:.2f} (exact 1/2), {dt:.1f}s")
-    assert rep_one.exact == 1.0 and rep_one.z <= 4.0
-    assert abs(rep_x.exact - 0.5) <= 1e-12 and rep_x.z <= 4.0
+            f"{chk_one.note} (exact 1), {chk_x.note} (exact 1/2), {dt:.1f}s")
+    assert chk_one.rhs == 1.0 and within[0]
+    assert abs(chk_x.rhs - 0.5) <= 1e-12 and within[1]
     assert dt < 60.0
 
 

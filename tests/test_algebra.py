@@ -28,7 +28,6 @@ from expmart import (
     apply_X,
     commutator_residual,
     conjugate,
-    cross_time_inner_product,
     element_from_text,
     element_to_text,
     expectation,
@@ -450,23 +449,3 @@ def test_hermite_conversion_at_zero_variance_is_identity():
 def test_hermite_conversion_rejects_exponentials():
     with pytest.raises(NonPolynomialElementError):
         to_hermite(make_exponential(1.0, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# cross-time inner products
-
-def test_cross_time_uses_earlier_time():
-    h = lambda t: t * t
-    c, d = 1.0 + 0.5j, -0.25j
-    got = cross_time_inner_product(c, 0.5, d, 2.0, h)
-    assert got == cmath.exp(c * d.conjugate() * 0.25)
-    # symmetric in which argument carries the earlier time
-    assert cross_time_inner_product(c, 2.0, d, 0.5, h) == got
-
-
-def test_cross_time_matches_fixed_time_inner_product():
-    q = 0.8
-    c, d = 0.5, 1j
-    same_time = cross_time_inner_product(c, 1.0, d, 1.0, lambda t: q * t)
-    fixed = inner_product(make_exponential(c, q), make_exponential(d, q))
-    assert abs(same_time - fixed) <= 1e-14 * abs(fixed)

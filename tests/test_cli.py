@@ -99,9 +99,8 @@ def test_parse_isometry_cases():
 
 def test_presets_cover_documented_names():
     needed = {
-        "default", "acceptance", "commutators", "lemma2-grid",
-        "brownian-equality", "brownian-strict", "isometry-basic",
-        "h1-random", "pde-box", "l2limit-dyadic",
+        "default", "acceptance", "brownian-equality", "brownian-strict",
+        "isometry-basic",
     }
     assert needed <= set(PRESETS)
     cfg = apply_preset(RunConfig(), "acceptance")
@@ -127,6 +126,18 @@ def test_presets_cover_documented_names():
         dict(h2_cases=("template:1@0;g=const:nan",)),
         dict(l2_k_max=L2_K_MAX + 1),
         dict(l2_k_max=45),
+        dict(horizon=float("nan")),
+        dict(horizon=float("inf")),
+        dict(pde_step=float("nan")),
+        dict(h1_n_random=0),
+        dict(h1_n_random=-3),
+        dict(algebra_n_random=0),
+        dict(h1_tol=float("nan")),
+        dict(h1_tol=float("inf")),
+        dict(h2_k_sigma=float("nan")),
+        dict(h2_k_sigma=-1.0),
+        dict(h2_disc_factor=float("inf")),
+        dict(h2_disc_factor=-0.5),
     ],
 )
 def test_validated_rejects_bad_configs(kwargs):
@@ -192,6 +203,15 @@ def test_bad_preset_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name", ["commutators", "lemma2-grid", "h1-random", "pde-box", "l2limit-dyadic"]
+)
+def test_removed_preset_exits_2(tmp_path, capsys, name):
+    # these five equalled "default" and were removed
+    assert main(["all", "--preset", name, "--out-dir", str(tmp_path)]) == 2
+    assert f"unknown preset {name!r}" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["all", "--config", str(tmp_path / "none.ini")]) == 2
 
@@ -250,6 +270,24 @@ def test_malformed_pw_knots_exit_2(tmp_path, capsys, ini_text):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "ini_text",
+    [
+        "[run]\nsuites = isometry\nhorizon = nan\n",
+        "[run]\nsuites = pde\n\n[pde]\nstep = nan\n",
+        "[run]\nsuites = h1\n\n[h1]\nn_random = 0\n",
+        "[run]\nsuites = check-algebra\n\n[algebra]\nn_random = 0\n",
+    ],
+    ids=["horizon-nan", "pde-step-nan", "h1-n-random-0", "algebra-n-random-0"],
+)
+def test_values_that_cannot_run_exit_2(tmp_path, capsys, ini_text):
+    ini = tmp_path / "run.ini"
+    ini.write_text(ini_text)
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 @pytest.mark.parametrize("k_max, status", [(L2_K_MAX, 0), (L2_K_MAX + 1, 2)])
 def test_l2limit_k_max_bound(tmp_path, k_max, status):
     # the largest accepted k_max still passes every row for the default
@@ -291,6 +329,26 @@ def test_overflowing_case_exits_3_with_report(tmp_path):
     assert rc == 3
     _, doc = _read_reports(tmp_path)
     assert any(c["note"].startswith("overflow:") for c in doc["cases"])
+
+
+def test_lemma2_sample_overflow_is_a_skip_row(tmp_path):
+    # E(1) conj(E(1+30j)) reaches about exp(460) on the samples: finite, but
+    # its square is not, so the sampled entry of both mixed pairs is skipped
+    # and their exact entries stay.  For c = d = 1+30j the closed form
+    # exp(901) itself overflows, which fails that pair's task.
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nsuites = lemma2\n\n[lemma2]\npaths = 10000\nexponents = 1 1+30j\n")
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 3
+    _, doc = _read_reports(tmp_path)
+    cases = {c["case"]: c for c in doc["cases"]}
+    for pair in ("c=1,d=1+30j", "c=1+30j,d=1"):
+        assert cases[f"lemma2-exact[{pair}]"]["passed"] is True
+        skip = cases[f"lemma2-mc[{pair}]"]
+        assert skip["passed"] is True and skip["note"].startswith("skipped: evaluation overflow")
+        assert skip["lhs_product"] == skip["rhs_exact"] == skip["allowance"] == 0.0
+    failed = cases["lemma2/c=1+30j,d=1+30j"]
+    assert failed["passed"] is False and failed["note"].startswith("overflow:")
+    assert not any(c["note"].startswith("error:") for c in doc["cases"])
 
 
 def _strip_json_header(doc):

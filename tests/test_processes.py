@@ -121,7 +121,6 @@ def test_ensemble_accessors():
     assert ens.n_paths == 50
     np.testing.assert_array_equal(ens.values_at(0.0), np.zeros(50))
     np.testing.assert_array_equal(ens.values_at(1.0), ens.paths[:, -1])
-    assert ens.realized_quadratic_variation().shape == (50,)
 
 
 def test_ensemble_shape_validation():
@@ -175,15 +174,3 @@ def test_exponential_martingale_normalizes(c):
     mean = vals.mean()
     stderr = np.sqrt(np.mean(np.abs(vals - mean) ** 2) / N)
     assert abs(mean - 1.0) <= 4 * stderr
-
-
-@pytest.mark.parametrize("h", H_CASES, ids=lambda h: h.kind)
-def test_realized_quadratic_variation_concentrates(h):
-    m = 256
-    ens = generate(h, TimeGrid.uniform(1.0, m), 2000, seed=31)
-    qv = ens.realized_quadratic_variation()
-    q_total = quadratic_variation_at(h, 1.0)
-    # sum of squared Gaussian increments: mean h(T), variance 2 sum dv_k^2
-    dv = np.diff(np.asarray(h(np.asarray(ens.grid.points)), dtype=float))
-    sd = np.sqrt(2 * np.sum(dv**2))
-    assert abs(qv.mean() - q_total) <= 4 * sd / np.sqrt(2000)

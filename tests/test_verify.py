@@ -27,19 +27,21 @@ from expmart import (
 from expmart.cli import random_element
 from expmart.verify import (
     CenteringFunction,
+    Check,
     Estimate,
     EvaluationOverflowError,
     ProcessElement,
     energy_integral,
     evaluate_element,
+    MC_FLOOR,
     ito_integral,
-    lemma2_case,
     mc_expectation,
     pde_grid,
     verify_h1,
     verify_h2,
     verify_isometry,
     verify_l2_limit,
+    verify_lemma2,
     verify_pde,
     weighted_energy_integral,
 )
@@ -160,6 +162,24 @@ def test_mc_matches_exact_expectation_on_random_elements(flat_ens):
 
 
 # ---------------------------------------------------------------------------
+# check records
+
+def test_check_derives_slack_and_passed():
+    bound = Check("b", "bound", 1.0, 2.0, 1.0)
+    assert bound.slack == -1.0 and bound.passed
+    assert not Check("b", "bound", 1.0, 2.0, 0.5).passed
+    assert Check("b", "bound", 5.0, 2.0, 0.0).passed
+    assert Check("m", "match", 3.0, 2.0, 1.0).passed
+    assert not Check("m", "match", 1.0, 2.5, 1.0).passed
+    assert not Check("m", "match", math.nan, 0.0, 1.0).passed
+    skipped = Check.skipped("s", "skipped: reason")
+    assert skipped.passed and skipped.slack == 0.0 and skipped.note == "skipped: reason"
+    assert not Check("failed", "match", math.inf, 0.0, 0.0).passed
+    with pytest.raises(ValueError):
+        Check("x", "equal", 0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # stochastic integrals
 
 def test_constant_integrand_telescopes_bitwise(big_ens):
@@ -174,21 +194,21 @@ def test_zero_integrand_integrates_to_zero(big_ens):
 
 
 def test_isometry_constant_case(big_ens):
-    rep = verify_isometry(ProcessElement.constant_one(H_ID), big_ens)
-    assert rep.exact == 1.0
-    assert rep.passed and rep.z <= 4.0
+    chk = verify_isometry(ProcessElement.constant_one(H_ID), big_ens)
+    assert chk.rhs == 1.0
+    assert abs(chk.slack) <= 4.0 * chk.factor1.stderr
 
 
 def test_isometry_coordinate_case(big_ens):
-    rep = verify_isometry(ProcessElement.coordinate(H_ID), big_ens)
-    assert rep.exact == pytest.approx(0.5, abs=1e-12)  # trapezoid of t is exact
-    assert rep.passed
+    chk = verify_isometry(ProcessElement.coordinate(H_ID), big_ens)
+    assert chk.rhs == pytest.approx(0.5, abs=1e-12)  # trapezoid of t is exact
+    assert abs(chk.slack) <= 4.0 * chk.factor1.stderr
 
 
 def test_isometry_zero_case(big_ens):
     z = ProcessElement.from_template(H_ID, [(0.0, (0.0,))])
-    rep = verify_isometry(z, big_ens)
-    assert rep.mc.mean == 0.0 and rep.exact == 0.0 and rep.z == 0.0
+    chk = verify_isometry(z, big_ens)
+    assert chk.factor1.mean == 0.0 and chk.rhs == 0.0 and chk.slack == 0.0
 
 
 def test_energy_integrals_pinned():
@@ -241,34 +261,34 @@ def test_centering_function_values():
 def test_h1_equality_case():
     # Y = 1, zero centerings: both factors are ||X|| = sqrt(q), so
     # LHS = q = RHS exactly
-    rep = verify_h1(one_element(1.0), 0.0, 0.0)
-    assert rep.passed and rep.lhs_product == 1.0 and rep.rhs == 1.0
-    assert rep.slack == 0.0
+    chk = verify_h1(one_element(1.0), 0.0, 0.0)
+    assert chk.passed and chk.lhs == 1.0 and chk.rhs == 1.0
+    assert chk.slack == 0.0
 
 
 def test_h1_coordinate_case():
     # Y = X: factors sqrt(E[X^4]) = sqrt(3) twice, LHS 3 against RHS 1
     y = make_element(1.0, [(0.0, (0.0, 1.0))])
-    rep = verify_h1(y, 0.0, 0.0)
-    assert rep.lhs_product == pytest.approx(3.0, rel=1e-12)
-    assert rep.rhs == pytest.approx(1.0, rel=1e-12)
-    assert rep.passed
+    chk = verify_h1(y, 0.0, 0.0)
+    assert chk.lhs == pytest.approx(3.0, rel=1e-12)
+    assert chk.rhs == pytest.approx(1.0, rel=1e-12)
+    assert chk.passed
 
 
 def test_h1_exponential_case():
     # Y = E(1), q = 1: LHS = sqrt(5e) * sqrt(e) = e sqrt(5), RHS = e
-    rep = verify_h1(make_exponential(1.0, 1.0), 0.0, 0.0)
-    assert rep.rhs == pytest.approx(math.e, rel=1e-12)
-    assert rep.lhs_product == pytest.approx(math.e * math.sqrt(5.0), rel=1e-12)
-    assert rep.passed
+    chk = verify_h1(make_exponential(1.0, 1.0), 0.0, 0.0)
+    assert chk.rhs == pytest.approx(math.e, rel=1e-12)
+    assert chk.lhs == pytest.approx(math.e * math.sqrt(5.0), rel=1e-12)
+    assert chk.passed
 
 
 @pytest.mark.parametrize("a, q", [(0.5, 1.0), (1.0, 0.25), (-0.75, 4.0)])
 def test_h1_tilted_equality_family(a, q):
     # Y = E(a) with c = 2 a q, c~ = 0 achieves equality: both sides q e^{a^2 q}
-    rep = verify_h1(make_exponential(a, q), 2.0 * a * q, 0.0)
-    assert abs(rep.slack) <= 1e-9 * max(1.0, rep.rhs)
-    assert rep.passed
+    chk = verify_h1(make_exponential(a, q), 2.0 * a * q, 0.0)
+    assert abs(chk.slack) <= 1e-9 * max(1.0, chk.rhs)
+    assert chk.passed
 
 
 def test_h1_rejects_mismatched_q():
@@ -285,42 +305,48 @@ def test_h1_holds_on_randomized_family():
         if y.is_zero:
             continue
         c, ct = rng.uniform(-2.0, 2.0, size=2)
-        rep = verify_h1(y, c, ct)
-        if not rep.passed:
-            failures.append((i, rep.case, rep.slack))
+        chk = verify_h1(y, c, ct)
+        if not chk.passed:
+            failures.append((i, chk.case, chk.slack))
     assert failures == []
 
 
 # ---------------------------------------------------------------------------
 # integrated inequality (sampled factors)
 
+def _h2_budget(chk):
+    """The h2 allowance without MC_FLOOR: statistical + discretization."""
+    extra = dict(chk.extra)
+    return extra["stat_allowance"] + extra["disc_allowance"]
+
+
 def test_h2_equality_case(big_ens):
     # Y = 1, g = g~ = 0: LHS and RHS both 1/2
-    rep = verify_h2(ProcessElement.constant_one(H_ID), None, None, big_ens)
-    assert rep.rhs == pytest.approx(0.5, abs=1e-12)
-    assert abs(rep.lhs_product - 0.5) <= rep.allowance
-    assert rep.passed
+    chk = verify_h2(ProcessElement.constant_one(H_ID), None, None, big_ens)
+    assert chk.rhs == pytest.approx(0.5, abs=1e-12)
+    assert abs(chk.lhs - 0.5) <= _h2_budget(chk)
+    assert chk.slack >= -_h2_budget(chk)
 
 
 def test_h2_strict_case(big_ens):
     # Y = X: LHS ~ int 3 t^2 dt = 1, RHS = int t^2 dt = 1/3
-    rep = verify_h2(ProcessElement.coordinate(H_ID), None, None, big_ens)
-    assert rep.rhs == pytest.approx(1.0 / 3.0, abs=1e-6)
-    assert abs(rep.lhs_product - 1.0) <= rep.allowance
-    assert rep.passed and rep.slack > 0.5
+    chk = verify_h2(ProcessElement.coordinate(H_ID), None, None, big_ens)
+    assert chk.rhs == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert abs(chk.lhs - 1.0) <= _h2_budget(chk)
+    assert chk.slack >= -_h2_budget(chk) and chk.slack > 0.5
 
 
 def test_h2_zero_case(big_ens):
     y = ProcessElement.from_template(H_ID, [(0.0, (0.0,))])
-    rep = verify_h2(y, None, None, big_ens)
-    assert rep.lhs_product == 0.0 and rep.rhs == 0.0 and rep.passed
+    chk = verify_h2(y, None, None, big_ens)
+    assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.slack >= -_h2_budget(chk)
 
 
 def test_h2_reports_refinement_metadata(big_ens):
-    rep = verify_h2(ProcessElement.coordinate(H_ID), None, None, big_ens)
-    extra = dict(rep.extra)
-    assert abs(extra["rhs_refined"] - rep.rhs) <= 1e-6
-    assert extra["stat_allowance"] + extra["disc_allowance"] == pytest.approx(rep.allowance)
+    chk = verify_h2(ProcessElement.coordinate(H_ID), None, None, big_ens)
+    extra = dict(chk.extra)
+    assert abs(extra["rhs_refined"] - chk.rhs) <= 1e-6
+    assert chk.allowance == extra["stat_allowance"] + extra["disc_allowance"] + MC_FLOOR
 
 
 def _random_centering(rng):
@@ -348,9 +374,9 @@ def test_h2_holds_on_randomized_configurations(big_ens):
             coeffs[-1] = coeffs[-1] if coeffs[-1] != 0 else 0.5
             terms.append((c, tuple(coeffs)))
         y = ProcessElement.from_template(H_ID, terms)
-        rep = verify_h2(y, _random_centering(rng), _random_centering(rng), big_ens)
-        if not rep.passed:
-            failures.append((i, rep.case, rep.slack, rep.allowance))
+        chk = verify_h2(y, _random_centering(rng), _random_centering(rng), big_ens)
+        if not chk.slack >= -_h2_budget(chk):
+            failures.append((i, chk.case, chk.slack, _h2_budget(chk)))
     assert failures == []
 
 
@@ -373,6 +399,12 @@ def test_pde_residual_scales_second_order():
     r4 = verify_pde(1.0, points=pt, step=1e-4)
     r3 = verify_pde(1.0, points=pt, step=1e-3)
     assert 30.0 <= r3 / r4 <= 300.0
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0])
+def test_pde_rejects_bad_step(step):
+    with pytest.raises(ValueError):
+        verify_pde(1.0, points=[(0.5, 1.0)], step=step)
 
 
 def test_pde_grid_covers_box():
@@ -417,11 +449,11 @@ EXPONENT_PAIRS = [(c, d) for c in (1, -1, 1j) for d in (1, -1, 1j)]
 
 @pytest.mark.parametrize("c, d", EXPONENT_PAIRS)
 def test_lemma2_algebra_entry(c, d):
-    row = lemma2_case(c, d, 1.0)
-    assert row["algebra_deviation"] <= 1e-12 * max(1.0, abs(row["reference"]))
+    (chk,) = verify_lemma2(c, d, 1.0)
+    assert chk.lhs <= 1e-12 * max(1.0, abs(chk.factor2.mean))
 
 
 @pytest.mark.parametrize("c, d", EXPONENT_PAIRS)
 def test_lemma2_mc_entry(c, d, flat_ens):
-    row = lemma2_case(c, d, 1.0, ensemble=flat_ens)
-    assert row["mc_deviation"] <= 4.0 * row["mc"].stderr + 1e-12
+    _, chk = verify_lemma2(c, d, 1.0, ensemble=flat_ens)
+    assert chk.lhs <= 4.0 * chk.factor1.stderr + 1e-12

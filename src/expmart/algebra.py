@@ -84,8 +84,6 @@ __all__ = [
     "to_hermite",
     "from_hermite",
     "commutator_residual",
-    "element_to_text",
-    "element_from_text",
 ]
 
 # Relative tolerance of the canonical form: exponent components closer than
@@ -234,8 +232,7 @@ class PolyExpElement:
 
     ``terms`` maps each exponent c_k to the coefficient tuple of p_k (low
     degree first).  The zero element has an empty ``terms``.  Instances are
-    immutable; build them with :func:`make_element` / :func:`make_exponential`
-    or by arithmetic on existing elements.
+    immutable; build them with :func:`make_element` / :func:`make_exponential`.
     """
 
     q: float
@@ -270,33 +267,8 @@ class PolyExpElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Max polynomial degree across terms (-1 for the zero element)."""
-        return max((len(p) - 1 for _, p in self.terms), default=-1)
-
     def max_abs_coeff(self) -> float:
         return max((_max_abs(p) for _, p in self.terms), default=0.0)
-
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other: "PolyExpElement") -> "PolyExpElement":
-        return add(self, other)
-
-    def __sub__(self, other: "PolyExpElement") -> "PolyExpElement":
-        return sub(self, other)
-
-    def __neg__(self) -> "PolyExpElement":
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, PolyExpElement):
-            return mul(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / complex(other))
 
 
 # ---------------------------------------------------------------------------
@@ -774,39 +746,3 @@ def commutator_residual(which: str, f: PolyExpElement) -> PolyExpElement:
     else:
         raise ValueError(f"unknown commutator {which!r}; expected one of {_COMMUTATORS}")
     return sub(lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialization (reports, golden files)
-
-def element_to_text(f: PolyExpElement) -> str:
-    """Serialize: header line with q, then one line per term.
-
-    Term lines hold the exponent's real and imaginary part followed by the
-    coefficients as alternating real/imaginary parts.  repr() round-trips
-    doubles exactly.
-    """
-    lines = [f"q {f.q!r}"]
-    for c, p in f.terms:
-        parts = [repr(c.real), repr(c.imag)]
-        for v in p:
-            parts.append(repr(v.real))
-            parts.append(repr(v.imag))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def element_from_text(text: str) -> PolyExpElement:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("q "):
-        raise ValueError("element text must start with a 'q <value>' header")
-    q = float(lines[0][2:])
-    terms: list[tuple[complex, tuple[complex, ...]]] = []
-    for ln in lines[1:]:
-        vals = [float(tok) for tok in ln.split()]
-        if len(vals) < 2 or len(vals) % 2 != 0:
-            raise ValueError(f"malformed term line: {ln!r}")
-        c = complex(vals[0], vals[1])
-        coeffs = tuple(complex(vals[k], vals[k + 1]) for k in range(2, len(vals), 2))
-        terms.append((c, coeffs))
-    return make_element(q, terms)

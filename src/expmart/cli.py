@@ -380,6 +380,7 @@ def _h1_tasks(cfg: RunConfig) -> list[Task]:
 
 
 def _h2_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
+    q = quadratic_variation_at(main.time_change, main.grid.horizon)
     tasks: list[Task] = []
     for case_name in cfg.h2_cases:
         case = parse_h2_case(case_name)
@@ -394,7 +395,7 @@ def _h2_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
             if case["target_lhs"] is None:
                 return [bound]
             target = Check(
-                f"h2-target[{case['name']}]", "match", bound.lhs, case["target_lhs"],
+                f"h2-target[{case['name']}]", "match", bound.lhs, case["target_lhs"](q),
                 bound.allowance, bound.factor1, bound.factor2,
                 note="LHS vs its derived closed-form target",
             )

@@ -11,13 +11,13 @@ Time changes: "identity", "power:<alpha>", or "pw:<t>:<v>,...".
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import dataclasses
 import math
 from dataclasses import dataclass
 
-from .processes import InvalidTimeChangeError, TimeChange
-from .verify import CenteringFunction
+from .processes import InvalidTimeChangeError, PiecewiseLinear, TimeChange
 
 __all__ = [
     "RunConfig",
@@ -157,9 +157,12 @@ def apply_preset(cfg: RunConfig, name: str) -> RunConfig:
 
 def parse_complex(s: str) -> complex:
     try:
-        return complex(s.strip().replace(" ", ""))
+        z = complex(s.strip().replace(" ", ""))
     except ValueError:
         raise ConfigError(f"bad complex literal {s!r}") from None
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex literal {s!r} is not finite")
+    return z
 
 
 def parse_complex_list(s: str) -> tuple[str, ...]:
@@ -194,19 +197,19 @@ def _parse_knots(body: str) -> tuple[tuple[float, float], ...]:
     return tuple(knots)
 
 
-def parse_centering(s: str) -> CenteringFunction:
+def parse_centering(s: str) -> PiecewiseLinear:
     s = s.strip()
     if s == "zero":
-        return CenteringFunction.zero()
+        return PiecewiseLinear.zero()
     if s.startswith("const:"):
         try:
-            return CenteringFunction.constant(float(s[6:]))
-        except ValueError:
-            raise ConfigError(f"bad centering {s!r}") from None
+            return PiecewiseLinear.constant(float(s[6:]))
+        except ValueError as e:
+            raise ConfigError(f"bad centering {s!r}: {e}") from None
     if s.startswith("pw:"):
         knots = _parse_knots(s[3:])
         try:
-            return CenteringFunction.piecewise_linear(knots)
+            return PiecewiseLinear(knots)
         except ValueError as e:
             raise ConfigError(f"bad centering {s!r}: {e}") from None
     raise ConfigError(f"unknown centering {s!r}")
@@ -231,43 +234,35 @@ def parse_time_change(s: str) -> TimeChange:
 
 
 def parse_h2_case(s: str) -> dict:
-    """An h2 case: a named one or 'template:<element>[;g=<cen>][;gt=<cen>]'."""
+    """An h2 case: a named one or 'template:<element>[;g=<cen>][;gt=<cen>]'.
+
+    A named case's ``target_lhs`` maps q = h(T) to the closed form of its left
+    side, both centerings zero: Y = 1 gives E|int X dX|^2 = int h dh = q^2/2
+    for each factor, and Y = X gives int 3 h^2 dh = q^3 for each.
+    """
     s = s.strip()
-    if s == "brownian-equality":
+    named = {
+        "brownian-equality": ("1@0", lambda q: q * q / 2),
+        "brownian-strict": ("0,1@0", lambda q: q**3),
+    }
+    zero = PiecewiseLinear.zero()
+    if s in named:
+        tpl, target = named[s]
         return dict(
-            name=s,
-            template=parse_element_template("1@0"),
-            g=CenteringFunction.zero(),
-            g_tilde=CenteringFunction.zero(),
-            target_lhs=0.5,
-        )
-    if s == "brownian-strict":
-        return dict(
-            name=s,
-            template=parse_element_template("0,1@0"),
-            g=CenteringFunction.zero(),
-            g_tilde=CenteringFunction.zero(),
-            target_lhs=1.0,
+            name=s, template=parse_element_template(tpl), g=zero, g_tilde=zero,
+            target_lhs=target,
         )
     if s.startswith("template:"):
-        body = s[len("template:") :]
-        parts = body.split(";")
-        g = CenteringFunction.zero()
-        g_tilde = CenteringFunction.zero()
+        parts = s[len("template:") :].split(";")
+        centerings = {"g": zero, "gt": zero}
         for extra in parts[1:]:
             key, _, val = extra.partition("=")
-            if key == "g":
-                g = parse_centering(val)
-            elif key == "gt":
-                g_tilde = parse_centering(val)
-            else:
+            if key not in centerings:
                 raise ConfigError(f"unknown h2 case option {extra!r}")
+            centerings[key] = parse_centering(val)
         return dict(
-            name=f"template[{parts[0]}]",
-            template=parse_element_template(parts[0]),
-            g=g,
-            g_tilde=g_tilde,
-            target_lhs=None,
+            name=f"template[{parts[0]}]", template=parse_element_template(parts[0]),
+            g=centerings["g"], g_tilde=centerings["gt"], target_lhs=None,
         )
     raise ConfigError(f"unknown h2 case {s!r}")
 
@@ -308,6 +303,8 @@ def parse_h1_case(s: str) -> dict:
                     raise ConfigError(f"unknown h1 case option {extra!r}")
             except ValueError:
                 raise ConfigError(f"bad h1 case option {extra!r}") from None
+        if not all(math.isfinite(v) for v in (c, ct, q)):
+            raise ConfigError(f"h1 case options must be finite, got {s!r}")
         if q < 0:
             raise ConfigError("h1 case variance must be >= 0")
         return dict(
@@ -377,8 +374,7 @@ _SECTION_KEYS = {
 }
 
 
-def load_ini(path: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base or RunConfig()
+def load_ini(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -409,4 +405,4 @@ def load_ini(path: str, base: RunConfig | None = None) -> RunConfig:
                     ) from None
         else:
             raise ConfigError(f"unknown config section [{section}]")
-    return dataclasses.replace(cfg, **updates).validated()
+    return dataclasses.replace(RunConfig(), **updates).validated()

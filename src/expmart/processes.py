@@ -32,8 +32,8 @@ import numpy as np
 
 __all__ = [
     "BLOCK_PATHS",
-    "GENERATOR_NAME",
     "InvalidTimeChangeError",
+    "PiecewiseLinear",
     "TimeChange",
     "TimeGrid",
     "PathEnsemble",
@@ -46,7 +46,6 @@ __all__ = [
 BLOCK_PATHS = 16384
 # rows drawn at a time within a block: bounds the draw buffer to a few MB
 _DRAW_ROWS = 1024
-GENERATOR_NAME = "philox-blocked"
 
 
 class InvalidTimeChangeError(ValueError):
@@ -54,17 +53,55 @@ class InvalidTimeChangeError(ValueError):
 
 
 @dataclass(frozen=True)
+class PiecewiseLinear:
+    """Linear interpolation of (t, v) knots, held constant outside them.
+
+    The knots are finite with strictly increasing times; a single knot is a
+    constant function.  This is the time change's ``piecewise`` kind and the
+    centering g(t) of the h2 integrands.
+    """
+
+    knots: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        knots = tuple((float(t), float(v)) for t, v in self.knots)
+        object.__setattr__(self, "knots", knots)
+        if not knots:
+            raise ValueError("needs at least one knot")
+        if not all(math.isfinite(t) and math.isfinite(v) for t, v in knots):
+            raise ValueError("knots must be finite")
+        if any(t1 <= t0 for (t0, _), (t1, _) in zip(knots, knots[1:])):
+            raise ValueError("knot times must strictly increase")
+
+    @classmethod
+    def zero(cls) -> "PiecewiseLinear":
+        return cls.constant(0.0)
+
+    @classmethod
+    def constant(cls, v: float) -> "PiecewiseLinear":
+        return cls(((0.0, v),))
+
+    @classmethod
+    def piecewise_linear(cls, knots: Iterable[tuple[float, float]]) -> "PiecewiseLinear":
+        return cls(tuple(knots))
+
+    def __call__(self, t):
+        out = np.interp(t, [k[0] for k in self.knots], [k[1] for k in self.knots])
+        return out if np.ndim(t) else float(out)
+
+
+@dataclass(frozen=True)
 class TimeChange:
     """Deterministic quadratic-variation schedule h with h(0) = 0.
 
     Kinds: ``identity`` (h(t) = t, standard Brownian motion), ``power``
-    (h(t) = t**alpha, alpha > 0) and ``piecewise`` (linear interpolation of
-    (t, v) knots, held constant beyond the last knot).
+    (h(t) = t**alpha, alpha > 0) and ``piecewise`` (a ``PiecewiseLinear``
+    that starts at (0, 0) and never decreases).
     """
 
     kind: str
     alpha: float = 1.0
-    knots: tuple[tuple[float, float], ...] = ()
+    curve: PiecewiseLinear | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "identity":
@@ -74,16 +111,11 @@ class TimeChange:
                 raise InvalidTimeChangeError(f"power exponent must be > 0, got {self.alpha!r}")
             return
         if self.kind == "piecewise":
-            k = self.knots
-            if len(k) < 2 or k[0] != (0.0, 0.0):
+            k = self.curve.knots if self.curve is not None else ()
+            if k[:1] != ((0.0, 0.0),):
                 raise InvalidTimeChangeError("piecewise knots must start at (0, 0)")
-            for (t0, v0), (t1, v1) in zip(k, k[1:]):
-                if not t1 > t0:
-                    raise InvalidTimeChangeError("piecewise knot times must strictly increase")
-                if v1 < v0:
-                    raise InvalidTimeChangeError("piecewise knot values must be nondecreasing")
-            if any(not (math.isfinite(t) and math.isfinite(v)) for t, v in k):
-                raise InvalidTimeChangeError("piecewise knots must be finite")
+            if any(v1 < v0 for (_, v0), (_, v1) in zip(k, k[1:])):
+                raise InvalidTimeChangeError("piecewise knot values must be nondecreasing")
             return
         raise InvalidTimeChangeError(f"unknown time change kind {self.kind!r}")
 
@@ -97,24 +129,25 @@ class TimeChange:
 
     @classmethod
     def piecewise_linear(cls, knots: Iterable[tuple[float, float]]) -> "TimeChange":
-        return cls("piecewise", knots=tuple((float(t), float(v)) for t, v in knots))
+        try:
+            curve = PiecewiseLinear(tuple(knots))
+        except ValueError as e:
+            raise InvalidTimeChangeError(f"piecewise {e}") from None
+        return cls("piecewise", curve=curve)
 
     def __call__(self, t):
         if self.kind == "identity":
             return np.asarray(t, dtype=float) + 0.0 if np.ndim(t) else float(t)
         if self.kind == "power":
             return np.asarray(t, dtype=float) ** self.alpha if np.ndim(t) else float(t) ** self.alpha
-        ts = np.array([k[0] for k in self.knots])
-        vs = np.array([k[1] for k in self.knots])
-        out = np.interp(t, ts, vs)
-        return out if np.ndim(t) else float(out)
+        return self.curve(t)
 
 
-def quadratic_variation_at(h: TimeChange, t: float, horizon: float | None = None) -> float:
-    """q = h(t), with range validation against [0, horizon]."""
+def quadratic_variation_at(h: TimeChange, t: float) -> float:
+    """q = h(t) for a time t >= 0."""
     t = float(t)
-    if t < 0 or (horizon is not None and t > horizon + 1e-12):
-        raise ValueError(f"time {t!r} outside [0, {horizon!r}]")
+    if t < 0:
+        raise ValueError(f"time {t!r} is negative")
     q = float(h(t))
     if q < 0:
         raise InvalidTimeChangeError(f"time change is negative at t={t!r}")
@@ -181,7 +214,6 @@ class PathEnsemble:
     time_change: TimeChange
     paths: np.ndarray = field(repr=False)
     seed: int
-    generator: str = GENERATOR_NAME
 
     def __post_init__(self) -> None:
         if self.paths.ndim != 2 or self.paths.shape[1] != len(self.grid.points):

@@ -67,6 +67,7 @@ from .algebra import (
 from .processes import (
     BLOCK_PATHS,
     PathEnsemble,
+    PiecewiseLinear,
     TimeChange,
     TimeGrid,
     block_count,
@@ -271,60 +272,20 @@ class Estimate:
         return dev / self.stderr if self.stderr > 0 else math.inf
 
 
-def mc_expectation(f: PolyExpElement, ensemble: PathEnsemble, t: float | None = None) -> Estimate:
-    """Sample-mean estimate of E[f(X_t)] from the ensemble column at t."""
-    t = ensemble.grid.horizon if t is None else float(t)
-    k = ensemble.grid.index_of(t)
+def mc_expectation(f: PolyExpElement, ensemble: PathEnsemble) -> Estimate:
+    """Sample-mean estimate of E[f(X_T)] from the ensemble column at its horizon T."""
+    t = ensemble.grid.horizon
     q = quadratic_variation_at(ensemble.time_change, t)
     if abs(q - f.q) > 1e-12:
         raise VarianceMismatchError(f"element has q={f.q!r} but h({t!r})={q!r}")
-    return Estimate.from_samples(evaluate_element(f, ensemble.paths[:, k]))
+    return Estimate.from_samples(evaluate_element(f, ensemble.paths[:, -1]))
 
 
 # ---------------------------------------------------------------------------
 # time-indexed elements
 
-@dataclass(frozen=True)
-class CenteringFunction:
-    """Deterministic real centering g(t): zero, constant, or piecewise linear."""
-
-    kind: str
-    value: float = 0.0
-    knots: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("zero", "const", "piecewise"):
-            raise ValueError(f"unknown centering kind {self.kind!r}")
-        numbers = [self.value] + [v for knot in self.knots for v in knot]
-        if not all(math.isfinite(v) for v in numbers):
-            raise ValueError("centering values and knots must be finite")
-        if self.kind == "piecewise":
-            if len(self.knots) < 2:
-                raise ValueError("piecewise centering needs >= 2 knots")
-            for (t0, _), (t1, _) in zip(self.knots, self.knots[1:]):
-                if not t1 > t0:
-                    raise ValueError("centering knot times must strictly increase")
-
-    @classmethod
-    def zero(cls) -> "CenteringFunction":
-        return cls("zero")
-
-    @classmethod
-    def constant(cls, v: float) -> "CenteringFunction":
-        return cls("const", value=float(v))
-
-    @classmethod
-    def piecewise_linear(cls, knots: Iterable[tuple[float, float]]) -> "CenteringFunction":
-        return cls("piecewise", knots=tuple((float(t), float(v)) for t, v in knots))
-
-    def __call__(self, t: float) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "const":
-            return self.value
-        ts = [k[0] for k in self.knots]
-        vs = [k[1] for k in self.knots]
-        return float(np.interp(t, ts, vs))
+# a deterministic real centering g(t) of the h2 integrands
+CenteringFunction = PiecewiseLinear
 
 
 @dataclass(frozen=True)
@@ -375,11 +336,11 @@ class ProcessElement:
             self.time_change, lambda t, q: apply_G(inner(t, q)), f"G[{self.label}]"
         )
 
-    def centered_position(self, g: CenteringFunction | None) -> "ProcessElement":
+    def centered_position(self, g: PiecewiseLinear | None) -> "ProcessElement":
         """(X - g(t)) * Y_t, the integrand shape of both inequality factors."""
         inner = self.build
         if g is None:
-            g = CenteringFunction.zero()
+            g = PiecewiseLinear.zero()
 
         def built(t: float, q: float) -> PolyExpElement:
             y = inner(t, q)
@@ -629,16 +590,13 @@ def verify_h1(
     y: PolyExpElement,
     c: float,
     c_tilde: float,
-    q: float | None = None,
     tol: float = H1_TOL,
 ) -> Check:
     """Fixed-time inequality, all factors in closed form.
 
-    ||(X - c) Y|| * ||(X - ct) G Y|| >= q ||Y||^2, with real centerings: a
-    bound check with allowance ``tol``.
+    ||(X - c) Y|| * ||(X - ct) G Y|| >= q ||Y||^2 at the element's q, with
+    real centerings: a bound check with allowance ``tol``.
     """
-    if q is not None and q != y.q:
-        raise VarianceMismatchError(f"q={q!r} does not match element q={y.q!r}")
     q = y.q
     c = float(c)
     c_tilde = float(c_tilde)
@@ -654,8 +612,8 @@ def verify_h1(
 
 def verify_h2(
     y: ProcessElement,
-    g: CenteringFunction | None,
-    g_tilde: CenteringFunction | None,
+    g: PiecewiseLinear | None,
+    g_tilde: PiecewiseLinear | None,
     ensemble: PathEnsemble,
     k_sigma: float = K_SIGMA,
     disc_factor: float = 10.0,
@@ -676,7 +634,7 @@ def verify_h2(
 
 
 def h2_integrands(
-    y: ProcessElement, g: CenteringFunction | None, g_tilde: CenteringFunction | None
+    y: ProcessElement, g: PiecewiseLinear | None, g_tilde: PiecewiseLinear | None
 ) -> tuple[ProcessElement, ProcessElement]:
     """(X - g) Y and (X - gt) GY: the integrands of the two h2 factors."""
     return y.centered_position(g), y.gauss_transform().centered_position(g_tilde)
@@ -723,13 +681,11 @@ def h2_report(
 # ---------------------------------------------------------------------------
 # PDE and L2-limit checks
 
-def pde_grid(
-    x_lo: float = -2.0, x_hi: float = 2.0, y_lo: float = 0.5, y_hi: float = 2.0,
-    nx: int = 21, ny: int = 13,
-) -> tuple[tuple[float, float], ...]:
-    """Lattice of (x, y) sample points for the PDE residual check."""
-    xs = np.linspace(x_lo, x_hi, nx)
-    ys = np.linspace(y_lo, y_hi, ny)
+def pde_grid() -> tuple[tuple[float, float], ...]:
+    """The (x, y) sample points of the PDE residual check: a 21 x 13 lattice
+    of [-2, 2] x [0.5, 2]."""
+    xs = np.linspace(-2.0, 2.0, 21)
+    ys = np.linspace(0.5, 2.0, 13)
     return tuple((float(a), float(b)) for a in xs for b in ys)
 
 
@@ -737,22 +693,24 @@ def verify_pde(
     c: complex,
     points: Iterable[tuple[float, float]] | None = None,
     step: float = 1e-4,
-    dps: int = 30,
 ) -> float:
     """Max |0.5 u_xx + u_y| over the sample points, central differences.
 
     Checked for both u = exp(c x - c^2 y / 2) and its x-derivative-shape
     companion u = (x - c y) exp(c x - c^2 y / 2).  Differences are honest
-    second-order stencils with the given step; they are evaluated at ``dps``
+    second-order stencils with the given step; they are evaluated at 30
     significant digits because at step 1e-4 the float64 rounding floor
     (4 eps |u| / step^2, up to ~3e-6 on the target box) exceeds the
-    residual sizes of interest.
+    residual sizes of interest.  A NaN residual is returned as NaN, which
+    fails any tolerance.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, not {step!r}")
+    if not cmath.isfinite(c):
+        raise ValueError(f"exponent must be finite, not {c!r}")
     pts = tuple(points) if points is not None else pde_grid()
     worst = 0.0
-    with _MP_LOCK, mp.workdps(dps):
+    with _MP_LOCK, mp.workdps(30):
         cc = mp.mpmathify(complex(c))
         d = mp.mpf(step)
 
@@ -769,6 +727,8 @@ def verify_pde(
                 uxx = (u(x0 + d, y0) - 2 * u(x0, y0) + u(x0 - d, y0)) / (d * d)
                 uy = (u(x0, y0 + d) - u(x0, y0 - d)) / (2 * d)
                 r = abs(uxx / 2 + uy)
+                if mp.isnan(r):
+                    return math.nan
                 if r > worst:
                     worst = r
     return float(worst)

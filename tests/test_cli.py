@@ -49,7 +49,8 @@ def test_parse_element_template_rejects_garbage():
 
 
 def test_parse_centering():
-    assert parse_centering("zero").kind == "zero"
+    assert parse_centering("zero") == parse_centering("const:0")
+    assert parse_centering("zero")(0.7) == 0.0
     assert parse_centering("const:1.5")(0.0) == 1.5
     pw = parse_centering("pw:0:0,1:2")
     assert pw(0.5) == 1.0
@@ -77,10 +78,11 @@ def test_parse_h1_cases():
 
 
 def test_parse_h2_cases():
+    # the named targets are the closed forms at q = h(T): q^2/2 and q^3
     eq = parse_h2_case("brownian-equality")
-    assert eq["target_lhs"] == 0.5
+    assert eq["target_lhs"](1.0) == 0.5 and eq["target_lhs"](2.0) == 2.0
     strict = parse_h2_case("brownian-strict")
-    assert strict["target_lhs"] == 1.0
+    assert strict["target_lhs"](1.0) == 1.0 and strict["target_lhs"](2.0) == 8.0
     tpl = parse_h2_case("template:1@0.25;g=const:1;gt=zero")
     assert tpl["g"](0.0) == 1.0 and tpl["target_lhs"] is None
     with pytest.raises(ConfigError):
@@ -277,8 +279,18 @@ def test_malformed_pw_knots_exit_2(tmp_path, capsys, ini_text):
         "[run]\nsuites = pde\n\n[pde]\nstep = nan\n",
         "[run]\nsuites = h1\n\n[h1]\nn_random = 0\n",
         "[run]\nsuites = check-algebra\n\n[algebra]\nn_random = 0\n",
+        "[run]\nsuites = h1\n\n[h1]\ncases = template:1@0;q=nan\n",
+        "[run]\nsuites = h1\n\n[h1]\ncases = template:1@0;c=inf\n",
+        "[run]\nsuites = isometry\n\n[isometry]\ncases = template:nan@0\n",
+        "[run]\nsuites = h2\n\n[h2]\ncases = template:1@inf\n",
+        "[run]\nsuites = lemma2\n\n[lemma2]\nexponents = nan\n",
+        "[run]\nsuites = pde\n\n[pde]\nexponents = inf\n",
     ],
-    ids=["horizon-nan", "pde-step-nan", "h1-n-random-0", "algebra-n-random-0"],
+    ids=[
+        "horizon-nan", "pde-step-nan", "h1-n-random-0", "algebra-n-random-0",
+        "h1-q-nan", "h1-c-inf", "isometry-coefficient-nan", "h2-exponent-inf",
+        "lemma2-exponent-nan", "pde-exponent-inf",
+    ],
 )
 def test_values_that_cannot_run_exit_2(tmp_path, capsys, ini_text):
     ini = tmp_path / "run.ini"
@@ -295,6 +307,21 @@ def test_l2limit_k_max_bound(tmp_path, k_max, status):
     ini = tmp_path / "run.ini"
     ini.write_text(f"[run]\nsuites = l2limit\n\n[l2limit]\nk_max = {k_max}\n")
     assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == status
+
+
+def test_h2_targets_follow_the_horizon(tmp_path):
+    # at T = 2 the named cases' left sides are h(T)^2/2 = 2 and h(T)^3 = 8;
+    # their T = 1 values, 0.5 and 1, fail both h2-target rows here
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nhorizon = 2.0\npaths = 4000\ngrid_steps = 32\nsuites = h2\n")
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 0
+    _, doc = _read_reports(tmp_path)
+    targets = {c["case"]: c["rhs_exact"] for c in doc["cases"] if c["case"].startswith("h2-target")}
+    assert targets == {
+        "h2-target[brownian-equality]": 2.0,
+        "h2-target[brownian-strict]": 8.0,
+    }
+    assert all(c["passed"] for c in doc["cases"])
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -5,8 +5,11 @@ stored reference byte for byte, and report.json must match outside its
 ``all --seed 7`` is the default battery.  ``shapes.ini`` reaches every row
 shape the CLI writes: bound and match rows, exact and sampled factors, skip
 rows, and failing overflow rows.  ``degenerate.ini`` runs under a time change
-that stays at 0, where the l2limit rows are skip rows.  The references in
-``tests/data/`` change only with a change that alters the reports on purpose.
+that stays at 0, where the l2limit rows are skip rows.  ``piecewise.ini``
+runs the isometry and h2 suites under a piecewise-linear time change with a
+flat piece, with piecewise-linear and constant h2 centerings.  The
+references in ``tests/data/`` change only with a change that alters the
+reports on purpose.
 """
 
 import json
@@ -23,6 +26,7 @@ RUNS = {
     "all-seed7": (["all", "--seed", "7"], 0),
     "shapes": (["--config", str(DATA / "shapes.ini")], 3),
     "degenerate": (["--config", str(DATA / "degenerate.ini")], 0),
+    "piecewise": (["--config", str(DATA / "piecewise.ini")], 0),
 }
 
 

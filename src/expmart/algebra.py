@@ -40,7 +40,7 @@ import threading
 import mpmath as mp
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from mpmath.libmp import (
     fone,
@@ -396,17 +396,6 @@ def take_mp_stats() -> dict[str, int]:
     return out
 
 
-def _escalated_block(dps: int) -> tuple[int, str]:
-    """Count one escalation and return the libmp (prec, rounding) of the block.
-
-    Call inside ``with _MP_LOCK, mp.workdps(dps)``.
-    """
-    _MP_STATS[0] += 1
-    if dps > _MP_STATS[1]:
-        _MP_STATS[1] = dps
-    return mp.mp._prec_rounding
-
-
 def _csum(values: Sequence[complex]) -> complex:
     return complex(
         math.fsum([v.real for v in values]),
@@ -445,6 +434,26 @@ def _needs_escalation(addends: Sequence[complex], total: complex) -> tuple[bool,
     return True, min(_MAX_DPS, 25 + int(math.log10(ratio)))
 
 
+def _reduce(addends: list[complex], exact: Callable[[int, str], tuple]) -> complex:
+    """The compensated float sum of the addends, or, when it cancels more
+    than ``_ESCALATE_DIGITS`` digits, ``exact(prec, rnd)`` (an mpc value
+    tuple) at the escalated precision, counted in the escalation stats.
+
+    ``_MP_LOCK`` and ``mp.workdps`` are looked up when called, not bound.
+    """
+    if not addends:
+        return 0j
+    total = _csum(addends)
+    escalate, dps = _needs_escalation(addends, total)
+    if not escalate:
+        return total
+    with _MP_LOCK, mp.workdps(dps):
+        _MP_STATS[0] += 1
+        _MP_STATS[1] = max(_MP_STATS[1], dps)
+        prec, rnd = mp.mp._prec_rounding
+        return mpc_to_complex(exact(prec, rnd), rnd=rnd)
+
+
 def _mpc(z: complex) -> tuple:
     """A complex double as an exact libmp (re, im) pair."""
     return from_float(z.real), from_float(z.imag)
@@ -477,16 +486,12 @@ def gaussian_expectation(p: Sequence[complex], a: complex, q: float) -> complex:
     coeffs = [complex(v) for v in p]
     addends: list[complex] = []
     _moment_addends(addends, coeffs, a, q)
-    if not addends:
-        return 0j
-    total = _csum(addends)
-    escalate, dps = _needs_escalation(addends, total)
-    if not escalate:
-        return total
-    with _MP_LOCK, mp.workdps(dps):
-        prec, rnd = _escalated_block(dps)
-        acc = _mp_moment_sum([_mpc(v) for v in coeffs], _mpc(a), from_float(q), prec, rnd)
-        return mpc_to_complex(acc, rnd=rnd)
+    return _reduce(
+        addends,
+        lambda prec, rnd: _mp_moment_sum(
+            [_mpc(v) for v in coeffs], _mpc(a), from_float(q), prec, rnd
+        ),
+    )
 
 
 def expectation(f: PolyExpElement) -> complex:
@@ -494,20 +499,16 @@ def expectation(f: PolyExpElement) -> complex:
     addends: list[complex] = []
     for c, p in f.terms:
         _moment_addends(addends, p, c, f.q)
-    if not addends:
-        return 0j
-    total = _csum(addends)
-    escalate, dps = _needs_escalation(addends, total)
-    if not escalate:
-        return total
-    with _MP_LOCK, mp.workdps(dps):
-        prec, rnd = _escalated_block(dps)
+
+    def exact(prec: int, rnd: str) -> tuple:
         q = from_float(f.q)
         acc = (fzero, fzero)
         for c, p in f.terms:
             moment = _mp_moment_sum([_mpc(v) for v in p], _mpc(c), q, prec, rnd)
             acc = mpc_add(acc, moment, prec, rnd)
-        return mpc_to_complex(acc, rnd=rnd)
+        return acc
+
+    return _reduce(addends, exact)
 
 
 def inner_product(f: PolyExpElement, g: PolyExpElement) -> complex:
@@ -525,15 +526,7 @@ def inner_product(f: PolyExpElement, g: PolyExpElement) -> complex:
         for dd, rr in g_conj:
             factor = cmath.exp(c * dd * q)
             _moment_addends(addends, _poly_mul(p, rr), c + dd, q, factor)
-    if not addends:
-        return 0j
-    total = _csum(addends)
-    escalate, dps = _needs_escalation(addends, total)
-    if not escalate:
-        return total
-    with _MP_LOCK, mp.workdps(dps):
-        prec, rnd = _escalated_block(dps)
-        return mpc_to_complex(_mp_inner_product(f, g, prec, rnd), rnd=rnd)
+    return _reduce(addends, lambda prec, rnd: _mp_inner_product(f, g, prec, rnd))
 
 
 def _mp_inner_product(f: PolyExpElement, g: PolyExpElement, prec: int, rnd: str) -> tuple:

@@ -7,11 +7,14 @@ directory plus one PASS/FAIL console line per check.
 Each report row is one ``verify.Check`` next to its suite's run metadata
 (seed, path count, grid steps, horizon, time change).  ``bound`` rows pass
 when slack = lhs_product - rhs_exact >= -allowance, ``match`` rows when
-|slack| <= allowance.  Sampled rows come from ``verify`` with k_sigma
-standard errors plus ``verify.MC_FLOOR`` as allowance; the exact suites use
-the fixed tolerances below.  A skipped entry is a match of 0 against 0.  A
-task that raises becomes one failing match row (lhs inf, rhs 0, allowance 0,
-no sampled metadata) whose note starts with ``overflow:`` or ``error:``.
+|slack| <= allowance.  The suites here only build inputs and tasks: each
+task returns the rows of a ``verify_*`` function, allowance included (k_sigma
+standard errors plus ``verify.MC_FLOOR`` for sampled rows, a fixed
+tolerance for exact ones).  Only ``check-algebra``'s rows, with the
+tolerances below, and the rows derived from h1 and h2 checks are built
+here.  A skipped entry is a match of 0 against 0.  A task that raises
+becomes one failing match row (lhs inf, rhs 0, allowance 0, no sampled
+metadata) whose note starts with ``overflow:`` or ``error:``.
 
 Reproducibility contract: with a fixed config and seed, report.csv is
 byte-identical across runs and across ``--workers`` values; report.json is
@@ -78,10 +81,10 @@ from .verify import (
     ProcessElement,
     format_complex,
     h2_integrands,
-    h2_report,
-    isometry_report,
     ito_sweep,
     verify_h1,
+    verify_h2,
+    verify_isometry,
     verify_l2_limit,
     verify_lemma2,
     verify_pde,
@@ -100,9 +103,6 @@ HERMITE_TOL = 1e-12
 # basis coefficients grow like n!! q^(n/2); the round trip keeps ~4 digits
 # of headroom over the measured worst case at degree 8, q = 4
 HERMITE_ROUNDTRIP_TOL = 1e-9
-PDE_TOL = 1e-6
-L2_FINAL_TOL = 1e-3
-L2_RATIO_TOL = 0.05
 
 # (-i)^n without complex powers, so eigenvalue checks stay exact
 _MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
@@ -329,11 +329,9 @@ def _isometry_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
         label, template = parse_isometry_case(case_name)
         z = ProcessElement.from_template(main.time_change, template, label)
         integral = main.integral(z)
-
-        def task(z=z, integral=integral) -> list[Check]:
-            return [isometry_report(z, main.grid, integral)]
-
-        tasks.append((f"isometry/{label}", task))
+        tasks.append(
+            (f"isometry/{label}", lambda z=z, i=integral: [verify_isometry(z, main.grid, i)])
+        )
     return tasks
 
 
@@ -388,7 +386,7 @@ def _h2_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
         integrals = [main.integral(z) for z in h2_integrands(y, case["g"], case["g_tilde"])]
 
         def task(case=case, y=y, integrals=integrals) -> list[Check]:
-            bound = h2_report(
+            bound = verify_h2(
                 y, main.grid, *integrals,
                 k_sigma=cfg.h2_k_sigma, disc_factor=cfg.h2_disc_factor,
             )
@@ -406,61 +404,18 @@ def _h2_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
 
 
 def _pde_tasks(cfg: RunConfig) -> list[Task]:
-    tasks: list[Task] = []
-    for c_str in cfg.pde_exponents:
-        c = parse_complex(c_str)
-
-        def task(c=c) -> list[Check]:
-            worst = verify_pde(c, step=cfg.pde_step)
-            return [
-                Check(
-                    f"pde[c={format_complex(c)}]", "match", worst, 0.0, PDE_TOL,
-                    note=(
-                        "max |u_xx/2 + u_y| for both element shapes, central "
-                        f"differences at step {cfg.pde_step:g}"
-                    ),
-                )
-            ]
-
-        tasks.append((f"pde/{format_complex(c)}", task))
-    return tasks
+    return [
+        (f"pde/{format_complex(c)}", lambda c=c: [verify_pde(c, step=cfg.pde_step)])
+        for c in map(parse_complex, cfg.pde_exponents)
+    ]
 
 
 def _l2limit_tasks(cfg: RunConfig) -> list[Task]:
-    h = parse_time_change(cfg.time_change)
-    q = quadratic_variation_at(h, cfg.horizon)
-    tasks: list[Task] = []
-    for c_str in cfg.l2_exponents:
-        c = parse_complex(c_str)
-
-        def task(c=c) -> list[Check]:
-            label = f"c={format_complex(c)}"
-            if q == 0.0:
-                return [
-                    Check.skipped(
-                        f"l2limit[{label}]",
-                        "skipped: degenerate time change (q = 0, X identically 0)",
-                    )
-                ]
-            norms = verify_l2_limit(c, q, ks=range(1, cfg.l2_k_max + 1))
-            bad = sum(b >= a for a, b in zip(norms, norms[1:]))
-            return [
-                Check(
-                    f"l2limit-final[{label}]", "match", norms[-1], 0.0, L2_FINAL_TOL,
-                    note=f"norm at r = 2^-{cfg.l2_k_max}",
-                ),
-                Check(
-                    f"l2limit-ratio[{label}]", "match", norms[-1] / norms[-2], 0.5,
-                    L2_RATIO_TOL, note="successive-norm ratio, first-order convergence",
-                ),
-                Check(
-                    f"l2limit-decreasing[{label}]", "match", float(bad), 0.0, 0.0,
-                    note="count of non-decreasing steps in the norm sequence",
-                ),
-            ]
-
-        tasks.append((f"l2limit/{format_complex(c)}", task))
-    return tasks
+    q = quadratic_variation_at(parse_time_change(cfg.time_change), cfg.horizon)
+    return [
+        (f"l2limit/{format_complex(c)}", lambda c=c: verify_l2_limit(c, q, cfg.l2_k_max))
+        for c in map(parse_complex, cfg.l2_exponents)
+    ]
 
 
 # ---------------------------------------------------------------------------

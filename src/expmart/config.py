@@ -131,14 +131,13 @@ class RunConfig:
 # named parameterizations; acceptance-scale sizes where a criterion pins them
 PRESETS: dict[str, dict] = {
     "default": {},
-    "acceptance": dict(paths=100_000, grid_steps=512, lemma2_paths=1_000_000),
+    "acceptance": dict(paths=100_000, grid_steps=512),
     "brownian-equality": dict(
         paths=100_000, grid_steps=512, h2_cases=("brownian-equality",)
     ),
     "brownian-strict": dict(
         paths=100_000, grid_steps=512, h2_cases=("brownian-strict",)
     ),
-    "isometry-basic": dict(paths=100_000, grid_steps=512),
 }
 
 
@@ -335,18 +334,17 @@ def _parse_names(s: str) -> tuple[str, ...]:
     return tuple(t for t in s.split() if t)
 
 
-_RUN_KEYS = {
-    "seed": int,
-    "workers": int,
-    "out_dir": str,
-    "horizon": float,
-    "grid_steps": int,
-    "paths": int,
-    "time_change": str,
-    "suites": _parse_names,
-}
-
 _SECTION_KEYS = {
+    "run": {
+        "seed": ("seed", int),
+        "workers": ("workers", int),
+        "out_dir": ("out_dir", str),
+        "horizon": ("horizon", float),
+        "grid_steps": ("grid_steps", int),
+        "paths": ("paths", int),
+        "time_change": ("time_change", str),
+        "suites": ("suites", _parse_names),
+    },
     "algebra": {"n_random": ("algebra_n_random", int)},
     "lemma2": {
         "paths": ("lemma2_paths", int),
@@ -375,34 +373,25 @@ _SECTION_KEYS = {
 
 
 def load_ini(path: str) -> RunConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # no interpolation: a "%" in a value (a path, say) is literal
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"malformed config file {path}: {e}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     updates: dict = {}
     for section in parser.sections():
-        if section == "run":
-            for key, value in parser.items("run"):
-                if key not in _RUN_KEYS:
-                    raise ConfigError(f"unknown [run] key {key!r}")
-                try:
-                    updates[key] = _RUN_KEYS[key](value)
-                except ValueError:
-                    raise ConfigError(f"bad value for [run] {key}: {value!r}") from None
-        elif section in _SECTION_KEYS:
-            table = _SECTION_KEYS[section]
-            for key, value in parser.items(section):
-                if key not in table:
-                    raise ConfigError(f"unknown [{section}] key {key!r}")
-                field, conv = table[key]
-                try:
-                    updates[field] = conv(value)
-                except ConfigError:
-                    raise
-                except ValueError:
-                    raise ConfigError(
-                        f"bad value for [{section}] {key}: {value!r}"
-                    ) from None
-        else:
+        if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
+        table = _SECTION_KEYS[section]
+        for key, value in parser.items(section):
+            if key not in table:
+                raise ConfigError(f"unknown [{section}] key {key!r}")
+            field, conv = table[key]
+            try:
+                updates[field] = conv(value)
+            except ValueError:
+                raise ConfigError(f"bad value for [{section}] {key}: {value!r}") from None
     return dataclasses.replace(RunConfig(), **updates).validated()

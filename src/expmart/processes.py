@@ -188,14 +188,6 @@ class TimeGrid:
     def steps(self) -> int:
         return len(self.points) - 1
 
-    def index_of(self, t: float) -> int:
-        """Index of a grid point equal to t (within 1e-12)."""
-        arr = np.asarray(self.points)
-        k = int(np.argmin(np.abs(arr - t)))
-        if abs(arr[k] - t) > 1e-12:
-            raise ValueError(f"t={t!r} is not a grid point")
-        return k
-
     def refined(self) -> "TimeGrid":
         """Grid with midpoints inserted (2M steps), for refinement studies."""
         pts = np.asarray(self.points)
@@ -225,9 +217,6 @@ class PathEnsemble:
     @property
     def n_paths(self) -> int:
         return self.paths.shape[0]
-
-    def values_at(self, t: float) -> np.ndarray:
-        return self.paths[:, self.grid.index_of(t)]
 
 
 def _grid_variances(h: TimeChange, grid: TimeGrid) -> np.ndarray:

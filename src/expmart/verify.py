@@ -11,7 +11,8 @@ the two uncertainty inequalities
 with I1 = int (X - g) Y dX and I2 = int (X - gt) GY dX are checked against
 their exact right-hand sides.
 
-Every verification returns ``Check`` records, one per report row.  A
+Each check has one ``verify_*`` function, which returns its finished
+``Check`` records, one per report row, tolerance included.  A
 ``bound`` check is an inequality: it passes when slack = lhs - rhs >=
 -allowance.  A ``match`` check is an equality or a residual bound: it passes
 when |slack| <= allowance.  Exact checks carry a fixed tolerance.  Sampled
@@ -22,11 +23,13 @@ rounding noise when their sample variance collapses; h2 adds a
 discretization allowance for the Ito sums.  A skipped entry is a match of 0
 against 0 with its reason in the note.
 
-Sampled memory: ``ito_integral`` reads a materialized ``PathEnsemble``
-(N x (M+1) floats).  ``ito_sweep`` forms the Ito sums of several integrands
-in one pass over path blocks generated on the fly, so the CLI's memory
-scales as workers x ``BLOCK_PATHS`` x (M+1) instead.  Both run the same
-column kernel, and their per-path sums are bitwise equal.
+Sampled memory: ``verify_isometry`` and ``verify_h2`` take their per-path
+Ito sums as callables that return them or raise.  ``ito_integral`` reads a
+materialized ``PathEnsemble`` (N x (M+1) floats).  ``ito_sweep`` forms the
+Ito sums of several integrands in one pass over path blocks generated on
+the fly, so the CLI's memory scales as workers x ``BLOCK_PATHS`` x (M+1)
+instead.  Both run the same column kernel, and their per-path sums are
+bitwise equal.
 
 Product order: a term with a complex exponent is val * exp(w), and a
 complex product is not bitwise commutative (fused multiply-add).  The bits
@@ -90,11 +93,9 @@ __all__ = [
     "energy_integral",
     "weighted_energy_integral",
     "verify_isometry",
-    "isometry_report",
     "verify_h1",
     "verify_h2",
     "h2_integrands",
-    "h2_report",
     "verify_pde",
     "verify_l2_limit",
     "verify_lemma2",
@@ -111,6 +112,9 @@ ELISION_PATHS = 16384
 
 H1_TOL = 1e-9
 LEMMA2_EXACT_TOL = 1e-12
+PDE_TOL = 1e-6
+L2_FINAL_TOL = 1e-3
+L2_RATIO_TOL = 0.05
 
 # standard errors allowed to a sampled check, and the absolute floor added
 # to its allowance (module docstring)
@@ -540,6 +544,15 @@ class Check:
         return abs(self.slack) <= self.allowance
 
 
+def format_complex(z: complex) -> str:
+    """Short label form of a complex number: 1, -0.5, 0+1j, 1-2j."""
+    z = complex(z)
+    re = f"{z.real:g}"
+    if z.imag == 0.0:
+        return re
+    return f"{re}{'+' if z.imag >= 0 else '-'}{abs(z.imag):g}j"
+
+
 def _sampled_allowance(stderr: float, k_sigma: float = K_SIGMA, disc: float = 0.0) -> float:
     """The allowance of a sampled check: k_sigma standard errors, plus a
     discretization allowance, plus ``MC_FLOOR``."""
@@ -553,19 +566,15 @@ def _abs_squared(values: np.ndarray) -> np.ndarray:
         return np.abs(values) ** 2
 
 
-def verify_isometry(z: ProcessElement, ensemble: PathEnsemble) -> Check:
-    """E[|int z dX|^2] from sampling vs the exact integral int E|z|^2 dh."""
-    return isometry_report(z, ensemble.grid, lambda: ito_integral(z, ensemble))
-
-
-def isometry_report(
+def verify_isometry(
     z: ProcessElement, grid: TimeGrid, integral: Callable[[], np.ndarray]
 ) -> Check:
-    """``verify_isometry`` from z's per-path Ito sums, as ``integral()`` returns
-    them (an item of ``ito_sweep``).
+    """E[|int z dX|^2] from sampling vs the exact integral int E|z|^2 dh.
 
-    A match check: factor1 is the sampled E|I|^2, factor2 the exact
-    integral, and the note gives the deviation in standard errors.
+    ``integral()`` returns z's per-path Ito sums or raises: an item of
+    ``ito_sweep``, or ``lambda: ito_integral(z, ensemble)``.  A match check:
+    factor1 is the sampled E|I|^2, factor2 the exact integral, and the note
+    gives the deviation in standard errors.
     """
     mc = Estimate.from_samples(_abs_squared(integral()))
     exact = energy_integral(z, grid)
@@ -610,29 +619,6 @@ def verify_h1(
     )
 
 
-def verify_h2(
-    y: ProcessElement,
-    g: PiecewiseLinear | None,
-    g_tilde: PiecewiseLinear | None,
-    ensemble: PathEnsemble,
-    k_sigma: float = K_SIGMA,
-    disc_factor: float = 10.0,
-) -> Check:
-    """Integrated inequality via sampled Ito integrals vs the exact RHS.
-
-    The statistical allowance is k_sigma times the propagated standard error
-    of the factor product (delta method through each square root, then the
-    conservative f2*s1 + f1*s2 for the product); the discretization
-    allowance is disc_factor * (T/M) for the left-endpoint sums.
-    """
-    z1, z2 = h2_integrands(y, g, g_tilde)
-    return h2_report(
-        y, ensemble.grid,
-        lambda: ito_integral(z1, ensemble), lambda: ito_integral(z2, ensemble),
-        k_sigma, disc_factor,
-    )
-
-
 def h2_integrands(
     y: ProcessElement, g: PiecewiseLinear | None, g_tilde: PiecewiseLinear | None
 ) -> tuple[ProcessElement, ProcessElement]:
@@ -640,7 +626,7 @@ def h2_integrands(
     return y.centered_position(g), y.gauss_transform().centered_position(g_tilde)
 
 
-def h2_report(
+def verify_h2(
     y: ProcessElement,
     grid: TimeGrid,
     integral1: Callable[[], np.ndarray],
@@ -648,13 +634,18 @@ def h2_report(
     k_sigma: float = K_SIGMA,
     disc_factor: float = 10.0,
 ) -> Check:
-    """``verify_h2`` from the per-path Ito sums of the two ``h2_integrands``.
+    """Integrated inequality via sampled Ito integrals vs the exact RHS.
 
-    Each ``integral()`` returns its sums or raises (items of ``ito_sweep``);
-    the second is called only once the first factor is formed, so errors
-    surface in the order ``verify_h2`` meets them.  The bound check's
-    ``extra`` holds the right side on the refined grid, the two parts of
-    the allowance and the raw sampled energies.
+    ``integral1()``/``integral2()`` return the per-path Ito sums of the two
+    ``h2_integrands`` or raise (items of ``ito_sweep``, or
+    ``lambda: ito_integral(z, ensemble)``); the second is called only once
+    the first factor is formed, so errors surface in the order of the
+    factors.  The statistical allowance is k_sigma times the propagated
+    standard error of the factor product (delta method through each square
+    root, then the conservative f2*s1 + f1*s2 for the product); the
+    discretization allowance is disc_factor * (T/M) for the left-endpoint
+    sums.  The bound check's ``extra`` holds the right side on the refined
+    grid, the two parts of the allowance and the raw sampled energies.
     """
     e1 = Estimate.from_samples(_abs_squared(integral1()))
     e2 = Estimate.from_samples(_abs_squared(integral2()))
@@ -693,7 +684,7 @@ def verify_pde(
     c: complex,
     points: Iterable[tuple[float, float]] | None = None,
     step: float = 1e-4,
-) -> float:
+) -> Check:
     """Max |0.5 u_xx + u_y| over the sample points, central differences.
 
     Checked for both u = exp(c x - c^2 y / 2) and its x-derivative-shape
@@ -701,8 +692,8 @@ def verify_pde(
     second-order stencils with the given step; they are evaluated at 30
     significant digits because at step 1e-4 the float64 rounding floor
     (4 eps |u| / step^2, up to ~3e-6 on the target box) exceeds the
-    residual sizes of interest.  A NaN residual is returned as NaN, which
-    fails any tolerance.
+    residual sizes of interest.  A match of the worst residual against 0
+    within ``PDE_TOL``; a NaN residual is the worst, so the check fails.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, not {step!r}")
@@ -727,45 +718,60 @@ def verify_pde(
                 uxx = (u(x0 + d, y0) - 2 * u(x0, y0) + u(x0 - d, y0)) / (d * d)
                 uy = (u(x0, y0 + d) - u(x0, y0 - d)) / (2 * d)
                 r = abs(uxx / 2 + uy)
-                if mp.isnan(r):
-                    return math.nan
-                if r > worst:
+                # once worst is NaN, no residual compares greater
+                if mp.isnan(r) or r > worst:
                     worst = r
-    return float(worst)
+    return Check(
+        f"pde[c={format_complex(c)}]", "match", float(worst), 0.0, PDE_TOL,
+        note=(
+            "max |u_xx/2 + u_y| for both element shapes, central "
+            f"differences at step {step:g}"
+        ),
+    )
 
 
-def verify_l2_limit(
-    c: complex, q: float, ks: Sequence[int] | None = None
-) -> tuple[float, ...]:
-    """Norms of (E(c+r-ish) difference quotient - X E(c)) along r = 2^-k.
+def verify_l2_limit(c: complex, q: float, k_max: int = 13) -> list[Check]:
+    """First-order convergence of the difference quotient to X E(c), exactly.
 
-    Exactly: || (E(r) - 1)/r * E(c) - X E(c) ||, k running over ``ks``
-    (default 1..13).  First-order convergence: successive ratios tend to 1/2
-    because the quotient's second derivative at r = 0 is (X^2 - q) E(c).
+    The norms || (E(r) - 1)/r * E(c) - X E(c) || along r = 2^-k, k = 1..k_max,
+    give three match rows: the last norm within ``L2_FINAL_TOL`` of 0, the
+    last ratio within ``L2_RATIO_TOL`` of 1/2 (the quotient's second
+    derivative at r = 0 is (X^2 - q) E(c)), and no step that fails to
+    decrease.  At q = 0, where X is identically 0, one skip row instead.
     """
-    ks = tuple(ks) if ks is not None else tuple(range(1, 14))
+    label = f"c={format_complex(c)}"
+    if q == 0.0:
+        return [
+            Check.skipped(
+                f"l2limit[{label}]", "skipped: degenerate time change (q = 0, X identically 0)"
+            )
+        ]
     e_c = make_exponential(c, q)
     target = apply_X(e_c)
-    out = []
-    for k in ks:
+    norms = []
+    for k in range(1, k_max + 1):
         r = 2.0 ** (-k)
-        e_r = make_exponential(r, q)
-        quotient = scale(sub(mul(e_r, e_c), e_c), 1.0 / r)
-        out.append(norm(sub(quotient, target)))
-    return tuple(out)
+        quotient = scale(sub(mul(make_exponential(r, q), e_c), e_c), 1.0 / r)
+        norms.append(norm(sub(quotient, target)))
+    bad = sum(b >= a for a, b in zip(norms, norms[1:]))
+    return [
+        Check(
+            f"l2limit-final[{label}]", "match", norms[-1], 0.0, L2_FINAL_TOL,
+            note=f"norm at r = 2^-{k_max}",
+        ),
+        Check(
+            f"l2limit-ratio[{label}]", "match", norms[-1] / norms[-2], 0.5,
+            L2_RATIO_TOL, note="successive-norm ratio, first-order convergence",
+        ),
+        Check(
+            f"l2limit-decreasing[{label}]", "match", float(bad), 0.0, 0.0,
+            note="count of non-decreasing steps in the norm sequence",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # two-point exponential formula (double entry)
-
-def format_complex(z: complex) -> str:
-    """Short label form of a complex number: 1, -0.5, 0+1j, 1-2j."""
-    z = complex(z)
-    re = f"{z.real:g}"
-    if z.imag == 0.0:
-        return re
-    return f"{re}{'+' if z.imag >= 0 else '-'}{abs(z.imag):g}j"
-
 
 def verify_lemma2(
     c: complex, d: complex, q: float, ensemble: PathEnsemble | None = None

@@ -33,6 +33,7 @@ from expmart.verify import (
     Estimate,
     ProcessElement,
     evaluate_element,
+    ito_integral,
     verify_h1,
     verify_isometry,
     verify_l2_limit,
@@ -129,10 +130,10 @@ def test_criterion_04_difference_quotient_limit():
     worst_final = 0.0
     worst_ratio_err = 0.0
     for c in (0.0, 1.0, 1j):
-        norms = verify_l2_limit(c, 1.0)
-        assert all(b < a for a, b in zip(norms, norms[1:]))
-        worst_final = max(worst_final, norms[-1])
-        worst_ratio_err = max(worst_ratio_err, abs(norms[-1] / norms[-2] - 0.5))
+        final, ratio, decreasing = verify_l2_limit(c, 1.0)
+        assert decreasing.lhs == 0.0  # every norm below the one before
+        worst_final = max(worst_final, final.lhs)
+        worst_ratio_err = max(worst_ratio_err, abs(ratio.lhs - 0.5))
     dt = time.perf_counter() - t0
     ok = worst_final < 1e-3 and worst_ratio_err <= 0.05 and dt < 1.0
     _banner(4, "first-order convergence of difference quotients", ok,
@@ -144,7 +145,7 @@ def test_criterion_04_difference_quotient_limit():
 
 def test_criterion_05_pde_residuals():
     t0 = time.perf_counter()
-    worst = max(verify_pde(c) for c in (0.0, 1.0, 1j, 1 + 1j))
+    worst = max(verify_pde(c).lhs for c in (0.0, 1.0, 1j, 1 + 1j))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-6 and dt < 5.0
     _banner(5, "heat-equation residuals on the sample box", ok,
@@ -237,8 +238,10 @@ def test_criterion_09_integral_isometry():
     t0 = time.perf_counter()
     h = TimeChange.identity()
     ens = generate(h, TimeGrid.uniform(1.0, 512), 100_000, SEED)
-    chk_one = verify_isometry(ProcessElement.constant_one(h), ens)
-    chk_x = verify_isometry(ProcessElement.coordinate(h), ens)
+    chk_one, chk_x = (
+        verify_isometry(z, ens.grid, lambda z=z: ito_integral(z, ens))
+        for z in (ProcessElement.constant_one(h), ProcessElement.coordinate(h))
+    )
     dt = time.perf_counter() - t0
     within = [abs(chk.slack) <= 4.0 * chk.factor1.stderr for chk in (chk_one, chk_x)]
     ok = (all(within)

@@ -100,11 +100,9 @@ def test_parse_isometry_cases():
 # config objects
 
 def test_presets_cover_documented_names():
-    needed = {
+    assert set(PRESETS) == {
         "default", "acceptance", "brownian-equality", "brownian-strict",
-        "isometry-basic",
     }
-    assert needed <= set(PRESETS)
     cfg = apply_preset(RunConfig(), "acceptance")
     assert cfg.paths == 100_000 and cfg.grid_steps == 512
     with pytest.raises(ConfigError):
@@ -206,10 +204,12 @@ def test_bad_preset_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name", ["commutators", "lemma2-grid", "h1-random", "pde-box", "l2limit-dyadic"]
+    "name",
+    ["commutators", "lemma2-grid", "h1-random", "pde-box", "l2limit-dyadic", "isometry-basic"],
 )
 def test_removed_preset_exits_2(tmp_path, capsys, name):
-    # these five equalled "default" and were removed
+    # the first five equalled "default", and "isometry-basic" equalled
+    # "acceptance"; all six were removed
     assert main(["all", "--preset", name, "--out-dir", str(tmp_path)]) == 2
     assert f"unknown preset {name!r}" in capsys.readouterr().err
 
@@ -285,19 +285,36 @@ def test_malformed_pw_knots_exit_2(tmp_path, capsys, ini_text):
         "[run]\nsuites = h2\n\n[h2]\ncases = template:1@inf\n",
         "[run]\nsuites = lemma2\n\n[lemma2]\nexponents = nan\n",
         "[run]\nsuites = pde\n\n[pde]\nexponents = inf\n",
+        # files that are not valid INI
+        "[run]\nsuites = l2limit\nseed = 7%\n",
+        "[run]\nsuites = l2limit\nseed = 1\nseed = 2\n",
+        "[run]\nsuites = l2limit\n[run]\nseed = 2\n",
+        "suites = l2limit\n",
+        "[run]\nsuites = l2limit\nout_dir = caf\xe9\n",
     ],
     ids=[
         "horizon-nan", "pde-step-nan", "h1-n-random-0", "algebra-n-random-0",
         "h1-q-nan", "h1-c-inf", "isometry-coefficient-nan", "h2-exponent-inf",
         "lemma2-exponent-nan", "pde-exponent-inf",
+        "percent", "repeated-key", "repeated-section", "no-section-header", "not-utf8",
     ],
 )
 def test_values_that_cannot_run_exit_2(tmp_path, capsys, ini_text):
     ini = tmp_path / "run.ini"
-    ini.write_text(ini_text)
+    # latin-1 leaves the ASCII files as they are and makes \xe9 a byte that
+    # is not UTF-8
+    ini.write_bytes(ini_text.encode("latin-1"))
     assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("expmart: config error:")
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_percent_in_out_dir_is_literal(tmp_path):
+    out = tmp_path / "x%y"
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[run]\nsuites = l2limit\nout_dir = {out}\n")
+    assert main(["--config", str(ini)]) == 0
+    assert (out / "report.csv").exists()
 
 
 @pytest.mark.parametrize("k_max, status", [(L2_K_MAX, 0), (L2_K_MAX + 1, 2)])

@@ -66,7 +66,6 @@ def test_uniform_grid_shape():
     g = TimeGrid.uniform(2.0, 4)
     assert g.points == (0.0, 0.5, 1.0, 1.5, 2.0)
     assert g.horizon == 2.0 and g.steps == 4
-    assert g.index_of(1.5) == 3
     assert all(type(p) is float for p in g.points)
 
 
@@ -80,8 +79,6 @@ def test_grid_rejects_bad_points():
     for pts in [(0.0,), (0.5, 1.0), (0.0, 1.0, 1.0), (0.0, float("inf"))]:
         with pytest.raises(ValueError):
             TimeGrid(pts)
-    with pytest.raises(ValueError):
-        GRID.index_of(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +117,8 @@ def test_generation_validates_inputs():
 def test_ensemble_accessors():
     ens = generate(TimeChange.identity(), GRID, 50, seed=3)
     assert ens.n_paths == 50
-    np.testing.assert_array_equal(ens.values_at(0.0), np.zeros(50))
-    np.testing.assert_array_equal(ens.values_at(1.0), ens.paths[:, -1])
+    assert ens.paths.shape == (50, len(GRID.points))
+    np.testing.assert_array_equal(ens.paths[:, 0], np.zeros(50))
 
 
 def test_ensemble_shape_validation():
@@ -149,8 +146,8 @@ H_CASES = [
 @pytest.mark.parametrize("h", H_CASES, ids=lambda h: h.kind)
 def test_marginal_mean_and_variance(h):
     ens = generate(h, TimeGrid.uniform(1.0, 16), N, seed=777)
-    for t in (0.5, 1.0):
-        xs = ens.values_at(t)
+    for k, t in ((8, 0.5), (16, 1.0)):
+        xs = ens.paths[:, k]
         q = quadratic_variation_at(h, t)
         assert abs(xs.mean()) <= 4 * np.sqrt(q / N)
         # var(sample variance) ~ 2 q^2 / N for Gaussians
@@ -171,7 +168,7 @@ def test_exponential_martingale_normalizes(c):
     h = TimeChange.power(2.0)
     ens = generate(h, TimeGrid.uniform(1.0, 16), N, seed=123)
     q = quadratic_variation_at(h, 1.0)
-    vals = np.exp(c * ens.values_at(1.0) - c * c * q / 2.0)
+    vals = np.exp(c * ens.paths[:, -1] - c * c * q / 2.0)
     mean = vals.mean()
     stderr = np.sqrt(np.mean(np.abs(vals - mean) ** 2) / N)
     assert abs(mean - 1.0) <= 4 * stderr

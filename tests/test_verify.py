@@ -34,6 +34,7 @@ from expmart.verify import (
     energy_integral,
     evaluate_element,
     MC_FLOOR,
+    h2_integrands,
     ito_integral,
     mc_expectation,
     pde_grid,
@@ -193,21 +194,25 @@ def test_zero_integrand_integrates_to_zero(big_ens):
     assert not ito_integral(z, big_ens).any()
 
 
+def _isometry(z, ens):
+    return verify_isometry(z, ens.grid, lambda: ito_integral(z, ens))
+
+
 def test_isometry_constant_case(big_ens):
-    chk = verify_isometry(ProcessElement.constant_one(H_ID), big_ens)
+    chk = _isometry(ProcessElement.constant_one(H_ID), big_ens)
     assert chk.rhs == 1.0
     assert abs(chk.slack) <= 4.0 * chk.factor1.stderr
 
 
 def test_isometry_coordinate_case(big_ens):
-    chk = verify_isometry(ProcessElement.coordinate(H_ID), big_ens)
+    chk = _isometry(ProcessElement.coordinate(H_ID), big_ens)
     assert chk.rhs == pytest.approx(0.5, abs=1e-12)  # trapezoid of t is exact
     assert abs(chk.slack) <= 4.0 * chk.factor1.stderr
 
 
 def test_isometry_zero_case(big_ens):
     z = ProcessElement.from_template(H_ID, [(0.0, (0.0,))])
-    chk = verify_isometry(z, big_ens)
+    chk = _isometry(z, big_ens)
     assert chk.factor1.mean == 0.0 and chk.rhs == 0.0 and chk.slack == 0.0
 
 
@@ -310,6 +315,13 @@ def test_h1_holds_on_randomized_family():
 # ---------------------------------------------------------------------------
 # integrated inequality (sampled factors)
 
+def _h2(y, g, g_tilde, ens):
+    z1, z2 = h2_integrands(y, g, g_tilde)
+    return verify_h2(
+        y, ens.grid, lambda: ito_integral(z1, ens), lambda: ito_integral(z2, ens)
+    )
+
+
 def _h2_budget(chk):
     """The h2 allowance without MC_FLOOR: statistical + discretization."""
     extra = dict(chk.extra)
@@ -318,7 +330,7 @@ def _h2_budget(chk):
 
 def test_h2_equality_case(big_ens):
     # Y = 1, g = g~ = 0: LHS and RHS both 1/2
-    chk = verify_h2(ProcessElement.constant_one(H_ID), None, None, big_ens)
+    chk = _h2(ProcessElement.constant_one(H_ID), None, None, big_ens)
     assert chk.rhs == pytest.approx(0.5, abs=1e-12)
     assert abs(chk.lhs - 0.5) <= _h2_budget(chk)
     assert chk.slack >= -_h2_budget(chk)
@@ -326,7 +338,7 @@ def test_h2_equality_case(big_ens):
 
 def test_h2_strict_case(big_ens):
     # Y = X: LHS ~ int 3 t^2 dt = 1, RHS = int t^2 dt = 1/3
-    chk = verify_h2(ProcessElement.coordinate(H_ID), None, None, big_ens)
+    chk = _h2(ProcessElement.coordinate(H_ID), None, None, big_ens)
     assert chk.rhs == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert abs(chk.lhs - 1.0) <= _h2_budget(chk)
     assert chk.slack >= -_h2_budget(chk) and chk.slack > 0.5
@@ -334,12 +346,12 @@ def test_h2_strict_case(big_ens):
 
 def test_h2_zero_case(big_ens):
     y = ProcessElement.from_template(H_ID, [(0.0, (0.0,))])
-    chk = verify_h2(y, None, None, big_ens)
+    chk = _h2(y, None, None, big_ens)
     assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.slack >= -_h2_budget(chk)
 
 
 def test_h2_reports_refinement_metadata(big_ens):
-    chk = verify_h2(ProcessElement.coordinate(H_ID), None, None, big_ens)
+    chk = _h2(ProcessElement.coordinate(H_ID), None, None, big_ens)
     extra = dict(chk.extra)
     assert abs(extra["rhs_refined"] - chk.rhs) <= 1e-6
     assert chk.allowance == extra["stat_allowance"] + extra["disc_allowance"] + MC_FLOOR
@@ -370,30 +382,56 @@ def test_h2_holds_on_randomized_configurations(big_ens):
             coeffs[-1] = coeffs[-1] if coeffs[-1] != 0 else 0.5
             terms.append((c, tuple(coeffs)))
         y = ProcessElement.from_template(H_ID, terms)
-        chk = verify_h2(y, _random_centering(rng), _random_centering(rng), big_ens)
+        chk = _h2(y, _random_centering(rng), _random_centering(rng), big_ens)
         if not chk.slack >= -_h2_budget(chk):
             failures.append((i, chk.case, chk.slack, _h2_budget(chk)))
     assert failures == []
+
+
+def test_h2_forms_factor1_before_calling_integral2():
+    grid = TimeGrid.uniform(1.0, 4)
+    y = ProcessElement.constant_one(H_ID)
+
+    def integral2():
+        raise RuntimeError("integral2 ran")
+
+    # factor 1's sums are finite but overflow when squared: its Estimate
+    # raises before integral2 is called
+    with pytest.raises(EvaluationOverflowError, match="sample moments"):
+        verify_h2(y, grid, lambda: np.full(8, 1e200, dtype=complex), integral2)
+
+    calls = []
+
+    def failing1():
+        raise ValueError("integral1 failed")
+
+    with pytest.raises(ValueError, match="integral1 failed"):
+        verify_h2(y, grid, failing1, lambda: calls.append(2) or np.ones(8))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
 # PDE residual
 
 def test_pde_constant_exponent_residual_is_zero():
-    assert verify_pde(0.0) == 0.0
+    chk = verify_pde(0.0)
+    assert chk.case == "pde[c=0]" and chk.kind == "match"
+    assert chk.lhs == 0.0 and chk.allowance == 1e-6 and chk.passed
 
 
 @pytest.mark.parametrize("c", [1.0, 1j, 1 + 1j])
 def test_pde_residual_small_on_box(c):
-    assert verify_pde(c) <= 1e-6
+    assert verify_pde(c).lhs <= 1e-6
 
 
 def test_pde_residual_scales_second_order():
     # genuine central stencil: halving accuracy by 10x step multiplies the
     # residual by ~100
     pt = [(0.5, 1.0)]
-    r4 = verify_pde(1.0, points=pt, step=1e-4)
-    r3 = verify_pde(1.0, points=pt, step=1e-3)
+    r4 = verify_pde(1.0, points=pt, step=1e-4).lhs
+    chk3 = verify_pde(1.0, points=pt, step=1e-3)
+    r3 = chk3.lhs
+    assert chk3.note.endswith("at step 0.001")
     assert 30.0 <= r3 / r4 <= 300.0
 
 
@@ -411,8 +449,8 @@ def test_pde_rejects_non_finite_exponent(c):
 
 def test_pde_nan_residual_is_returned():
     # a NaN residual must not be passed over as smaller than the others
-    r = verify_pde(1.0, points=[(0.5, 1.0), (float("nan"), 1.0), (1.0, 1.0)])
-    assert math.isnan(r)
+    chk = verify_pde(1.0, points=[(0.5, 1.0), (float("nan"), 1.0), (1.0, 1.0)])
+    assert math.isnan(chk.lhs) and not chk.passed
 
 
 def test_pde_grid_covers_box():
@@ -429,24 +467,30 @@ def test_pde_grid_covers_box():
 
 @pytest.mark.parametrize("c", [0.0, 1.0, 1j])
 def test_l2_limit_converges_first_order(c):
-    norms = verify_l2_limit(c, 1.0)
-    assert all(b < a for a, b in zip(norms, norms[1:]))
-    assert norms[-1] <= 1e-3
-    assert norms[-1] / norms[-2] == pytest.approx(0.5, abs=0.05)
+    final, ratio, decreasing = verify_l2_limit(c, 1.0)
+    assert decreasing.lhs == 0.0  # every norm below the one before
+    assert final.lhs <= 1e-3
+    assert ratio.lhs == pytest.approx(0.5, abs=0.05)
+    assert final.passed and ratio.passed and decreasing.passed
+    assert final.note == "norm at r = 2^-13"
 
 
 def test_l2_limit_asymptote_matches_taylor():
     # (E(r) - 1)/r E(c) - X E(c) = (r/2)(X^2 - q) E(c) + O(r^2), so the norm
     # at r = 2^-13 is ~ 2^-14 ||(X^2 - q) E(c)||; for c = 0, q = 1 that is
     # 2^-14 sqrt(2), for c = 1 it is 2^-14 sqrt(34 e)
-    norms0 = verify_l2_limit(0.0, 1.0)
-    assert norms0[-1] == pytest.approx(2.0**-14 * math.sqrt(2.0), rel=2e-3)
-    norms1 = verify_l2_limit(1.0, 1.0)
-    assert norms1[-1] == pytest.approx(2.0**-14 * math.sqrt(34.0 * math.e), rel=2e-3)
+    final0 = verify_l2_limit(0.0, 1.0)[0]
+    assert final0.case == "l2limit-final[c=0]"
+    assert final0.lhs == pytest.approx(2.0**-14 * math.sqrt(2.0), rel=2e-3)
+    final1 = verify_l2_limit(1.0, 1.0)[0]
+    assert final1.lhs == pytest.approx(2.0**-14 * math.sqrt(34.0 * math.e), rel=2e-3)
 
 
 def test_l2_limit_degenerate_variance():
-    assert verify_l2_limit(1.0, 0.0) == tuple([0.0] * 13)
+    (skip,) = verify_l2_limit(1.0, 0.0)
+    assert skip.case == "l2limit[c=1]" and skip.passed
+    assert skip.lhs == skip.rhs == skip.allowance == 0.0
+    assert skip.note.startswith("skipped: degenerate time change")
 
 
 # ---------------------------------------------------------------------------

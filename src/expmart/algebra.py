@@ -109,6 +109,13 @@ def _require_finite_complex(z: complex, what: str) -> complex:
     return z
 
 
+def _pair_factor(c: complex, d: complex, q: float) -> complex:
+    """exp(c*d*q), the factor of E(c)E(d); OverflowError if c*d*q is not finite."""
+    if not cmath.isfinite(c * d * q):
+        raise OverflowError(f"exponent product c*d*q = {c * d * q!r} is not finite")
+    return cmath.exp(c * d * q)
+
+
 def _require_variance(q: float) -> float:
     q = float(q)
     if not math.isfinite(q) or q < 0.0:
@@ -338,7 +345,7 @@ def mul(f: PolyExpElement, g: PolyExpElement) -> PolyExpElement:
     raw: list[Term] = []
     for c, p in f.terms:
         for d, r in g.terms:
-            factor = cmath.exp(c * d * q)
+            factor = _pair_factor(c, d, q)
             raw.append((c + d, _poly_scale(_poly_mul(p, r), factor)))
     scale_ = max((_max_abs(p) for _, p in raw), default=0.0)
     return PolyExpElement(q, _canonical_terms(raw, scale_, computed=True))
@@ -524,7 +531,7 @@ def inner_product(f: PolyExpElement, g: PolyExpElement) -> complex:
     addends: list[complex] = []
     for c, p in f.terms:
         for dd, rr in g_conj:
-            factor = cmath.exp(c * dd * q)
+            factor = _pair_factor(c, dd, q)
             _moment_addends(addends, _poly_mul(p, rr), c + dd, q, factor)
     return _reduce(addends, lambda prec, rnd: _mp_inner_product(f, g, prec, rnd))
 

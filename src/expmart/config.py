@@ -373,8 +373,9 @@ _SECTION_KEYS = {
 
 
 def load_ini(path: str) -> RunConfig:
-    # no interpolation: a "%" in a value (a path, say) is literal
-    parser = configparser.ConfigParser(interpolation=None)
+    # no interpolation: a "%" in a value is literal; no file can name the
+    # section "", so [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as e:

@@ -31,14 +31,10 @@ the fly, so the CLI's memory scales as workers x ``BLOCK_PATHS`` x (M+1)
 instead.  Both run the same column kernel, and their per-path sums are
 bitwise equal.
 
-Product order: a term with a complex exponent is val * exp(w), and a
-complex product is not bitwise commutative (fused multiply-add).  The bits
-the reports are pinned to are those of the expression ``val * np.exp(w)``
-on a whole column, which numpy computes in the buffer of the ``np.exp``
-temporary, operands swapped, once that temporary reaches 256 KiB
-(``ELISION_PATHS`` complex values).  The kernel therefore fixes the order
-from the total path count N, not from the length of the block it is given:
-exp(w) * val when N >= ``ELISION_PATHS``, val * exp(w) otherwise.
+Sampled evaluation has one rule for every input and path count: a real
+exponent is formed and exponentiated in float64, and a complex exponent's
+term is exp(w) * val in complex128.  The values agree with an all-complex
+evaluation within rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -105,11 +101,6 @@ __all__ = [
 # could silently saturate well before that.
 OVERFLOW_LIMIT = 700.0
 
-# complex128 values in 256 KiB: from this many points numpy computes a
-# binary operation in the buffer of a temporary operand (see the module
-# docstring for the product order this fixes)
-ELISION_PATHS = 16384
-
 H1_TOL = 1e-9
 LEMMA2_EXACT_TOL = 1e-12
 PDE_TOL = 1e-6
@@ -174,40 +165,32 @@ def _horner(p: Sequence[complex], xs: np.ndarray) -> np.ndarray:
 
 
 def _check_exponent(w_real: np.ndarray, c: complex, q: float) -> None:
-    max_real = float(np.max(w_real))
+    max_real = float(np.max(w_real, initial=-np.inf))
     if max_real > OVERFLOW_LIMIT:
         raise EvaluationOverflowError(c, q, max_real)
 
 
-def _evaluate(f: PolyExpElement, xs: np.ndarray, swap: bool) -> np.ndarray:
+def _evaluate(f: PolyExpElement, xs: np.ndarray) -> np.ndarray:
     """f at real points xs: float64 when every term is real, else complex128.
 
-    The values are bit-identical to a complex128 evaluation (complex Horner,
-    complex exponent, complex exp, complex sum in term order) up to the sign
-    of zero parts.  A real exponent forms w in float64 but still takes the
-    exponential through complex ``np.exp``: numpy's float64 ``exp`` is a SIMD
-    routine that differs from the C library's ``cexp`` by one ulp on a few
-    percent of inputs, and the reports are pinned to the ``cexp`` bits.
-    ``swap`` selects the product order of complex exponents: true when the
-    whole column these points belong to has at least ``ELISION_PATHS``
-    points (module docstring).
+    Polynomial parts are bitwise a complex Horner evaluation up to the sign
+    of zero parts.  A real exponent is formed and exponentiated in float64;
+    a complex exponent's term is exp(w) * val.  The terms are summed in
+    order.
     """
     total = None
     for c, p in f.terms:
         val = _horner(p, xs)
-        if c.imag == 0.0:
-            if c.real != 0.0:
-                w = c.real * xs
-                w -= (0.5 * c * c * f.q).real
-                _check_exponent(w, c, f.q)
-                e = w.astype(complex)
-                np.exp(e, out=e)
-                val *= e.real
-        else:
+        if c.imag != 0.0:
             w = c * xs - 0.5 * c * c * f.q
             _check_exponent(w.real, c, f.q)
             e = np.exp(w)
-            val = np.multiply(e, val, out=e) if swap else val * e
+            val = e * val  # not in place: on 1 point that can change the last bit
+        elif c.real != 0.0:
+            w = c.real * xs
+            w -= (0.5 * c * c * f.q).real
+            _check_exponent(w, c, f.q)
+            val *= np.exp(w, out=w)
         total = val if total is None else total + val
     return np.zeros(xs.shape) if total is None else total
 
@@ -219,7 +202,7 @@ def evaluate_element(f: PolyExpElement, x):
     exceeds OVERFLOW_LIMIT on the points, EvaluationOverflowError is raised.
     """
     arr = np.asarray(x, dtype=float)
-    total = _evaluate(f, np.atleast_1d(arr), arr.size >= ELISION_PATHS)
+    total = _evaluate(f, np.atleast_1d(arr))
     if arr.ndim == 0:
         return complex(total[0])
     return total.astype(complex, copy=False)
@@ -362,7 +345,7 @@ def _template_label(tpl: tuple) -> str:
 # ---------------------------------------------------------------------------
 # Ito integrals and exact integral energies
 
-def _ito_columns(elements: Iterable[PolyExpElement], x: np.ndarray, swap: bool) -> np.ndarray:
+def _ito_columns(elements: Iterable[PolyExpElement], x: np.ndarray) -> np.ndarray:
     """The column kernel: per row of x, sum_k elements[k](x_k) (x_{k+1} - x_k).
 
     Each element is evaluated on its column in place (contiguous for
@@ -374,7 +357,7 @@ def _ito_columns(elements: Iterable[PolyExpElement], x: np.ndarray, swap: bool) 
     acc = np.zeros(x.shape[0])
     for k, el in enumerate(elements):
         try:
-            vals = _evaluate(el, x[:, k], swap)
+            vals = _evaluate(el, x[:, k])
         except EvaluationOverflowError as e:
             e.column = k
             raise
@@ -392,9 +375,8 @@ def ito_integral(z: ProcessElement, ensemble: PathEnsemble) -> np.ndarray:
     a build error at column k surfaces after columns 0..k-1 evaluated
     cleanly.  The result is complex128.
     """
-    x = ensemble.paths
     elements = (z.at(t) for t in ensemble.grid.points[:-1])
-    acc = _ito_columns(elements, x, x.shape[0] >= ELISION_PATHS)
+    acc = _ito_columns(elements, ensemble.paths)
     return acc.astype(complex, copy=False)
 
 
@@ -444,7 +426,6 @@ def ito_sweep(
     disjoint slices, so the results do not depend on scheduling.
     """
     built = [_build_columns(z, grid.points[:-1]) for z in integrands]
-    swap = n_paths >= ELISION_PATHS
     sums = [np.empty(n_paths, dtype=complex) for _ in integrands]
     overflows: list[list] = [[] for _ in integrands]
     n_blocks = block_count(n_paths)
@@ -458,7 +439,7 @@ def ito_sweep(
             x = fill_block(h, grid, n_paths, seed, block, buffer[: stop - start])
             for i, (elements, _) in enumerate(built):
                 try:
-                    sums[i][start:stop] = _ito_columns(elements, x, swap)
+                    sums[i][start:stop] = _ito_columns(elements, x)
                 except EvaluationOverflowError as e:
                     term = [c for c, _ in elements[e.column].terms].index(e.exponent)
                     overflows[i].append((e.column, term, e.max_real, e.exponent, e.q))

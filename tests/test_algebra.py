@@ -158,6 +158,15 @@ def test_inner_product_of_exponentials():
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("op", [mul, inner_product], ids=["mul", "inner_product"])
+def test_pair_factor_with_infinite_exponent_product_raises(op):
+    # c*d*q = 1e400 overflows to inf+nanj, which cmath.exp returns without
+    # raising; the product must raise like an overflowing exp does
+    f = make_exponential(1e200, 1.0)
+    with pytest.raises(OverflowError):
+        op(f, f)
+
+
 def test_normalization_and_low_moments():
     q = 1.7
     assert expectation(make_exponential(0.8 - 0.3j, q)) == pytest.approx(1.0, abs=1e-13)

@@ -291,12 +291,16 @@ def test_malformed_pw_knots_exit_2(tmp_path, capsys, ini_text):
         "[run]\nsuites = l2limit\n[run]\nseed = 2\n",
         "suites = l2limit\n",
         "[run]\nsuites = l2limit\nout_dir = caf\xe9\n",
+        # [DEFAULT] is an unknown section, not defaults for the others
+        "[run]\nsuites = l2limit\n\n[DEFAULT]\nspeed = 5\n",
+        "[DEFAULT]\nseed = 5\n\n[run]\nsuites = h1\n\n[h1]\nn_random = 2\n",
     ],
     ids=[
         "horizon-nan", "pde-step-nan", "h1-n-random-0", "algebra-n-random-0",
         "h1-q-nan", "h1-c-inf", "isometry-coefficient-nan", "h2-exponent-inf",
         "lemma2-exponent-nan", "pde-exponent-inf",
         "percent", "repeated-key", "repeated-section", "no-section-header", "not-utf8",
+        "default-section", "default-section-seed",
     ],
 )
 def test_values_that_cannot_run_exit_2(tmp_path, capsys, ini_text):
@@ -373,6 +377,16 @@ def test_overflowing_case_exits_3_with_report(tmp_path):
     assert rc == 3
     _, doc = _read_reports(tmp_path)
     assert any(c["note"].startswith("overflow:") for c in doc["cases"])
+
+
+def test_lemma2_overflowing_exponent_product_exits_3(tmp_path):
+    # c*d*q = 1e400 is not finite; cmath.exp would return inf+nanj for it
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nsuites = lemma2\n\n[lemma2]\nexponents = 1e200\n")
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 3
+    _, doc = _read_reports(tmp_path)
+    [row] = doc["cases"]
+    assert row["passed"] is False and row["note"].startswith("overflow:")
 
 
 def test_lemma2_sample_overflow_is_a_skip_row(tmp_path):

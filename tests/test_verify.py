@@ -80,12 +80,29 @@ def test_evaluate_coordinate():
 
 
 def test_evaluate_vectorized_matches_scalar():
-    f = make_element(2.0, [(0.5 - 1j, (1.0, 2.0, 0.5j)), (0.0, (0.0, 1.0))])
+    elements = [
+        make_element(2.0, [(0.5 - 1j, (1.0, 2.0, 0.5j)), (0.0, (0.0, 1.0))]),
+        # a real and a complex exponent: float64 exp, and exp(w) * val on
+        # one point must give the bits it gives on many
+        make_element(1.5, [(0.7, (1.0, -0.5)), (0.3 + 0.8j, (0.5j, 1.0 + 1j))]),
+    ]
     xs = np.linspace(-3, 3, 11)
-    vec = evaluate_element(f, xs)
-    assert vec.shape == xs.shape
-    for x, v in zip(xs, vec):
-        assert v == evaluate_element(f, float(x))
+    for f in elements:
+        vec = evaluate_element(f, xs)
+        assert vec.shape == xs.shape
+        for x, v in zip(xs, vec):
+            assert v == evaluate_element(f, float(x))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [make_element(1.0, [(0.0, (1.0, 2.0))]), make_exponential(1.0, 1.0),
+     make_exponential(0.5j, 1.0)],
+    ids=["polynomial", "real-exponent", "complex-exponent"],
+)
+def test_evaluate_on_no_points_is_empty(f):
+    got = evaluate_element(f, np.empty(0))
+    assert got.shape == (0,) and got.dtype == complex
 
 
 def test_evaluate_overflow_is_flagged():

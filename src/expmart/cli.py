@@ -16,13 +16,20 @@ here.  A skipped entry is a match of 0 against 0.  A task that raises
 becomes one failing match row (lhs inf, rhs 0, allowance 0, no sampled
 metadata) whose note starts with ``overflow:`` or ``error:``.
 
+With ``--workers K > 1`` the tasks run in up to K forked worker processes,
+which inherit the built tasks and the sampled sums instead of receiving
+them pickled; the sampled sweep itself spreads its path blocks over K
+threads.  A task whose worker process dies, and any task lost with the
+pool, becomes an ``error:`` row like a task that raises.
+
 Reproducibility contract: with a fixed config and seed, report.csv is
 byte-identical across runs and across ``--workers`` values; report.json is
 identical outside the ``header`` object (timestamp, worker count, out dir,
-paths generated, mpmath escalations, peak RSS).  All randomness comes from
-counter-based streams keyed by (seed + channel): randomized inputs are
-drawn in the main thread before any task starts, and each path block of the
-sampled sweep from its own (seed, block) stream, whichever thread draws it.
+paths generated, mpmath escalations, wall time per task, peak RSS).  All
+randomness comes from counter-based streams keyed by (seed + channel):
+randomized inputs are drawn in the main process before any task starts,
+and each path block of the sampled sweep from its own (seed, block) stream,
+whichever thread draws it.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import math
 import os
 import resource
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Iterable, Sequence
@@ -470,37 +477,100 @@ def _build_tasks(
     return tasks, paths_generated
 
 
+def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
+    """The one failing row of a task that did not finish."""
+    chk = Check(label, "match", math.inf, 0.0, 0.0, note=note)
+    return [(_Meta(meta.suite, meta.seed), chk)]
+
+
 def _guard(meta: _Meta, task: Task) -> Callable[[], list[Result]]:
     """Run a task; an overflow or any other exception becomes one failing row."""
     label, thunk = task
-
-    def failed(note: str) -> list[Result]:
-        chk = Check(label, "match", math.inf, 0.0, 0.0, note=note)
-        return [(_Meta(meta.suite, meta.seed), chk)]
 
     def run_task() -> list[Result]:
         try:
             checks = list(thunk())
         except (EvaluationOverflowError, OverflowError) as e:
-            return failed(f"overflow: {e}")
+            return _failed(meta, label, f"overflow: {e}")
         except Exception as e:
             # one broken task must not lose the run: record it and go on
             _LOG.error("task %s raised", label, exc_info=True)
-            return failed(f"error: {type(e).__name__}: {e}")
+            return _failed(meta, label, f"error: {type(e).__name__}: {e}")
         return [(meta, chk) for chk in checks]
 
     return run_task
 
 
-def _execute(tasks: list[tuple[_Meta, Task]], cfg: RunConfig) -> list[Result]:
-    thunks = [_guard(*task) for task in tasks]
-    if cfg.workers <= 1:
-        results = [t() for t in thunks]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(t) for t in thunks]
-            results = [f.result() for f in futures]
-    return [row for rows in results for row in rows]
+# The guarded tasks of the running ``_execute``.  Forked worker processes
+# inherit this list, so a worker is sent only a task's index: the closures
+# and the data they hold (ensembles, sampled sums) are never pickled.
+_TASKS: list[Callable[[], list[Result]]] = []
+
+# what running one task gives back: its rows, the mpmath escalations it made
+# (as ``take_mp_stats`` reports them) and its wall time in seconds
+Outcome = tuple[list[Result], dict[str, int], float]
+
+
+def _run_task(i: int) -> Outcome:
+    """Run task ``i`` of ``_TASKS`` in the calling process."""
+    take_mp_stats()  # a forked worker starts with its parent's counts
+    start = time.perf_counter()
+    rows = _TASKS[i]()
+    return rows, take_mp_stats(), time.perf_counter() - start
+
+
+def _run_forked(tasks: list[tuple[_Meta, Task]], n_procs: int) -> list[Outcome]:
+    """Run ``_TASKS`` in ``n_procs`` forked worker processes, in task order.
+
+    A task whose future raises (its worker died, or the pool broke before
+    it ran) becomes a failing ``error:`` row with no escalations and a NaN
+    wall time.  Without ``fork`` the tasks run inline.
+    """
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [_run_task(i) for i in range(len(tasks))]
+    # forking is safe here: the sweep has joined its threads, so no other
+    # thread of this program can hold a lock the workers would inherit
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=n_procs, mp_context=context) as pool:
+        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+    outcomes = []
+    for (meta, (label, _)), future in zip(tasks, futures):
+        try:
+            outcomes.append(future.result())
+        except Exception as e:
+            _LOG.error("task %s was lost with its worker process", label, exc_info=True)
+            rows = _failed(meta, label, f"error: {type(e).__name__}: {e}")
+            outcomes.append((rows, {"mp_escalations": 0, "mp_max_dps": 0}, math.nan))
+    return outcomes
+
+
+def _execute(tasks: list[tuple[_Meta, Task]], cfg: RunConfig) -> tuple[list[Result], dict]:
+    """Run the tasks; return their rows in task order, and the telemetry of
+    the run so far: mpmath escalations (summed over processes, highest dps)
+    and the wall time per task label (tasks sharing a label add up)."""
+    stats = [take_mp_stats()]  # made while building the tasks
+    _TASKS[:] = [_guard(*task) for task in tasks]
+    n_procs = min(cfg.workers, len(tasks))
+    try:
+        if n_procs <= 1:
+            outcomes = [_run_task(i) for i in range(len(tasks))]
+        else:
+            outcomes = _run_forked(tasks, n_procs)
+    finally:
+        _TASKS.clear()
+    stats += [st for _, st, _ in outcomes]
+    wall: dict[str, float] = {}
+    for (_, (label, _)), (_, _, seconds) in zip(tasks, outcomes):
+        wall[label] = wall.get(label, 0.0) + seconds
+    telemetry = {
+        "mp_escalations": sum(st["mp_escalations"] for st in stats),
+        "mp_max_dps": max(st["mp_max_dps"] for st in stats),
+        "task_wall_s": wall,
+    }
+    return [row for rows, _, _ in outcomes for row in rows], telemetry
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +634,12 @@ def _json_case(meta: _Meta, chk: Check) -> dict:
 
 
 def _peak_rss_mb() -> float:
+    """The peak resident set of this process or of any worker it reaped."""
     # ru_maxrss is in KiB on Linux
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    ) / 1024.0
 
 
 def write_reports(
@@ -628,8 +702,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid", type=int, default=argparse.SUPPRESS,
                         help="time grid steps M")
     common.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                        help="max concurrent cases and path-block threads "
-                        "(results are worker-count independent)")
+                        help="worker processes for the tasks and threads for "
+                        "the path-block sweep (results are worker-count "
+                        "independent)")
     common.add_argument("--out-dir", default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="expmart",
@@ -672,12 +747,12 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
 
 def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Result], int, dict]:
     """Run the suites; return the rows, the exit status (0/1/3/4) and the
-    run's telemetry: paths drawn per ensemble, and the count and highest dps
-    of the algebra's mpmath escalations."""
+    run's telemetry: paths drawn per ensemble, the count and highest dps of
+    the algebra's mpmath escalations, and the wall time per task."""
     take_mp_stats()  # count this run's escalations only
     tasks, paths_generated = _build_tasks(cfg, suites)
-    rows = _execute(tasks, cfg)
-    telemetry = {"paths_generated": paths_generated, **take_mp_stats()}
+    rows, task_telemetry = _execute(tasks, cfg)
+    telemetry = {"paths_generated": paths_generated, **task_telemetry}
     checks = [chk for _, chk in rows]
     if any(chk.note.startswith("error:") for chk in checks):
         status = 4

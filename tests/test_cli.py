@@ -1,8 +1,12 @@
 """Command-line runner: config handling, exit codes, report artifacts."""
 
+import concurrent.futures.process
 import json
+import math
+import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -366,6 +370,83 @@ def test_crashing_task_becomes_failing_row(tmp_path, monkeypatch, workers):
     assert sum(c["passed"] for c in doc["cases"]) == len(doc["cases"]) - 1 > 0
 
 
+def test_dead_worker_becomes_failing_row(tmp_path, monkeypatch):
+    real_pde_tasks = cli._pde_tasks
+    monkeypatch.setattr(
+        cli, "_pde_tasks",
+        lambda cfg: [("pde/dies", lambda: os._exit(9))] + real_pde_tasks(cfg),
+    )
+    rc = main(["pde", "--workers", "2", "--out-dir", str(tmp_path)])
+    assert rc == 4
+    _, doc = _read_reports(tmp_path)
+    cases = {c["case"]: c for c in doc["cases"]}
+    dead = cases["pde/dies"]
+    assert dead["passed"] is False and dead["note"].startswith("error: BrokenProcessPool: ")
+    # every other task finished, or was lost with the pool and says so
+    lost = [c for c in doc["cases"] if not c["passed"]]
+    assert all(c["note"].startswith("error: BrokenProcessPool: ") for c in lost)
+    tasks, _ = cli._build_tasks(RunConfig(), ("pde",))
+    assert len(doc["cases"]) == len(tasks) == 1 + len(RunConfig().pde_exponents)
+    wall = doc["header"]["task_wall_s"]
+    assert list(wall) == [label for _, (label, _) in tasks]
+    assert math.isnan(wall["pde/dies"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_header_times_every_task(tmp_path, workers):
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nsuites = check-algebra h1 pde l2limit\n[algebra]\nn_random = 20\n"
+        "[h1]\nn_random = 10\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(ini), "--workers", str(workers), "--out-dir", str(out)]) == 0
+    wall = _read_reports(out)[1]["header"]["task_wall_s"]
+    cfg = load_ini(str(ini))
+    tasks, _ = cli._build_tasks(cfg, cfg.suites)
+    assert list(wall) == [label for _, (label, _) in tasks]
+    assert all(0.0 < seconds < 60.0 for seconds in wall.values())
+
+
+def test_peak_rss_covers_worker_processes(tmp_path):
+    # lemma2's tasks form their 1e6-sample products in the workers, which
+    # peak well above the main process; wait4 gives the whole tree's peak
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "expmart.cli", "lemma2", "--workers", "2",
+         "--out-dir", str(tmp_path)],
+        stdout=subprocess.DEVNULL,
+    )
+    timer = threading.Timer(120.0, proc.kill)
+    timer.start()
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    tree_mb = usage.ru_maxrss / 1024.0
+    assert _read_reports(tmp_path)[1]["header"]["peak_rss_mb"] >= tree_mb
+
+
+def test_worker_pool_is_capped_at_the_task_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class Recording(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
+    for exponents, tag in (("0 1", "two"), ("", "none")):
+        ini = tmp_path / f"{tag}.ini"
+        ini.write_text(f"[pde]\nexponents = {exponents}\n")
+        out = tmp_path / tag
+        assert main(["pde", "--config", str(ini), "--workers", "3", "--out-dir", str(out)]) == 0
+        assert len(_read_reports(out)[1]["cases"]) == len(exponents.split())
+    # two tasks get two processes; no tasks run inline, with no pool at all
+    assert sizes == [2]
+
+
 def test_overflowing_case_exits_3_with_report(tmp_path):
     # exponent 40j: every evaluation is finite but |.|^2 leaves float64
     ini = tmp_path / "run.ini"
@@ -433,7 +514,7 @@ def test_reports_identical_across_worker_counts(tmp_path):
     for doc in (doc_a, doc_b):
         assert doc["header"]["paths_generated"] == {"main": 2000, "lemma2": 0}
         assert doc["header"]["peak_rss_mb"] > 0
-    # escalations are counted under the mpmath lock, so threads lose none
+    # each worker process hands back its tasks' escalations, so none are lost
     escalations = [(doc["header"]["mp_escalations"], doc["header"]["mp_max_dps"])
                    for doc in (doc_a, doc_b)]
     assert escalations[0] == escalations[1]

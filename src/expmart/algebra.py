@@ -380,8 +380,7 @@ def conjugate(f: PolyExpElement) -> PolyExpElement:
 # vectorized, so results are bit-identical to that formulation by
 # construction (tests/test_algebra_kernels.py keeps it as the oracle).  An
 # escalated block reads its precision from mpmath's global context inside
-# ``mp.workdps``, which ``verify_pde`` also sets, so the blocks keep holding
-# _MP_LOCK.
+# ``mp.workdps``, so the blocks keep holding _MP_LOCK.
 
 _ESCALATE_DIGITS = 2
 _MAX_DPS = 70

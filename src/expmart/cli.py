@@ -2,19 +2,15 @@
 
 Each subcommand runs one suite (or ``all`` runs the full battery) against a
 single RunConfig, producing ``report.csv`` and ``report.json`` in the output
-directory plus one PASS/FAIL console line per check.
+directory plus one PASS/FAIL console line per check (``report``).
 
 Each report row is one ``verify.Check`` next to its suite's run metadata
-(seed, path count, grid steps, horizon, time change).  ``bound`` rows pass
-when slack = lhs_product - rhs_exact >= -allowance, ``match`` rows when
-|slack| <= allowance.  The suites here only build inputs and tasks: each
-task returns the rows of a ``verify_*`` function, allowance included (k_sigma
-standard errors plus ``verify.MC_FLOOR`` for sampled rows, a fixed
-tolerance for exact ones).  Only ``check-algebra``'s rows, with the
-tolerances below, and the rows derived from h1 and h2 checks are built
-here.  A skipped entry is a match of 0 against 0.  A task that raises
-becomes one failing match row (lhs inf, rhs 0, allowance 0, no sampled
-metadata) whose note starts with ``overflow:`` or ``error:``.
+(seed, path count, grid steps, horizon, time change).  The suites here only
+draw inputs and build tasks; each task returns the finished rows of
+``verify_*`` functions, which own every row's shape, pass rule and
+tolerance.  A task that raises becomes one failing row (``Check.failed``,
+with no sampled metadata) whose note starts with ``overflow:`` or
+``error:``.
 
 With ``--workers K > 1`` the tasks run in up to K forked worker processes,
 which inherit the built tasks and the sampled sums instead of receiving
@@ -35,38 +31,16 @@ whichever thread draws it.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import logging
 import math
-import os
-import resource
 import sys
 import time
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import __version__
-from .algebra import (
-    PolyExpElement,
-    apply_D,
-    apply_D_star,
-    apply_G,
-    commutator_residual,
-    from_hermite,
-    hermite_element,
-    inner_product,
-    make_element,
-    norm,
-    scale,
-    sub,
-    take_mp_stats,
-    to_hermite,
-)
+from .algebra import PolyExpElement, make_element, take_mp_stats
 from .config import (
     PRESETS,
     SUITES,
@@ -81,20 +55,28 @@ from .config import (
     parse_time_change,
 )
 from .processes import PathEnsemble, TimeChange, TimeGrid, generate, quadratic_variation_at
+from .report import Result, _Meta, print_summary, write_reports
 from .verify import (
     Check,
-    Estimate,
     EvaluationOverflowError,
     ProcessElement,
     format_complex,
     h2_integrands,
     ito_sweep,
-    verify_h1,
+    verify_adjointness,
+    verify_commutators,
+    verify_g_fourth,
+    verify_h1_case,
+    verify_h1_randomized,
     verify_h2,
+    verify_h2_target,
+    verify_hermite_diagonal,
+    verify_hermite_roundtrip,
     verify_isometry,
     verify_l2_limit,
     verify_lemma2,
     verify_pde,
+    verify_unitarity,
 )
 
 __all__ = ["main", "run", "random_element"]
@@ -103,37 +85,7 @@ __all__ = ["main", "run", "random_element"]
 ALGEBRA_QS = (0.0, 0.5, 1.0, 4.0)
 H1_QS = (0.25, 1.0, 4.0)
 
-UNITARITY_TOL = 1e-9
-ADJOINT_TOL = 1e-9
-G_FOURTH_TOL = 1e-12
-HERMITE_TOL = 1e-12
-# basis coefficients grow like n!! q^(n/2); the round trip keeps ~4 digits
-# of headroom over the measured worst case at degree 8, q = 4
-HERMITE_ROUNDTRIP_TOL = 1e-9
-
-# (-i)^n without complex powers, so eigenvalue checks stay exact
-_MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
-
 _LOG = logging.getLogger(__name__)
-
-
-# ---------------------------------------------------------------------------
-# report rows
-
-@dataclass(frozen=True)
-class _Meta:
-    """The run metadata written next to each check of a suite."""
-
-    suite: str
-    seed: int
-    n_paths: int = 0
-    grid_steps: int = 0
-    horizon: float = 0.0
-    h_kind: str = "-"
-
-
-# one report row: a check and the run metadata of its suite
-Result = tuple[_Meta, Check]
 
 
 # ---------------------------------------------------------------------------
@@ -175,114 +127,19 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
     rng_g = _rng(cfg.seed, 3)
     fs = [random_element(rng_f, ALGEBRA_QS[i % 4]) for i in range(n)]
     gs = [random_element(rng_g, ALGEBRA_QS[i % 4]) for i in range(n)]
-
-    def commutators() -> list[Check]:
-        checks = []
-        for which in ("DX", "DDstar", "DG", "DstarG"):
-            worst = max(commutator_residual(which, f).max_abs_coeff() for f in fs)
-            checks.append(
-                Check(
-                    f"commutator[{which}]", "match", worst, 0.0, 0.0,
-                    note=f"{n} randomized elements; residual must canonicalize to zero",
-                )
-            )
-        return checks
-
-    def unitarity() -> list[Check]:
-        worst = 0.0
-        for f, g in zip(fs, gs):
-            ref = inner_product(f, g)
-            img = inner_product(apply_G(f), apply_G(g))
-            cs = max(norm(f) * norm(g), 1e-300)
-            worst = max(worst, abs(img - ref) / cs)
-        return [
-            Check(
-                "unitarity", "match", worst, 0.0, UNITARITY_TOL,
-                note=f"worst |<Gf,Gg> - <f,g>| over {n} pairs, relative to ||f||*||g||",
-            )
-        ]
-
-    def adjointness() -> list[Check]:
-        worst = 0.0
-        for f, g in zip(fs, gs):
-            df = apply_D(f)
-            dsg = apply_D_star(g)
-            left = inner_product(df, g)
-            right = inner_product(f, dsg)
-            cs = max(norm(df) * norm(g), norm(f) * norm(dsg), 1e-300)
-            worst = max(worst, abs(left - right) / cs)
-        return [
-            Check(
-                "adjointness", "match", worst, 0.0, ADJOINT_TOL,
-                note=f"worst |<Df,g> - <f,D*g>| over {n} pairs, relative scale",
-            )
-        ]
-
-    def g_fourth() -> list[Check]:
-        worst = 0.0
-        cycle_breaks = 0
-        for f in fs:
-            imgs = [f]
-            for _ in range(4):
-                imgs.append(apply_G(imgs[-1]))
-            back = imgs[4]
-            if tuple(c for c, _ in back.terms) != tuple(c for c, _ in f.terms):
-                cycle_breaks += 1
-                continue
-            inter_scale = max(el.max_abs_coeff() for el in imgs)
-            if inter_scale > 0.0:
-                worst = max(worst, sub(back, f).max_abs_coeff() / inter_scale)
-        lhs = math.inf if cycle_breaks else worst
-        return [
-            Check(
-                "g-fourth-power", "match", lhs, 0.0, G_FOURTH_TOL,
-                note=(
-                    f"exponent cycle exact on all {n} elements; residual relative to "
-                    "the largest intermediate image coefficient"
-                    if not cycle_breaks
-                    else f"exponent cycle broken on {cycle_breaks} of {n} elements"
-                ),
-            )
-        ]
-
-    def hermite_diagonal() -> list[Check]:
-        worst = 0.0
-        for q in ALGEBRA_QS:
-            for order in range(11):
-                h_el = hermite_element(order, q)
-                dev = sub(apply_G(h_el), scale(h_el, _MINUS_I_POW[order % 4]))
-                worst = max(worst, dev.max_abs_coeff() / h_el.max_abs_coeff())
-        return [
-            Check(
-                "hermite-diagonal", "match", worst, 0.0, HERMITE_TOL,
-                note="G H_n = (-i)^n H_n for n <= 10, q in {0, 0.5, 1, 4}",
-            )
-        ]
-
-    def hermite_roundtrip() -> list[Check]:
-        rng = _rng(cfg.seed, 5)
-        worst = 0.0
-        for i in range(200):
-            q = ALGEBRA_QS[i % 4]
-            deg = int(rng.integers(0, 9))
-            coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            el = make_element(q, [(0.0, tuple(complex(v) for v in coeffs))])
-            back = from_hermite(to_hermite(el))
-            worst = max(worst, sub(back, el).max_abs_coeff() / el.max_abs_coeff())
-        return [
-            Check(
-                "hermite-roundtrip", "match", worst, 0.0, HERMITE_ROUNDTRIP_TOL,
-                note="from_hermite(to_hermite(p)) on 200 random polynomials",
-            )
-        ]
-
+    rng_p = _rng(cfg.seed, 5)
+    polys = []
+    for i in range(200):
+        deg = int(rng_p.integers(0, 9))
+        coeffs = rng_p.standard_normal(deg + 1) + 1j * rng_p.standard_normal(deg + 1)
+        polys.append(make_element(ALGEBRA_QS[i % 4], [(0.0, tuple(complex(v) for v in coeffs))]))
     return [
-        ("check-algebra/commutators", commutators),
-        ("check-algebra/unitarity", unitarity),
-        ("check-algebra/adjointness", adjointness),
-        ("check-algebra/g-fourth", g_fourth),
-        ("check-algebra/hermite-diagonal", hermite_diagonal),
-        ("check-algebra/hermite-roundtrip", hermite_roundtrip),
+        ("check-algebra/commutators", lambda: verify_commutators(fs)),
+        ("check-algebra/unitarity", lambda: [verify_unitarity(fs, gs)]),
+        ("check-algebra/adjointness", lambda: [verify_adjointness(fs, gs)]),
+        ("check-algebra/g-fourth", lambda: [verify_g_fourth(fs)]),
+        ("check-algebra/hermite-diagonal", lambda: [verify_hermite_diagonal(ALGEBRA_QS)]),
+        ("check-algebra/hermite-roundtrip", lambda: [verify_hermite_roundtrip(polys)]),
     ]
 
 
@@ -345,43 +202,22 @@ def _isometry_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
 def _h1_tasks(cfg: RunConfig) -> list[Task]:
     def named() -> list[Check]:
         checks = []
-        for case_name in cfg.h1_cases:
-            case = parse_h1_case(case_name)
+        for case in map(parse_h1_case, cfg.h1_cases):
             y = make_element(case["q"], case["template"])
-            chk = verify_h1(y, case["c"], case["ct"], tol=cfg.h1_tol)
-            checks.append(dataclasses.replace(chk, case=f"h1[{case['name']}]"))
-            if case["name"].endswith("equality"):
-                checks.append(
-                    Check(
-                        f"h1-equality[{case['name']}]", "match", chk.lhs, chk.rhs,
-                        cfg.h1_tol, note="derived equality case: slack must vanish",
-                    )
-                )
+            checks += verify_h1_case(
+                case["name"], y, case["c"], case["ct"], case["equality"], tol=cfg.h1_tol
+            )
         return checks
 
-    n = cfg.h1_n_random
     rng = _rng(cfg.seed, 4)
     params = []
-    for i in range(n):
+    for i in range(cfg.h1_n_random):
         y = random_element(rng, H1_QS[i % 3], max_degree=4, max_terms=2, c_bound=2.0)
         params.append((y, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-2.0, 2.0))))
-
-    def randomized() -> list[Check]:
-        checks = [verify_h1(y, c, ct, tol=cfg.h1_tol) for y, c, ct in params]
-        worst = min(checks, key=lambda chk: chk.slack)
-        failures = sum(not chk.passed for chk in checks)
-        return [
-            dataclasses.replace(
-                worst,
-                case=f"h1-random-worst[n={n}]",
-                note=(
-                    f"minimum slack over {n} randomized cases at {worst.case}; "
-                    f"{failures} failed"
-                ),
-            )
-        ]
-
-    return [("h1/named", named), ("h1/randomized", randomized)]
+    return [
+        ("h1/named", named),
+        ("h1/randomized", lambda: [verify_h1_randomized(params, tol=cfg.h1_tol)]),
+    ]
 
 
 def _h2_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
@@ -399,12 +235,7 @@ def _h2_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
             )
             if case["target_lhs"] is None:
                 return [bound]
-            target = Check(
-                f"h2-target[{case['name']}]", "match", bound.lhs, case["target_lhs"](q),
-                bound.allowance, bound.factor1, bound.factor2,
-                note="LHS vs its derived closed-form target",
-            )
-            return [bound, target]
+            return [bound, verify_h2_target(case["name"], bound, case["target_lhs"](q))]
 
         tasks.append((f"h2/{case['name']}", task))
     return tasks
@@ -479,8 +310,7 @@ def _build_tasks(
 
 def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
     """The one failing row of a task that did not finish."""
-    chk = Check(label, "match", math.inf, 0.0, 0.0, note=note)
-    return [(_Meta(meta.suite, meta.seed), chk)]
+    return [(_Meta(meta.suite, meta.seed), Check.failed(label, note))]
 
 
 def _guard(meta: _Meta, task: Task) -> Callable[[], list[Result]]:
@@ -571,115 +401,6 @@ def _execute(tasks: list[tuple[_Meta, Task]], cfg: RunConfig) -> tuple[list[Resu
         "task_wall_s": wall,
     }
     return [row for rows, _, _ in outcomes for row in rows], telemetry
-
-
-# ---------------------------------------------------------------------------
-# report files
-
-_CSV_COLUMNS = (
-    "suite", "case", "kind", "seed", "n_paths", "grid_steps", "horizon",
-    "h_kind", "factor1_mean", "factor1_stderr", "factor2_mean",
-    "factor2_stderr", "lhs_product", "rhs_exact", "slack", "allowance",
-    "passed", "note",
-)
-
-
-def _fmt_complex_repr(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return repr(z.real)
-    return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
-
-
-def _csv_cells(meta: _Meta, chk: Check) -> list[str]:
-    f1 = chk.factor1
-    f2 = chk.factor2
-    return [
-        meta.suite, chk.case, chk.kind, str(meta.seed), str(meta.n_paths),
-        str(meta.grid_steps), repr(meta.horizon), meta.h_kind,
-        _fmt_complex_repr(f1.mean) if f1 else "",
-        repr(f1.stderr) if f1 else "",
-        _fmt_complex_repr(f2.mean) if f2 else "",
-        repr(f2.stderr) if f2 else "",
-        repr(chk.lhs), repr(chk.rhs), repr(chk.slack),
-        repr(chk.allowance), str(chk.passed), chk.note,
-    ]
-
-
-def _json_case(meta: _Meta, chk: Check) -> dict:
-    def est(e: Estimate | None):
-        if e is None:
-            return None
-        return {"mean": _fmt_complex_repr(e.mean), "stderr": e.stderr, "n": e.n}
-
-    return {
-        "suite": meta.suite,
-        "case": chk.case,
-        "kind": chk.kind,
-        "seed": meta.seed,
-        "n_paths": meta.n_paths,
-        "grid_steps": meta.grid_steps,
-        "horizon": meta.horizon,
-        "h_kind": meta.h_kind,
-        "factor1": est(chk.factor1),
-        "factor2": est(chk.factor2),
-        "lhs_product": chk.lhs,
-        "rhs_exact": chk.rhs,
-        "slack": chk.slack,
-        "allowance": chk.allowance,
-        "passed": chk.passed,
-        "note": chk.note,
-        "extra": {k: v for k, v in chk.extra},
-    }
-
-
-def _peak_rss_mb() -> float:
-    """The peak resident set of this process or of any worker it reaped."""
-    # ru_maxrss is in KiB on Linux
-    return max(
-        resource.getrusage(who).ru_maxrss
-        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
-    ) / 1024.0
-
-
-def write_reports(
-    rows: list[Result],
-    cfg: RunConfig,
-    suites: Sequence[str],
-    telemetry: dict,
-) -> tuple[str, str]:
-    """Write report.csv and report.json; ``telemetry`` (what ``run`` returns
-    besides the rows) goes into the JSON header."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, "report.csv")
-    json_path = os.path.join(cfg.out_dir, "report.json")
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for meta, chk in rows:
-            writer.writerow(_csv_cells(meta, chk))
-    run_echo = dataclasses.asdict(cfg)
-    # execution details that may legitimately differ between identical runs
-    # live in the header; everything under "run" is semantic configuration
-    run_echo.pop("workers")
-    run_echo.pop("out_dir")
-    run_echo["suites_run"] = list(suites)
-    run_echo["version"] = __version__
-    doc = {
-        "header": {
-            "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "workers": cfg.workers,
-            "out_dir": cfg.out_dir,
-            **telemetry,
-            "peak_rss_mb": _peak_rss_mb(),
-        },
-        "run": run_echo,
-        "cases": [_json_case(meta, chk) for meta, chk in rows],
-    }
-    with open(json_path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-    return csv_path, json_path
 
 
 # ---------------------------------------------------------------------------
@@ -786,16 +507,7 @@ def main(argv: Sequence[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     rows, status, telemetry = run(cfg, suites)
-    csv_path, json_path = write_reports(rows, cfg, suites, telemetry)
-    for meta, chk in rows:
-        flag = "PASS" if chk.passed else "FAIL"
-        print(f"[{flag}] {meta.suite:<13} {chk.case:<44} "
-              f"slack={chk.slack:<12.4g} allowance={chk.allowance:.4g}")
-    failed = [(meta, chk) for meta, chk in rows if not chk.passed]
-    print(f"{len(rows) - len(failed)}/{len(rows)} checks passed; "
-          f"reports: {csv_path}, {json_path}")
-    for meta, chk in failed:
-        print(f"expmart: FAILED {meta.suite}: {chk.case} ({chk.note})", file=sys.stderr)
+    print_summary(rows, *write_reports(rows, cfg, suites, telemetry))
     return status
 
 

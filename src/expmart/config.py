@@ -272,18 +272,21 @@ def parse_h1_case(s: str) -> dict:
     Named cases (all at q = 1): 'one-equality' (Y = 1, c = ct = 0, an equality
     case), 'coordinate' (Y = X, c = ct = 0), 'exp-energy' (Y = E(1),
     c = ct = 0, right side e), 'exp-equality' (Y = E(0.5), c = 2*0.5*q = 1,
-    ct = 0, an equality case).
+    ct = 0, an equality case).  ``equality`` marks the equality cases; a
+    template case is never one.
     """
     s = s.strip()
     named = {
-        "one-equality": ("1@0", 0.0, 0.0, 1.0),
-        "coordinate": ("0,1@0", 0.0, 0.0, 1.0),
-        "exp-energy": ("1@1", 0.0, 0.0, 1.0),
-        "exp-equality": ("1@0.5", 1.0, 0.0, 1.0),
+        "one-equality": ("1@0", 0.0, 0.0, 1.0, True),
+        "coordinate": ("0,1@0", 0.0, 0.0, 1.0, False),
+        "exp-energy": ("1@1", 0.0, 0.0, 1.0, False),
+        "exp-equality": ("1@0.5", 1.0, 0.0, 1.0, True),
     }
     if s in named:
-        tpl, c, ct, q = named[s]
-        return dict(name=s, template=parse_element_template(tpl), c=c, ct=ct, q=q)
+        tpl, c, ct, q, equality = named[s]
+        return dict(
+            name=s, template=parse_element_template(tpl), c=c, ct=ct, q=q, equality=equality
+        )
     if s.startswith("template:"):
         body = s[len("template:") :]
         parts = body.split(";")
@@ -312,6 +315,7 @@ def parse_h1_case(s: str) -> dict:
             c=c,
             ct=ct,
             q=q,
+            equality=False,
         )
     raise ConfigError(f"unknown h1 case {s!r}")
 

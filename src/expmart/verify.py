@@ -12,7 +12,13 @@ with I1 = int (X - g) Y dX and I2 = int (X - gt) GY dX are checked against
 their exact right-hand sides.
 
 Each check has one ``verify_*`` function, which returns its finished
-``Check`` records, one per report row, tolerance included.  A
+``Check`` records, one per report row, tolerance included; the tolerances
+are the ``*_TOL`` constants below.  check-algebra's rows come from
+``verify_commutators``, ``verify_unitarity``, ``verify_adjointness``,
+``verify_g_fourth``, ``verify_hermite_diagonal`` and
+``verify_hermite_roundtrip``; the rows derived from other checks from
+``verify_h1_case`` (``h1-equality``), ``verify_h1_randomized``
+(``h1-random-worst``) and ``verify_h2_target`` (``h2-target``).  A
 ``bound`` check is an inequality: it passes when slack = lhs - rhs >=
 -allowance.  A ``match`` check is an equality or a residual bound: it passes
 when |slack| <= allowance.  Exact checks carry a fixed tolerance.  Sampled
@@ -42,19 +48,45 @@ from __future__ import annotations
 import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
-import mpmath as mp
 import numpy as np
+from mpmath.libmp import (
+    dps_to_prec,
+    fnan,
+    from_float,
+    from_int,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_div_mpf,
+    mpc_mul,
+    mpc_mul_int,
+    mpc_mul_mpf,
+    mpc_pow,
+    mpc_sub,
+    mpf_add,
+    mpf_e,
+    mpf_gt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
 from .algebra import (
-    _MP_LOCK,
     PolyExpElement,
     VarianceMismatchError,
+    apply_D,
+    apply_D_star,
     apply_G,
     apply_X,
+    commutator_residual,
     conjugate,
+    from_hermite,
+    hermite_element,
     inner_product,
     make_element,
     make_exponential,
@@ -62,6 +94,7 @@ from .algebra import (
     norm,
     scale,
     sub,
+    to_hermite,
 )
 from .processes import (
     BLOCK_PATHS,
@@ -78,7 +111,6 @@ __all__ = [
     "OVERFLOW_LIMIT",
     "EvaluationOverflowError",
     "Estimate",
-    "CenteringFunction",
     "ProcessElement",
     "Check",
     "MC_FLOOR",
@@ -88,9 +120,18 @@ __all__ = [
     "ito_sweep",
     "energy_integral",
     "weighted_energy_integral",
+    "verify_commutators",
+    "verify_unitarity",
+    "verify_adjointness",
+    "verify_g_fourth",
+    "verify_hermite_diagonal",
+    "verify_hermite_roundtrip",
     "verify_isometry",
     "verify_h1",
+    "verify_h1_case",
+    "verify_h1_randomized",
     "verify_h2",
+    "verify_h2_target",
     "h2_integrands",
     "verify_pde",
     "verify_l2_limit",
@@ -101,6 +142,13 @@ __all__ = [
 # could silently saturate well before that.
 OVERFLOW_LIMIT = 700.0
 
+UNITARITY_TOL = 1e-9
+ADJOINT_TOL = 1e-9
+G_FOURTH_TOL = 1e-12
+HERMITE_TOL = 1e-12
+# basis coefficients grow like n!! q^(n/2); the round trip keeps ~4 digits
+# of headroom over the measured worst case at degree 8, q = 4
+HERMITE_ROUNDTRIP_TOL = 1e-9
 H1_TOL = 1e-9
 LEMMA2_EXACT_TOL = 1e-12
 PDE_TOL = 1e-6
@@ -111,6 +159,9 @@ L2_RATIO_TOL = 0.05
 # to its allowance (module docstring)
 K_SIGMA = 4.0
 MC_FLOOR = 1e-12
+
+# (-i)^n without complex powers, so eigenvalue checks stay exact
+_MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 
 
 class EvaluationOverflowError(ArithmeticError):
@@ -271,7 +322,8 @@ def mc_expectation(f: PolyExpElement, ensemble: PathEnsemble) -> Estimate:
 # ---------------------------------------------------------------------------
 # time-indexed elements
 
-# a deterministic real centering g(t) of the h2 integrands
+# the former name of PiecewiseLinear as an h2 centering; exported nowhere,
+# and kept only because perfbench/tests/test_checks.py still imports it
 CenteringFunction = PiecewiseLinear
 
 
@@ -514,6 +566,11 @@ class Check:
     def skipped(cls, case: str, note: str) -> "Check":
         return cls(case, "match", 0.0, 0.0, 0.0, note=note)
 
+    @classmethod
+    def failed(cls, case: str, note: str) -> "Check":
+        """The row of a task that raised: a match of inf against 0."""
+        return cls(case, "match", math.inf, 0.0, 0.0, note=note)
+
     @property
     def slack(self) -> float:
         return self.lhs - self.rhs
@@ -546,6 +603,110 @@ def _abs_squared(values: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return np.abs(values) ** 2
 
+
+# ---------------------------------------------------------------------------
+# operator identities of the exact algebra (check-algebra)
+
+def verify_commutators(fs: Sequence[PolyExpElement]) -> list[Check]:
+    """[D, X], [D, D*], [D, G] and [D*, G] on each element: four match rows
+    of the worst residual coefficient against 0, exactly."""
+    return [
+        Check(
+            f"commutator[{which}]", "match",
+            max(commutator_residual(which, f).max_abs_coeff() for f in fs), 0.0, 0.0,
+            note=f"{len(fs)} randomized elements; residual must canonicalize to zero",
+        )
+        for which in ("DX", "DDstar", "DG", "DstarG")
+    ]
+
+
+def verify_unitarity(fs: Sequence[PolyExpElement], gs: Sequence[PolyExpElement]) -> Check:
+    """<Gf, Gg> = <f, g> on each pair, relative to ||f|| ||g||."""
+    worst = 0.0
+    for f, g in zip(fs, gs):
+        ref = inner_product(f, g)
+        img = inner_product(apply_G(f), apply_G(g))
+        cs = max(norm(f) * norm(g), 1e-300)
+        worst = max(worst, abs(img - ref) / cs)
+    return Check(
+        "unitarity", "match", worst, 0.0, UNITARITY_TOL,
+        note=f"worst |<Gf,Gg> - <f,g>| over {len(fs)} pairs, relative to ||f||*||g||",
+    )
+
+
+def verify_adjointness(fs: Sequence[PolyExpElement], gs: Sequence[PolyExpElement]) -> Check:
+    """<Df, g> = <f, D*g> on each pair, relative to the larger norm product."""
+    worst = 0.0
+    for f, g in zip(fs, gs):
+        df = apply_D(f)
+        dsg = apply_D_star(g)
+        left = inner_product(df, g)
+        right = inner_product(f, dsg)
+        cs = max(norm(df) * norm(g), norm(f) * norm(dsg), 1e-300)
+        worst = max(worst, abs(left - right) / cs)
+    return Check(
+        "adjointness", "match", worst, 0.0, ADJOINT_TOL,
+        note=f"worst |<Df,g> - <f,D*g>| over {len(fs)} pairs, relative scale",
+    )
+
+
+def verify_g_fourth(fs: Sequence[PolyExpElement]) -> Check:
+    """G^4 f = f: the exponents must cycle back exactly, and the coefficient
+    residual is taken relative to the largest intermediate image coefficient.
+    A broken exponent cycle makes the row inf."""
+    n = len(fs)
+    worst = 0.0
+    cycle_breaks = 0
+    for f in fs:
+        imgs = [f]
+        for _ in range(4):
+            imgs.append(apply_G(imgs[-1]))
+        back = imgs[4]
+        if tuple(c for c, _ in back.terms) != tuple(c for c, _ in f.terms):
+            cycle_breaks += 1
+            continue
+        inter_scale = max(el.max_abs_coeff() for el in imgs)
+        if inter_scale > 0.0:
+            worst = max(worst, sub(back, f).max_abs_coeff() / inter_scale)
+    return Check(
+        "g-fourth-power", "match", math.inf if cycle_breaks else worst, 0.0, G_FOURTH_TOL,
+        note=(
+            f"exponent cycle exact on all {n} elements; residual relative to "
+            "the largest intermediate image coefficient"
+            if not cycle_breaks
+            else f"exponent cycle broken on {cycle_breaks} of {n} elements"
+        ),
+    )
+
+
+def verify_hermite_diagonal(qs: Sequence[float]) -> Check:
+    """G H_n = (-i)^n H_n for n <= 10 at each variance, relative to H_n."""
+    worst = 0.0
+    for q in qs:
+        for order in range(11):
+            h_el = hermite_element(order, q)
+            dev = sub(apply_G(h_el), scale(h_el, _MINUS_I_POW[order % 4]))
+            worst = max(worst, dev.max_abs_coeff() / h_el.max_abs_coeff())
+    return Check(
+        "hermite-diagonal", "match", worst, 0.0, HERMITE_TOL,
+        note=f"G H_n = (-i)^n H_n for n <= 10, q in {{{', '.join(f'{q:g}' for q in qs)}}}",
+    )
+
+
+def verify_hermite_roundtrip(polys: Sequence[PolyExpElement]) -> Check:
+    """from_hermite(to_hermite(p)) = p on each polynomial element."""
+    worst = 0.0
+    for el in polys:
+        back = from_hermite(to_hermite(el))
+        worst = max(worst, sub(back, el).max_abs_coeff() / el.max_abs_coeff())
+    return Check(
+        "hermite-roundtrip", "match", worst, 0.0, HERMITE_ROUNDTRIP_TOL,
+        note=f"from_hermite(to_hermite(p)) on {len(polys)} random polynomials",
+    )
+
+
+# ---------------------------------------------------------------------------
+# the isometry and the two inequalities
 
 def verify_isometry(
     z: ProcessElement, grid: TimeGrid, integral: Callable[[], np.ndarray]
@@ -600,6 +761,44 @@ def verify_h1(
     )
 
 
+def verify_h1_case(
+    name: str,
+    y: PolyExpElement,
+    c: float,
+    c_tilde: float,
+    equality: bool = False,
+    tol: float = H1_TOL,
+) -> list[Check]:
+    """The ``h1[name]`` row of ``verify_h1``, and for an equality case an
+    ``h1-equality[name]`` match row: its slack must vanish within ``tol``."""
+    chk = replace(verify_h1(y, c, c_tilde, tol=tol), case=f"h1[{name}]")
+    if not equality:
+        return [chk]
+    return [
+        chk,
+        Check(
+            f"h1-equality[{name}]", "match", chk.lhs, chk.rhs, tol,
+            note="derived equality case: slack must vanish",
+        ),
+    ]
+
+
+def verify_h1_randomized(
+    cases: Sequence[tuple[PolyExpElement, float, float]], tol: float = H1_TOL
+) -> Check:
+    """``verify_h1`` on each (Y, c, ct): the row of the smallest slack, as
+    ``h1-random-worst[n=...]``, with the failure count in its note."""
+    n = len(cases)
+    checks = [verify_h1(y, c, ct, tol=tol) for y, c, ct in cases]
+    worst = min(checks, key=lambda chk: chk.slack)
+    failures = sum(not chk.passed for chk in checks)
+    return replace(
+        worst,
+        case=f"h1-random-worst[n={n}]",
+        note=f"minimum slack over {n} randomized cases at {worst.case}; {failures} failed",
+    )
+
+
 def h2_integrands(
     y: ProcessElement, g: PiecewiseLinear | None, g_tilde: PiecewiseLinear | None
 ) -> tuple[ProcessElement, ProcessElement]:
@@ -650,6 +849,15 @@ def verify_h2(
     )
 
 
+def verify_h2_target(name: str, bound: Check, target: float) -> Check:
+    """The ``h2-target[name]`` row: the sampled left side of the ``h2`` row
+    ``bound`` against its closed form, with the bound row's allowance."""
+    return Check(
+        f"h2-target[{name}]", "match", bound.lhs, target, bound.allowance,
+        bound.factor1, bound.factor2, note="LHS vs its derived closed-form target",
+    )
+
+
 # ---------------------------------------------------------------------------
 # PDE and L2-limit checks
 
@@ -675,35 +883,66 @@ def verify_pde(
     (4 eps |u| / step^2, up to ~3e-6 on the target box) exceeds the
     residual sizes of interest.  A match of the worst residual against 0
     within ``PDE_TOL``; a NaN residual is the worst, so the check fails.
+
+    The stencils run on libmp value tuples at ``dps_to_prec(30)`` bits,
+    rounding to nearest, and touch no global precision.  Each runs the rounded
+    operations of the mpf/mpc formulation at 30 digits (u = mp.e ** (c x -
+    c c y / 2), then the stencils as written) on the same operands, so the
+    results are bitwise that formulation's (tests/test_verify.py keeps it
+    as the oracle).
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, not {step!r}")
     if not cmath.isfinite(c):
         raise ValueError(f"exponent must be finite, not {c!r}")
     pts = tuple(points) if points is not None else pde_grid()
-    worst = 0.0
-    with _MP_LOCK, mp.workdps(30):
-        cc = mp.mpmathify(complex(c))
-        d = mp.mpf(step)
+    prec, rnd = dps_to_prec(30), round_nearest
+    c = complex(c)
+    cc = (from_float(c.real), from_float(c.imag))
+    cc2 = mpc_mul(cc, cc, prec, rnd)
+    e = (mpf_e(prec, rnd), fzero)
+    two = from_int(2)
+    d = from_float(step)
+    d2 = mpf_mul(d, d, prec, rnd)
+    two_d = mpf_mul_int(d, 2, prec, rnd)
 
-        def base(xx, yy):
-            return mp.e ** (cc * xx - cc * cc * yy / 2)
+    def base(x: tuple, y: tuple) -> tuple:
+        w = mpc_sub(
+            mpc_mul_mpf(cc, x, prec, rnd),
+            mpc_div_mpf(mpc_mul_mpf(cc2, y, prec, rnd), two, prec, rnd),
+            prec, rnd,
+        )
+        return mpc_pow(e, w, prec, rnd)
 
-        def drifted(xx, yy):
-            return (xx - cc * yy) * base(xx, yy)
+    def drifted(x: tuple, y: tuple) -> tuple:
+        shift = mpc_sub((x, fzero), mpc_mul_mpf(cc, y, prec, rnd), prec, rnd)
+        return mpc_mul(shift, base(x, y), prec, rnd)
 
-        for u in (base, drifted):
-            for (x0, y0) in pts:
-                x0 = mp.mpf(x0)
-                y0 = mp.mpf(y0)
-                uxx = (u(x0 + d, y0) - 2 * u(x0, y0) + u(x0 - d, y0)) / (d * d)
-                uy = (u(x0, y0 + d) - u(x0, y0 - d)) / (2 * d)
-                r = abs(uxx / 2 + uy)
-                # once worst is NaN, no residual compares greater
-                if mp.isnan(r) or r > worst:
-                    worst = r
+    worst = fzero
+    for u in (base, drifted):
+        for x0, y0 in pts:
+            x0 = from_float(x0)
+            y0 = from_float(y0)
+            second = mpc_add(
+                mpc_sub(
+                    u(mpf_add(x0, d, prec, rnd), y0),
+                    mpc_mul_int(u(x0, y0), 2, prec, rnd),
+                    prec, rnd,
+                ),
+                u(mpf_sub(x0, d, prec, rnd), y0),
+                prec, rnd,
+            )
+            uxx = mpc_div_mpf(second, d2, prec, rnd)
+            first = mpc_sub(
+                u(x0, mpf_add(y0, d, prec, rnd)), u(x0, mpf_sub(y0, d, prec, rnd)), prec, rnd
+            )
+            uy = mpc_div_mpf(first, two_d, prec, rnd)
+            r = mpc_abs(mpc_add(mpc_div_mpf(uxx, two, prec, rnd), uy, prec, rnd), prec, rnd)
+            # once worst is NaN, no residual compares greater
+            if r == fnan or mpf_gt(r, worst):
+                worst = r
     return Check(
-        f"pde[c={format_complex(c)}]", "match", float(worst), 0.0, PDE_TOL,
+        f"pde[c={format_complex(c)}]", "match", to_float(worst, rnd=rnd), 0.0, PDE_TOL,
         note=(
             "max |u_xx/2 + u_y| for both element shapes, central "
             f"differences at step {step:g}"

@@ -13,7 +13,7 @@ import pytest
 import expmart
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("algebra", "processes", "verify", "config", "cli")
+MODULES = ("algebra", "processes", "verify", "config", "report", "cli")
 
 
 def _load_tracer():

@@ -30,10 +30,9 @@ import pytest
 from expmart import TimeChange, TimeGrid, generate, make_element, make_exponential
 from expmart import verify
 from expmart.algebra import PolyExpElement
-from expmart.processes import BLOCK_PATHS, PathEnsemble
+from expmart.processes import BLOCK_PATHS, PathEnsemble, PiecewiseLinear
 from expmart.verify import (
     OVERFLOW_LIMIT,
-    CenteringFunction,
     Estimate,
     EvaluationOverflowError,
     ProcessElement,
@@ -128,7 +127,7 @@ TIME_CHANGES = {
     "power": TimeChange.power(0.5),
     "pw": TimeChange.piecewise_linear([(0.0, 0.0), (0.4, 1.2), (0.7, 1.2), (1.0, 2.0)]),
 }
-PW_CENTERING = CenteringFunction.piecewise_linear([(0.0, 0.3), (0.5, -0.4), (1.0, 0.2)])
+PW_CENTERING = PiecewiseLinear.piecewise_linear([(0.0, 0.3), (0.5, -0.4), (1.0, 0.2)])
 
 
 def integrands(h):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from expmart import (
+    PiecewiseLinear,
     TimeChange,
     TimeGrid,
     VarianceMismatchError,
@@ -26,7 +27,6 @@ from expmart import (
 )
 from expmart.cli import random_element
 from expmart.verify import (
-    CenteringFunction,
     Check,
     Estimate,
     EvaluationOverflowError,
@@ -261,21 +261,21 @@ def test_process_element_factories():
 
 
 def test_centered_position_shape():
-    y = ProcessElement.constant_one(H_ID).centered_position(CenteringFunction.constant(2.0))
+    y = ProcessElement.constant_one(H_ID).centered_position(PiecewiseLinear.constant(2.0))
     el = y.at(1.0)  # X - 2 at q = 1
     assert el == make_element(1.0, [(0.0, (-2.0, 1.0))])
 
 
 def test_centering_function_values():
-    assert CenteringFunction.zero()(0.3) == 0.0
-    assert CenteringFunction.constant(1.5)(0.3) == 1.5
-    pw = CenteringFunction.piecewise_linear([(0.0, 0.0), (1.0, 2.0)])
+    assert PiecewiseLinear.zero()(0.3) == 0.0
+    assert PiecewiseLinear.constant(1.5)(0.3) == 1.5
+    pw = PiecewiseLinear.piecewise_linear([(0.0, 0.0), (1.0, 2.0)])
     assert pw(0.25) == 0.5
     # a single knot is a constant
-    assert CenteringFunction.piecewise_linear([(0.5, 0.7)])(3.0) == 0.7
+    assert PiecewiseLinear.piecewise_linear([(0.5, 0.7)])(3.0) == 0.7
     for bad in ([], [(0.0, 0.0), (0.0, 1.0)], [(0.0, float("nan"))]):
         with pytest.raises(ValueError):
-            CenteringFunction.piecewise_linear(bad)
+            PiecewiseLinear.piecewise_linear(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +379,9 @@ def _random_centering(rng):
     if kind == 0:
         return None
     if kind == 1:
-        return CenteringFunction.constant(rng.uniform(-1.0, 1.0))
+        return PiecewiseLinear.constant(rng.uniform(-1.0, 1.0))
     vals = rng.uniform(-1.0, 1.0, size=3)
-    return CenteringFunction.piecewise_linear([(0.0, vals[0]), (0.5, vals[1]), (1.0, vals[2])])
+    return PiecewiseLinear.piecewise_linear([(0.0, vals[0]), (0.5, vals[1]), (1.0, vals[2])])
 
 
 def test_h2_holds_on_randomized_configurations(big_ens):

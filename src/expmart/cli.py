@@ -6,11 +6,12 @@ directory plus one PASS/FAIL console line per check (``report``).
 
 Each report row is one ``verify.Check`` next to its suite's run metadata
 (seed, path count, grid steps, horizon, time change).  The suites here only
-draw inputs and build tasks; each task returns the finished rows of
-``verify_*`` functions, which own every row's shape, pass rule and
-tolerance.  A task that raises becomes one failing row (``Check.failed``,
-with no sampled metadata) whose note starts with ``overflow:`` or
-``error:``.
+draw inputs and build ``(label, thunk)`` tasks; each thunk returns the
+finished rows of ``verify_*`` functions, which own every row's shape, pass
+rule and tolerance.  One function, ``_run_task``, runs every task, in this
+process or in a worker: a task that raises becomes one failing row
+(``Check.failed``, with no sampled metadata) whose note starts with
+``overflow:`` or ``error:``.
 
 With ``--workers K > 1`` the tasks run in up to K forked worker processes,
 which inherit the built tasks and the sampled sums instead of receiving
@@ -156,45 +157,18 @@ def _lemma2_tasks(cfg: RunConfig, ensemble: PathEnsemble) -> list[Task]:
     ]
 
 
-class _MainPaths:
-    """The main ensemble's integrands, summed by one ``ito_sweep``.
-
-    Task builders register each integrand with ``integral`` and hand the
-    returned callable to their task; ``sweep`` then runs once, before any
-    task, so no task ever sees the N x (M+1) path matrix.
-    """
-
-    def __init__(self, cfg: RunConfig, h: TimeChange) -> None:
-        self.cfg = cfg
-        self.time_change = h
-        self.grid = TimeGrid.uniform(cfg.horizon, cfg.grid_steps)
-        self._integrands: list[ProcessElement] = []
-        self._sums: list[Callable[[], np.ndarray]] = []
-
-    def integral(self, z: ProcessElement) -> Callable[[], np.ndarray]:
-        i = len(self._integrands)
-        self._integrands.append(z)
-        return lambda: self._sums[i]()
-
-    def sweep(self) -> int:
-        """Sum every registered integrand; return the number of paths drawn."""
-        if not self._integrands:
-            return 0
-        cfg = self.cfg
-        self._sums = ito_sweep(
-            self._integrands, self.time_change, self.grid, cfg.paths, cfg.seed, cfg.workers
-        )
-        return cfg.paths
+# registers an integrand for the main sweep; returns the callable for its sums
+Register = Callable[[ProcessElement], Callable[[], np.ndarray]]
 
 
-def _isometry_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
+def _isometry_tasks(
+    cfg: RunConfig, h: TimeChange, grid: TimeGrid, integral: Register
+) -> list[Task]:
     tasks: list[Task] = []
-    for case_name in cfg.isometry_cases:
-        label, template = parse_isometry_case(case_name)
-        z = ProcessElement.from_template(main.time_change, template, label)
-        integral = main.integral(z)
+    for label, template in map(parse_isometry_case, cfg.isometry_cases):
+        z = ProcessElement.from_template(h, template, label)
         tasks.append(
-            (f"isometry/{label}", lambda z=z, i=integral: [verify_isometry(z, main.grid, i)])
+            (f"isometry/{label}", lambda z=z, i=integral(z): [verify_isometry(z, grid, i)])
         )
     return tasks
 
@@ -220,18 +194,16 @@ def _h1_tasks(cfg: RunConfig) -> list[Task]:
     ]
 
 
-def _h2_tasks(cfg: RunConfig, main: _MainPaths) -> list[Task]:
-    q = quadratic_variation_at(main.time_change, main.grid.horizon)
+def _h2_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid, integral: Register) -> list[Task]:
+    q = quadratic_variation_at(h, grid.horizon)
     tasks: list[Task] = []
-    for case_name in cfg.h2_cases:
-        case = parse_h2_case(case_name)
-        y = ProcessElement.from_template(main.time_change, case["template"], case["name"])
-        integrals = [main.integral(z) for z in h2_integrands(y, case["g"], case["g_tilde"])]
+    for case in map(parse_h2_case, cfg.h2_cases):
+        y = ProcessElement.from_template(h, case["template"], case["name"])
+        integrals = [integral(z) for z in h2_integrands(y, case["g"], case["g_tilde"])]
 
         def task(case=case, y=y, integrals=integrals) -> list[Check]:
             bound = verify_h2(
-                y, main.grid, *integrals,
-                k_sigma=cfg.h2_k_sigma, disc_factor=cfg.h2_disc_factor,
+                y, grid, *integrals, k_sigma=cfg.h2_k_sigma, disc_factor=cfg.h2_disc_factor
             )
             if case["target_lhs"] is None:
                 return [bound]
@@ -265,11 +237,20 @@ def _build_tasks(
     """The tasks of the suites, each with its suite's run metadata, and the
     paths drawn per ensemble (main, lemma2).
 
-    The main ensemble is never materialized: its integrands' Ito sums come
-    from one ``ito_sweep`` over path blocks, run here before any task.
+    The isometry and h2 builders register their integrands on the main
+    ensemble's time grid.  That ensemble is never materialized: one
+    ``ito_sweep`` over path blocks sums every registered integrand, here,
+    after every task is built and before any task runs.
     """
     h = parse_time_change(cfg.time_change)
-    main = _MainPaths(cfg, h)
+    grid = TimeGrid.uniform(cfg.horizon, cfg.grid_steps)
+    integrands: list[ProcessElement] = []
+    sums: list[Callable[[], np.ndarray]] = []
+
+    def integral(z: ProcessElement) -> Callable[[], np.ndarray]:
+        integrands.append(z)
+        return lambda i=len(integrands) - 1: sums[i]()
+
     lemma2 = None
     if "lemma2" in suites:
         lemma2 = generate(h, TimeGrid.uniform(cfg.horizon, 1), cfg.lemma2_paths, cfg.seed + 1)
@@ -286,13 +267,13 @@ def _build_tasks(
             meta = sampled(suite, lemma2.n_paths, lemma2.grid)
             built = _lemma2_tasks(cfg, lemma2)
         elif suite == "isometry":
-            meta = sampled(suite, cfg.paths, main.grid)
-            built = _isometry_tasks(cfg, main)
+            meta = sampled(suite, cfg.paths, grid)
+            built = _isometry_tasks(cfg, h, grid, integral)
         elif suite == "h1":
             built = _h1_tasks(cfg)
         elif suite == "h2":
-            meta = sampled(suite, cfg.paths, main.grid)
-            built = _h2_tasks(cfg, main)
+            meta = sampled(suite, cfg.paths, grid)
+            built = _h2_tasks(cfg, h, grid, integral)
         elif suite == "pde":
             built = _pde_tasks(cfg)
         elif suite == "l2limit":
@@ -301,11 +282,10 @@ def _build_tasks(
         else:
             raise ConfigError(f"unknown suite {suite!r}")
         tasks.extend((meta, task) for task in built)
-    paths_generated = {
-        "main": main.sweep(),
-        "lemma2": lemma2.n_paths if lemma2 is not None else 0,
-    }
-    return tasks, paths_generated
+    if integrands:
+        sums += ito_sweep(integrands, h, grid, cfg.paths, cfg.seed, cfg.workers)
+    lemma2_paths = lemma2.n_paths if lemma2 is not None else 0
+    return tasks, {"main": cfg.paths if integrands else 0, "lemma2": lemma2_paths}
 
 
 def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
@@ -313,82 +293,68 @@ def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
     return [(_Meta(meta.suite, meta.seed), Check.failed(label, note))]
 
 
-def _guard(meta: _Meta, task: Task) -> Callable[[], list[Result]]:
-    """Run a task; an overflow or any other exception becomes one failing row."""
-    label, thunk = task
-
-    def run_task() -> list[Result]:
-        try:
-            checks = list(thunk())
-        except (EvaluationOverflowError, OverflowError) as e:
-            return _failed(meta, label, f"overflow: {e}")
-        except Exception as e:
-            # one broken task must not lose the run: record it and go on
-            _LOG.error("task %s raised", label, exc_info=True)
-            return _failed(meta, label, f"error: {type(e).__name__}: {e}")
-        return [(meta, chk) for chk in checks]
-
-    return run_task
+# The tasks of the running ``_execute``.  Forked worker processes inherit
+# this list, so a worker is sent only a task's index: the closures and the
+# data they hold (ensembles, sampled sums) are never pickled.
+_TASKS: list[tuple[_Meta, Task]] = []
 
 
-# The guarded tasks of the running ``_execute``.  Forked worker processes
-# inherit this list, so a worker is sent only a task's index: the closures
-# and the data they hold (ensembles, sampled sums) are never pickled.
-_TASKS: list[Callable[[], list[Result]]] = []
-
-# what running one task gives back: its rows, the mpmath escalations it made
-# (as ``take_mp_stats`` reports them) and its wall time in seconds
-Outcome = tuple[list[Result], dict[str, int], float]
-
-
-def _run_task(i: int) -> Outcome:
-    """Run task ``i`` of ``_TASKS`` in the calling process."""
+def _run_task(i: int) -> tuple[list[Result], dict[str, int], float]:
+    """Run task ``i`` of ``_TASKS`` in the calling process; return its rows,
+    the mpmath escalations it made (as ``take_mp_stats`` reports them) and
+    its wall time in seconds.  An overflow or any other exception becomes
+    one failing row."""
+    meta, (label, thunk) = _TASKS[i]
     take_mp_stats()  # a forked worker starts with its parent's counts
     start = time.perf_counter()
-    rows = _TASKS[i]()
+    try:
+        rows = [(meta, chk) for chk in thunk()]
+    except (EvaluationOverflowError, OverflowError) as e:
+        rows = _failed(meta, label, f"overflow: {e}")
+    except Exception as e:
+        # one broken task must not lose the run: record it and go on
+        _LOG.error("task %s raised", label, exc_info=True)
+        rows = _failed(meta, label, f"error: {type(e).__name__}: {e}")
     return rows, take_mp_stats(), time.perf_counter() - start
-
-
-def _run_forked(tasks: list[tuple[_Meta, Task]], n_procs: int) -> list[Outcome]:
-    """Run ``_TASKS`` in ``n_procs`` forked worker processes, in task order.
-
-    A task whose future raises (its worker died, or the pool broke before
-    it ran) becomes a failing ``error:`` row with no escalations and a NaN
-    wall time.  Without ``fork`` the tasks run inline.
-    """
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [_run_task(i) for i in range(len(tasks))]
-    # forking is safe here: the sweep has joined its threads, so no other
-    # thread of this program can hold a lock the workers would inherit
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=n_procs, mp_context=context) as pool:
-        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
-    outcomes = []
-    for (meta, (label, _)), future in zip(tasks, futures):
-        try:
-            outcomes.append(future.result())
-        except Exception as e:
-            _LOG.error("task %s was lost with its worker process", label, exc_info=True)
-            rows = _failed(meta, label, f"error: {type(e).__name__}: {e}")
-            outcomes.append((rows, {"mp_escalations": 0, "mp_max_dps": 0}, math.nan))
-    return outcomes
 
 
 def _execute(tasks: list[tuple[_Meta, Task]], cfg: RunConfig) -> tuple[list[Result], dict]:
     """Run the tasks; return their rows in task order, and the telemetry of
     the run so far: mpmath escalations (summed over processes, highest dps)
-    and the wall time per task label (tasks sharing a label add up)."""
+    and the wall time per task label (tasks sharing a label add up).
+
+    The tasks run inline at one worker, for one task, or without ``fork``,
+    else in at most one forked worker process per task.  A task whose future
+    raises (its worker died, or the pool broke before it ran) becomes a
+    failing ``error:`` row with no escalations and a NaN wall time.
+    """
     stats = [take_mp_stats()]  # made while building the tasks
-    _TASKS[:] = [_guard(*task) for task in tasks]
     n_procs = min(cfg.workers, len(tasks))
+    if n_procs > 1:
+        # imported here, as a run in one process needs neither
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            n_procs = 1
+    _TASKS[:] = tasks
     try:
         if n_procs <= 1:
             outcomes = [_run_task(i) for i in range(len(tasks))]
         else:
-            outcomes = _run_forked(tasks, n_procs)
+            # forking is safe here: the sweep has joined its threads, so no other
+            # thread of this program can hold a lock the workers would inherit
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=n_procs, mp_context=context) as pool:
+                futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+            outcomes = []
+            for (meta, (label, _)), future in zip(tasks, futures):
+                try:
+                    outcomes.append(future.result())
+                except Exception as e:
+                    _LOG.error("task %s was lost with its worker process", label, exc_info=True)
+                    rows = _failed(meta, label, f"error: {type(e).__name__}: {e}")
+                    outcomes.append((rows, {"mp_escalations": 0, "mp_max_dps": 0}, math.nan))
     finally:
         _TASKS.clear()
     stats += [st for _, st, _ in outcomes]
@@ -454,16 +420,10 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
         cfg = load_ini(ns.config)
     elif hasattr(ns, "preset"):
         cfg = apply_preset(cfg, ns.preset)
-    overrides = {}
-    for attr, field_name in (
-        ("seed", "seed"), ("paths", "paths"), ("grid", "grid_steps"),
-        ("workers", "workers"), ("out_dir", "out_dir"),
-    ):
-        if hasattr(ns, attr):
-            overrides[field_name] = getattr(ns, attr)
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg.validated()
+    fields = {"seed": "seed", "paths": "paths", "grid": "grid_steps", "workers": "workers",
+              "out_dir": "out_dir"}
+    overrides = {field: getattr(ns, flag) for flag, field in fields.items() if hasattr(ns, flag)}
+    return dataclasses.replace(cfg, **overrides).validated()
 
 
 def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Result], int, dict]:
@@ -492,15 +452,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as e:
         print(f"expmart: config error: {e}", file=sys.stderr)
         return 2
-    if ns.suite == "all":
-        suites: tuple[str, ...] = SUITES
-    elif ns.suite:
-        suites = (ns.suite,)
-    elif "all" in cfg.suites:
-        suites = SUITES
-    else:
-        # keep config order but only the first occurrence of each suite
-        suites = tuple(dict.fromkeys(cfg.suites))
+    names = (ns.suite,) if ns.suite else cfg.suites
+    # "all" is every suite; otherwise keep the order, each suite once
+    suites = SUITES if "all" in names else tuple(dict.fromkeys(names))
     if not suites:
         parser.print_usage(sys.stderr)
         print("expmart: no suite selected (give a subcommand or a [run] suites key)",

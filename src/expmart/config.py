@@ -7,6 +7,8 @@ exponential martingale with exponent 1, "1,0,2@0.5j" is (1 + 2 X^2) E(0.5j).
 
 Centerings: "zero", "const:<v>", or "pw:<t>:<v>,<t>:<v>,...".
 Time changes: "identity", "power:<alpha>", or "pw:<t>:<v>,...".
+Cases (h1, h2, isometry): a named case, or "template:<element>[;key=value]...",
+with each kind's own names and option keys.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import configparser
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .processes import InvalidTimeChangeError, PiecewiseLinear, TimeChange
+from .verify import H1_TOL
 
 __all__ = [
     "RunConfig",
@@ -79,7 +83,7 @@ class RunConfig:
         "exp-equality",
     )
     h1_n_random: int = 500
-    h1_tol: float = 1e-9
+    h1_tol: float = H1_TOL
     # h2
     h2_cases: tuple[str, ...] = ("brownian-equality", "brownian-strict")
     h2_k_sigma: float = 4.0
@@ -232,6 +236,42 @@ def parse_time_change(s: str) -> TimeChange:
     raise ConfigError(f"unknown time change {s!r}")
 
 
+def _parse_case(
+    s: str,
+    kind: str,
+    named: dict[str, tuple[str, dict]],
+    options: dict[str, tuple[str, Callable[[str], object], object]],
+    label: str,
+) -> dict:
+    """A ``kind`` case: a key of ``named``, or 'template:<element>[;key=value]...'.
+
+    ``named`` maps a case name to its element template and the fields it sets;
+    ``options`` maps a template option key to its field, converter and
+    default.  Returns the fields, every option default included, with
+    ``name`` (a named case's name, else ``label`` formatted with ``element``
+    and the fields) and ``template`` (the parsed element).
+    """
+    s = s.strip()
+    fields = {field: default for field, _, default in options.values()}
+    if s in named:
+        element, extra = named[s]
+        return dict(fields, **extra, name=s, template=parse_element_template(element))
+    if not s.startswith("template:"):
+        raise ConfigError(f"unknown {kind} case {s!r}")
+    element, *extras = s[len("template:") :].split(";")
+    for extra in extras:
+        key, _, val = extra.partition("=")
+        if key not in options:
+            raise ConfigError(f"unknown {kind} case option {extra!r}")
+        field, convert, _ = options[key]
+        try:
+            fields[field] = convert(val)
+        except ValueError as e:
+            raise ConfigError(f"bad {kind} case option {extra!r}: {e}") from None
+    name = label.format(element=element, **fields)
+    return dict(fields, name=name, template=parse_element_template(element))
+
+
 def parse_h2_case(s: str) -> dict:
     """An h2 case: a named one or 'template:<element>[;g=<cen>][;gt=<cen>]'.
 
@@ -239,31 +279,15 @@ def parse_h2_case(s: str) -> dict:
     side, both centerings zero: Y = 1 gives E|int X dX|^2 = int h dh = q^2/2
     for each factor, and Y = X gives int 3 h^2 dh = q^3 for each.
     """
-    s = s.strip()
     named = {
-        "brownian-equality": ("1@0", lambda q: q * q / 2),
-        "brownian-strict": ("0,1@0", lambda q: q**3),
+        "brownian-equality": ("1@0", dict(target_lhs=lambda q: q * q / 2)),
+        "brownian-strict": ("0,1@0", dict(target_lhs=lambda q: q**3)),
     }
     zero = PiecewiseLinear.zero()
-    if s in named:
-        tpl, target = named[s]
-        return dict(
-            name=s, template=parse_element_template(tpl), g=zero, g_tilde=zero,
-            target_lhs=target,
-        )
-    if s.startswith("template:"):
-        parts = s[len("template:") :].split(";")
-        centerings = {"g": zero, "gt": zero}
-        for extra in parts[1:]:
-            key, _, val = extra.partition("=")
-            if key not in centerings:
-                raise ConfigError(f"unknown h2 case option {extra!r}")
-            centerings[key] = parse_centering(val)
-        return dict(
-            name=f"template[{parts[0]}]", template=parse_element_template(parts[0]),
-            g=centerings["g"], g_tilde=centerings["gt"], target_lhs=None,
-        )
-    raise ConfigError(f"unknown h2 case {s!r}")
+    options = {"g": ("g", parse_centering, zero), "gt": ("g_tilde", parse_centering, zero)}
+    case = _parse_case(s, "h2", named, options, "template[{element}]")
+    case.setdefault("target_lhs", None)
+    return case
 
 
 def parse_h1_case(s: str) -> dict:
@@ -275,60 +299,28 @@ def parse_h1_case(s: str) -> dict:
     ct = 0, an equality case).  ``equality`` marks the equality cases; a
     template case is never one.
     """
-    s = s.strip()
     named = {
-        "one-equality": ("1@0", 0.0, 0.0, 1.0, True),
-        "coordinate": ("0,1@0", 0.0, 0.0, 1.0, False),
-        "exp-energy": ("1@1", 0.0, 0.0, 1.0, False),
-        "exp-equality": ("1@0.5", 1.0, 0.0, 1.0, True),
+        "one-equality": ("1@0", dict(equality=True)),
+        "coordinate": ("0,1@0", dict(equality=False)),
+        "exp-energy": ("1@1", dict(equality=False)),
+        "exp-equality": ("1@0.5", dict(c=1.0, equality=True)),
     }
-    if s in named:
-        tpl, c, ct, q, equality = named[s]
-        return dict(
-            name=s, template=parse_element_template(tpl), c=c, ct=ct, q=q, equality=equality
-        )
-    if s.startswith("template:"):
-        body = s[len("template:") :]
-        parts = body.split(";")
-        c = ct = 0.0
-        q = 1.0
-        for extra in parts[1:]:
-            key, _, val = extra.partition("=")
-            try:
-                if key == "c":
-                    c = float(val)
-                elif key == "ct":
-                    ct = float(val)
-                elif key == "q":
-                    q = float(val)
-                else:
-                    raise ConfigError(f"unknown h1 case option {extra!r}")
-            except ValueError:
-                raise ConfigError(f"bad h1 case option {extra!r}") from None
-        if not all(math.isfinite(v) for v in (c, ct, q)):
-            raise ConfigError(f"h1 case options must be finite, got {s!r}")
-        if q < 0:
-            raise ConfigError("h1 case variance must be >= 0")
-        return dict(
-            name=f"template[{parts[0]};c={c:g};ct={ct:g};q={q:g}]",
-            template=parse_element_template(parts[0]),
-            c=c,
-            ct=ct,
-            q=q,
-            equality=False,
-        )
-    raise ConfigError(f"unknown h1 case {s!r}")
+    options = {"c": ("c", float, 0.0), "ct": ("ct", float, 0.0), "q": ("q", float, 1.0)}
+    label = "template[{element};c={c:g};ct={ct:g};q={q:g}]"
+    case = _parse_case(s, "h1", named, options, label)
+    if not all(math.isfinite(case[k]) for k in ("c", "ct", "q")):
+        raise ConfigError(f"h1 case options must be finite, got {s.strip()!r}")
+    if case["q"] < 0:
+        raise ConfigError("h1 case variance must be >= 0")
+    case.setdefault("equality", False)
+    return case
 
 
 def parse_isometry_case(s: str) -> tuple[str, tuple]:
-    s = s.strip()
-    if s == "one":
-        return "one", parse_element_template("1@0")
-    if s == "x":
-        return "x", parse_element_template("0,1@0")
-    if s.startswith("template:"):
-        return s, parse_element_template(s[len("template:") :])
-    raise ConfigError(f"unknown isometry case {s!r}")
+    """An isometry case: 'one' (Z = 1), 'x' (Z = X) or 'template:<element>'."""
+    named = {"one": ("1@0", {}), "x": ("0,1@0", {})}
+    case = _parse_case(s, "isometry", named, {}, "template:{element}")
+    return case["name"], case["template"]
 
 
 # ---------------------------------------------------------------------------

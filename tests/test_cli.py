@@ -13,7 +13,7 @@ import pytest
 from expmart.cli import main
 from expmart import cli
 from expmart.processes import TimeChange, TimeGrid, generate
-from expmart.verify import EvaluationOverflowError, ProcessElement, ito_integral
+from expmart.verify import H1_TOL, EvaluationOverflowError, ProcessElement, ito_integral
 from expmart.config import (
     L2_K_MAX,
     PRESETS,
@@ -160,6 +160,16 @@ def test_load_ini(tmp_path):
     cfg = load_ini(str(p))
     assert cfg.seed == 5 and cfg.suites == ("l2limit", "pde")
     assert cfg.l2_k_max == 10 and cfg.pde_step == 1e-3
+
+
+def test_h1_tolerance_has_one_owner(tmp_path):
+    # the default is verify's constant itself, not a copy of its value
+    import dataclasses
+    [field] = [f for f in dataclasses.fields(RunConfig) if f.name == "h1_tol"]
+    assert field.default is H1_TOL and RunConfig().h1_tol == H1_TOL
+    ini = tmp_path / "run.ini"
+    ini.write_text("[h1]\ntol = 1e-6\n")
+    assert load_ini(str(ini)).h1_tol == 1e-6
 
 
 def test_load_ini_rejects_unknown_keys(tmp_path):
@@ -404,6 +414,32 @@ def test_header_times_every_task(tmp_path, workers):
     wall = _read_reports(out)[1]["header"]["task_wall_s"]
     cfg = load_ini(str(ini))
     tasks, _ = cli._build_tasks(cfg, cfg.suites)
+    assert list(wall) == [label for _, (label, _) in tasks]
+    assert all(0.0 < seconds < 60.0 for seconds in wall.values())
+
+
+def test_tasks_run_inline_without_fork(tmp_path, monkeypatch):
+    import multiprocessing
+
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nsuites = check-algebra h1 pde l2limit\n[algebra]\nn_random = 20\n"
+        "[h1]\nn_random = 10\n"
+    )
+    assert main(["--config", str(ini), "--workers", "1", "--out-dir", str(tmp_path / "one")]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started without fork")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "two"
+    assert main(["--config", str(ini), "--workers", "2", "--out-dir", str(out)]) == 0
+    csv_text, doc = _read_reports(out)
+    assert csv_text == _read_reports(tmp_path / "one")[0]
+    cfg = load_ini(str(ini))
+    tasks, _ = cli._build_tasks(cfg, cfg.suites)
+    wall = doc["header"]["task_wall_s"]
     assert list(wall) == [label for _, (label, _) in tasks]
     assert all(0.0 < seconds < 60.0 for seconds in wall.values())
 

@@ -2,7 +2,7 @@
 
 ``verify`` owns every check: its rows and its tolerances.  ``cli.py`` only
 draws inputs, builds tasks and runs them, so it constructs no ``Check`` and
-defines no ``*_TOL`` constant.  ``verify.py`` runs its mpmath arithmetic on
+defines no ``*_TOL`` constant; it holds functions and data, and no class.  ``verify.py`` runs its mpmath arithmetic on
 libmp value tuples at explicit precisions, so it touches neither mpmath's
 global precision (``workdps``) nor the algebra's lock for it.
 """
@@ -49,6 +49,12 @@ def test_cli_constructs_no_check_and_defines_no_tolerance():
         if isinstance(target, ast.Name) and target.id.endswith("_TOL")
     ]
     assert constructed == [] and tolerances == []
+
+
+def test_cli_defines_no_class():
+    tree = _tree("cli.py")
+    classes = [(node.lineno, node.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes == []
 
 
 def test_verify_uses_no_mpmath_global_precision():

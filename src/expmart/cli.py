@@ -13,26 +13,31 @@ process or in a worker: a task that raises becomes one failing row
 (``Check.failed``, with no sampled metadata) whose note starts with
 ``overflow:`` or ``error:``.
 
-With ``--workers K > 1`` the tasks run in up to K forked worker processes,
-which inherit the built tasks and the sampled sums instead of receiving
-them pickled; the sampled sweep itself spreads its path blocks over K
-threads.  A task whose worker process dies, and any task lost with the
-pool, becomes an ``error:`` row like a task that raises.
+With ``--workers K > 1`` one pool of up to K forked worker processes runs
+the path blocks of the sampled sweep and the tasks that read no sampled
+sums; the workers inherit the built tasks and the integrands' columns
+instead of receiving them pickled, and each holds one path block at a time.
+This process merges the blocks' sums and runs the isometry and h2 tasks,
+which read them, while the workers finish the rest.  A task whose worker
+process dies, any task lost with the pool, and every task whose sums were
+lost with a block, becomes an ``error:`` row like a task that raises.
 
 Reproducibility contract: with a fixed config and seed, report.csv is
 byte-identical across runs and across ``--workers`` values; report.json is
 identical outside the ``header`` object (timestamp, worker count, out dir,
-paths generated, mpmath escalations, wall time per task, peak RSS).  All
-randomness comes from counter-based streams keyed by (seed + channel):
-randomized inputs are drawn in the main process before any task starts,
-and each path block of the sampled sweep from its own (seed, block) stream,
-whichever thread draws it.
+paths generated, mpmath escalations, wall time per task, the sweep's
+blocks, seconds, columns and points, peak RSS).  All randomness comes from
+counter-based streams keyed by (seed + channel): randomized inputs are
+drawn in the main process before any task starts, and each path block of
+the sampled sweep from its own (seed, block) stream, whichever process
+draws it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import sys
@@ -55,15 +60,25 @@ from .config import (
     parse_isometry_case,
     parse_time_change,
 )
-from .processes import PathEnsemble, TimeChange, TimeGrid, generate, quadratic_variation_at
+from .processes import (
+    PathEnsemble,
+    TimeChange,
+    TimeGrid,
+    block_count,
+    generate,
+    quadratic_variation_at,
+)
 from .report import Result, _Meta, print_summary, write_reports
 from .verify import (
     Check,
     EvaluationOverflowError,
     ProcessElement,
+    SweepBlock,
     format_complex,
     h2_integrands,
-    ito_sweep,
+    merge_sweep,
+    sweep_block,
+    sweep_columns,
     verify_adjointness,
     verify_commutators,
     verify_g_fourth,
@@ -90,7 +105,7 @@ _LOG = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# randomized inputs (all sampled in the main thread, counter-based streams)
+# randomized inputs (all sampled in the main process, counter-based streams)
 
 def _rng(seed: int, channel: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed + channel) * 2**64))
@@ -231,16 +246,22 @@ def _l2limit_tasks(cfg: RunConfig) -> list[Task]:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _build_tasks(
-    cfg: RunConfig, suites: Sequence[str]
-) -> tuple[list[tuple[_Meta, Task]], dict[str, int]]:
+# the suites whose tasks read the sweep's sums
+_SWEPT = ("isometry", "h2")
+
+# A run's sweep: one job per path block of the main ensemble, and the merge
+# that hands the finished blocks' sums to the tasks that read them.
+Sweep = tuple[list[Callable[[], SweepBlock]], Callable[[list[SweepBlock]], None]]
+
+
+def _build_tasks(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[tuple[_Meta, Task]], Sweep]:
     """The tasks of the suites, each with its suite's run metadata, and the
-    paths drawn per ensemble (main, lemma2).
+    run's sweep.
 
     The isometry and h2 builders register their integrands on the main
-    ensemble's time grid.  That ensemble is never materialized: one
-    ``ito_sweep`` over path blocks sums every registered integrand, here,
-    after every task is built and before any task runs.
+    ensemble's time grid.  That ensemble is never materialized: each
+    integrand's column elements are built here, once, and each block job
+    generates one path block and sums every integrand on it.
     """
     h = parse_time_change(cfg.time_change)
     grid = TimeGrid.uniform(cfg.horizon, cfg.grid_steps)
@@ -282,10 +303,16 @@ def _build_tasks(
         else:
             raise ConfigError(f"unknown suite {suite!r}")
         tasks.extend((meta, task) for task in built)
-    if integrands:
-        sums += ito_sweep(integrands, h, grid, cfg.paths, cfg.seed, cfg.workers)
-    lemma2_paths = lemma2.n_paths if lemma2 is not None else 0
-    return tasks, {"main": cfg.paths if integrands else 0, "lemma2": lemma2_paths}
+    columns = sweep_columns(integrands, grid)
+    blocks = [
+        functools.partial(sweep_block, columns, h, grid, cfg.paths, cfg.seed, block)
+        for block in range(block_count(cfg.paths) if integrands else 0)
+    ]
+
+    def merge(done: list[SweepBlock]) -> None:
+        sums[:] = merge_sweep(columns, cfg.paths, done)
+
+    return tasks, (blocks, merge)
 
 
 def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
@@ -293,13 +320,17 @@ def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
     return [(_Meta(meta.suite, meta.seed), Check.failed(label, note))]
 
 
-# The tasks of the running ``_execute``.  Forked worker processes inherit
-# this list, so a worker is sent only a task's index: the closures and the
-# data they hold (ensembles, sampled sums) are never pickled.
+# The jobs of the running ``_execute``: the tasks and the sweep's block
+# jobs.  Forked worker processes inherit these lists, so a worker is sent
+# only a job's index: the closures and the data they hold (ensembles, built
+# integrand columns) are never pickled.
 _TASKS: list[tuple[_Meta, Task]] = []
+_BLOCKS: list[Callable[[], SweepBlock]] = []
+
+Outcome = tuple[list[Result], dict[str, int], float]
 
 
-def _run_task(i: int) -> tuple[list[Result], dict[str, int], float]:
+def _run_task(i: int) -> Outcome:
     """Run task ``i`` of ``_TASKS`` in the calling process; return its rows,
     the mpmath escalations it made (as ``take_mp_stats`` reports them) and
     its wall time in seconds.  An overflow or any other exception becomes
@@ -318,45 +349,117 @@ def _run_task(i: int) -> tuple[list[Result], dict[str, int], float]:
     return rows, take_mp_stats(), time.perf_counter() - start
 
 
-def _execute(tasks: list[tuple[_Meta, Task]], cfg: RunConfig) -> tuple[list[Result], dict]:
-    """Run the tasks; return their rows in task order, and the telemetry of
-    the run so far: mpmath escalations (summed over processes, highest dps)
-    and the wall time per task label (tasks sharing a label add up).
+def _run_block(b: int) -> tuple[SweepBlock, float]:
+    """Run block job ``b`` of ``_BLOCKS`` in the calling process; return its
+    result and its wall time in seconds."""
+    start = time.perf_counter()
+    return _BLOCKS[b](), time.perf_counter() - start
 
-    The tasks run inline at one worker, for one task, or without ``fork``,
-    else in at most one forked worker process per task.  A task whose future
-    raises (its worker died, or the pool broke before it ran) becomes a
-    failing ``error:`` row with no escalations and a NaN wall time.
+
+def _lost(i: int, error: BaseException) -> Outcome:
+    """The outcome of task ``i`` of ``_TASKS`` when ``error`` lost it: one
+    failing ``error:`` row, no escalations and a NaN wall time."""
+    meta, (label, _) = _TASKS[i]
+    _LOG.error("task %s was lost: %s", label, error)
+    rows = _failed(meta, label, f"error: {type(error).__name__}: {error}")
+    return rows, {"mp_escalations": 0, "mp_max_dps": 0}, math.nan
+
+
+def _raise(error: BaseException) -> None:
+    raise error
+
+
+def _sweep(
+    results: list[Callable[[], tuple[SweepBlock, float]]], merge: Callable[[list[SweepBlock]], None]
+) -> tuple[dict, BaseException | None]:
+    """Wait for every block job's result and, if none was lost, merge them;
+    return the sweep's telemetry (over the blocks that finished) and the
+    error a block was lost to, if any."""
+    done, lost = [], None
+    for result in results:
+        try:
+            done.append(result())
+        except Exception as e:
+            _LOG.error("a path block of the sweep was lost", exc_info=True)
+            lost = lost or e
+    if lost is None:
+        merge([block for block, _ in done])
+    telemetry = {
+        "blocks": len(results),
+        "seconds": sum(seconds for _, seconds in done),
+        "columns": sum(block.columns for block, _ in done),
+        "points": sum(block.points for block, _ in done),
+    }
+    return telemetry, lost
+
+
+def _execute(
+    tasks: list[tuple[_Meta, Task]], sweep: Sweep, cfg: RunConfig
+) -> tuple[list[Result], dict]:
+    """Run the sweep and the tasks; return the tasks' rows in task order, and
+    the telemetry of the run so far: mpmath escalations (summed over
+    processes, highest dps), the wall time per task label (tasks sharing a
+    label add up) and the sweep's blocks, seconds, columns and points.
+
+    Everything runs here, in order, at one worker, for one job, or without
+    ``fork``: the block jobs, the merge, then the tasks.  Else one pool of
+    forked worker processes, at most one per job, takes the block jobs and
+    then every task that reads no sums.  This process merges the blocks once
+    all are in and runs the tasks that read the sums while the workers
+    finish the rest.  A job whose future raises (its worker died, or the
+    pool broke before it ran) is lost: a lost task, and every task that
+    reads the sums of a lost block, becomes a failing ``error:`` row with no
+    escalations and a NaN wall time.
     """
-    stats = [take_mp_stats()]  # made while building the tasks
-    n_procs = min(cfg.workers, len(tasks))
+    blocks, merge = sweep
+    reads_sums = [meta.suite in _SWEPT for meta, _ in tasks]
+    n_procs = min(cfg.workers, len(blocks) + reads_sums.count(False))
     if n_procs > 1:
         # imported here, as a run in one process needs neither
         import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         if "fork" not in multiprocessing.get_all_start_methods():
             n_procs = 1
+    stats = [take_mp_stats()]  # made while building the tasks
     _TASKS[:] = tasks
+    _BLOCKS[:] = blocks
+
+    def run_here(i: int, lost: BaseException | None) -> Outcome:
+        return _lost(i, lost) if lost is not None and reads_sums[i] else _run_task(i)
+
     try:
         if n_procs <= 1:
-            outcomes = [_run_task(i) for i in range(len(tasks))]
+            runs = [functools.partial(_run_block, b) for b in range(len(blocks))]
+            swept, lost = _sweep(runs, merge)
+            outcomes = [run_here(i, lost) for i in range(len(tasks))]
         else:
-            # forking is safe here: the sweep has joined its threads, so no other
-            # thread of this program can hold a lock the workers would inherit
+            # Forking is safe here: this program starts no thread of its own,
+            # and a fork pool forks all its workers at the first submit,
+            # before it starts its manager thread, so no thread can hold a
+            # lock the workers would inherit.
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=n_procs, mp_context=context) as pool:
-                futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
-            outcomes = []
-            for (meta, (label, _)), future in zip(tasks, futures):
+
+                def start(job: Callable[[int], object], i: int) -> Callable[[], object]:
+                    try:
+                        return pool.submit(job, i).result
+                    except BrokenProcessPool as e:  # it broke before this job went in
+                        return functools.partial(_raise, e)
+
+                runs = [start(_run_block, b) for b in range(len(blocks))]
+                pooled = {i: start(_run_task, i) for i in range(len(tasks)) if not reads_sums[i]}
+                swept, lost = _sweep(runs, merge)
+                done = {i: run_here(i, lost) for i in range(len(tasks)) if reads_sums[i]}
+            for i, result in pooled.items():
                 try:
-                    outcomes.append(future.result())
+                    done[i] = result()
                 except Exception as e:
-                    _LOG.error("task %s was lost with its worker process", label, exc_info=True)
-                    rows = _failed(meta, label, f"error: {type(e).__name__}: {e}")
-                    outcomes.append((rows, {"mp_escalations": 0, "mp_max_dps": 0}, math.nan))
+                    done[i] = _lost(i, e)
+            outcomes = [done[i] for i in range(len(tasks))]
     finally:
         _TASKS.clear()
+        _BLOCKS.clear()
     stats += [st for _, st, _ in outcomes]
     wall: dict[str, float] = {}
     for (_, (label, _)), (_, _, seconds) in zip(tasks, outcomes):
@@ -365,6 +468,7 @@ def _execute(tasks: list[tuple[_Meta, Task]], cfg: RunConfig) -> tuple[list[Resu
         "mp_escalations": sum(st["mp_escalations"] for st in stats),
         "mp_max_dps": max(st["mp_max_dps"] for st in stats),
         "task_wall_s": wall,
+        "sweep": swept,
     }
     return [row for rows, _, _ in outcomes for row in rows], telemetry
 
@@ -389,9 +493,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid", type=int, default=argparse.SUPPRESS,
                         help="time grid steps M")
     common.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                        help="worker processes for the tasks and threads for "
-                        "the path-block sweep (results are worker-count "
-                        "independent)")
+                        help="worker processes, which run the path blocks of "
+                        "the sampled sweep and the tasks (results are "
+                        "worker-count independent)")
     common.add_argument("--out-dir", default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="expmart",
@@ -429,10 +533,17 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
 def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Result], int, dict]:
     """Run the suites; return the rows, the exit status (0/1/3/4) and the
     run's telemetry: paths drawn per ensemble, the count and highest dps of
-    the algebra's mpmath escalations, and the wall time per task."""
+    the algebra's mpmath escalations, the wall time per task, and the
+    sweep's blocks, seconds (summed over the block jobs), columns summed and
+    points evaluated."""
     take_mp_stats()  # count this run's escalations only
-    tasks, paths_generated = _build_tasks(cfg, suites)
-    rows, task_telemetry = _execute(tasks, cfg)
+    tasks, sweep = _build_tasks(cfg, suites)
+    rows, task_telemetry = _execute(tasks, sweep, cfg)
+    blocks, _ = sweep
+    paths_generated = {
+        "main": cfg.paths if blocks else 0,
+        "lemma2": cfg.lemma2_paths if "lemma2" in suites else 0,
+    }
     telemetry = {"paths_generated": paths_generated, **task_telemetry}
     checks = [chk for _, chk in rows]
     if any(chk.note.startswith("error:") for chk in checks):

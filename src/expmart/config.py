@@ -123,12 +123,15 @@ class RunConfig:
         parse_time_change(self.time_change)
         for s in self.lemma2_exponents + self.pde_exponents + self.l2_exponents:
             parse_complex(s)
-        for name in self.h2_cases:
-            parse_h2_case(name)
-        for name in self.isometry_cases:
-            parse_isometry_case(name)
-        for name in self.h1_cases:
-            parse_h1_case(name)
+        # a label names a case's rows and its task, so no two cases share one
+        for kind, labels in (
+            ("h2", [parse_h2_case(s)["name"] for s in self.h2_cases]),
+            ("isometry", [parse_isometry_case(s)[0] for s in self.isometry_cases]),
+            ("h1", [parse_h1_case(s)["name"] for s in self.h1_cases]),
+        ):
+            repeated = [label for label in dict.fromkeys(labels) if labels.count(label) > 1]
+            if repeated:
+                raise ConfigError(f"two {kind} cases share the label {repeated[0]!r}")
         return self
 
 

@@ -17,8 +17,8 @@ consumer reads whole columns (expectations at one time, the Ito sum column
 by column), so this is the layout they stream through; row access still
 works, only strided.  :func:`generate` stacks every block into one
 N x (M+1) ``PathEnsemble``.  A consumer that only needs per-path results
-(the Ito sums of ``verify.ito_sweep``) fills one block at a time instead,
-so its memory scales as workers x ``BLOCK_PATHS`` x (M+1), not as
+(the Ito sums of ``verify.sweep_block``) fills one block at a time instead,
+so each process that runs one holds ``BLOCK_PATHS`` x (M+1) floats, not
 N x (M+1).
 """
 

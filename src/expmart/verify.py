@@ -33,9 +33,9 @@ Sampled memory: ``verify_isometry`` and ``verify_h2`` take their per-path
 Ito sums as callables that return them or raise.  ``ito_integral`` reads a
 materialized ``PathEnsemble`` (N x (M+1) floats).  ``ito_sweep`` forms the
 Ito sums of several integrands in one pass over path blocks generated on
-the fly, so the CLI's memory scales as workers x ``BLOCK_PATHS`` x (M+1)
-instead.  Both run the same column kernel, and their per-path sums are
-bitwise equal.
+the fly, one block per ``sweep_block`` call, so a process that sweeps holds
+one block, ``BLOCK_PATHS`` x (M+1) floats, at a time instead.  Both run the
+same column kernel, and their per-path sums are bitwise equal.
 
 Sampled evaluation has one rule for every input and path count: a real
 exponent is formed and exponentiated in float64, and a complex exponent's
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -118,6 +117,10 @@ __all__ = [
     "mc_expectation",
     "ito_integral",
     "ito_sweep",
+    "sweep_columns",
+    "sweep_block",
+    "merge_sweep",
+    "SweepBlock",
     "energy_integral",
     "weighted_energy_integral",
     "verify_commutators",
@@ -443,6 +446,88 @@ def _build_columns(z: ProcessElement, times: Sequence[float]):
     return elements, None
 
 
+def sweep_columns(
+    integrands: Sequence[ProcessElement], grid: TimeGrid
+) -> list[tuple[list[PolyExpElement], BaseException | None]]:
+    """Each integrand's column elements for the sweep, built once: z at each
+    left grid point up to the first that fails, and that failure (or None)."""
+    return [_build_columns(z, grid.points[:-1]) for z in integrands]
+
+
+@dataclass(frozen=True)
+class SweepBlock:
+    """What one path block of the sweep gives: per integrand, its Ito sums on
+    the block's rows or, if a column overflowed, the record (column, term,
+    max_real, exponent, q) of the first one; and the columns summed over the
+    integrands and the points (rows x columns) evaluated for them."""
+
+    block: int
+    sums: list
+    columns: int
+    points: int
+
+
+def sweep_block(
+    columns: Sequence[tuple[list[PolyExpElement], BaseException | None]],
+    h: TimeChange,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    block: int,
+) -> SweepBlock:
+    """Block ``block`` of an n_paths ensemble, generated, and every
+    integrand of ``sweep_columns`` summed on it.  The block's paths live only
+    for this call: BLOCK_PATHS x (M+1) floats."""
+    rows = min(BLOCK_PATHS, n_paths - block * BLOCK_PATHS)
+    x = fill_block(h, grid, n_paths, seed, block, np.empty((rows, len(grid.points)), order="F"))
+    sums = []
+    summed = 0
+    for elements, _ in columns:
+        try:
+            sums.append(_ito_columns(elements, x))
+            summed += len(elements)
+        except EvaluationOverflowError as e:
+            term = [c for c, _ in elements[e.column].terms].index(e.exponent)
+            sums.append((e.column, term, e.max_real, e.exponent, e.q))
+            summed += e.column
+    return SweepBlock(block, sums, summed, summed * rows)
+
+
+def merge_sweep(
+    columns: Sequence[tuple[list[PolyExpElement], BaseException | None]],
+    n_paths: int,
+    blocks: Iterable[SweepBlock],
+) -> list[Callable[[], np.ndarray]]:
+    """One callable per integrand from the ``sweep_block`` results of every
+    block, in any order: it returns the integrand's N-vector of sums, or
+    raises its build error or overflow.
+
+    A build error at column k is kept, and columns 0..k-1 are still summed,
+    because an overflow there comes first in ``ito_integral``.  An overflow
+    is reported at the first (column, term) where any block overflows, with
+    the maximum over those blocks: the maximum of the whole column.
+    """
+    sums = [np.empty(n_paths, dtype=complex) for _ in columns]
+    overflows: list[list] = [[] for _ in columns]
+    for done in blocks:
+        start = done.block * BLOCK_PATHS
+        for values, result, failed in zip(sums, done.sums, overflows):
+            if isinstance(result, tuple):
+                failed.append(result)
+            else:
+                values[start : start + len(result)] = result
+    outcomes = []
+    for (_, error), values, failed in zip(columns, sums, overflows):
+        if failed:
+            column, term = min(f[:2] for f in failed)
+            at_first = [f for f in failed if f[:2] == (column, term)]
+            _, _, _, exponent, q = at_first[0]
+            error = EvaluationOverflowError(exponent, q, max(f[2] for f in at_first))
+            error.column = column
+        outcomes.append(_outcome(values, error))
+    return outcomes
+
+
 def _outcome(values: np.ndarray, error: BaseException | None) -> Callable[[], np.ndarray]:
     def get() -> np.ndarray:
         if error is not None:
@@ -458,60 +543,23 @@ def ito_sweep(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    workers: int = 1,
 ) -> list[Callable[[], np.ndarray]]:
     """Ito sums of several integrands in one pass over generated path blocks.
 
     Returns one callable per integrand.  Calling it returns what
     ``ito_integral(z, generate(h, grid, n_paths, seed))`` returns, bitwise,
     or raises what that call raises, with the same message.  The N x (M+1)
-    matrix is never built: each ``BLOCK_PATHS`` block is generated, every
-    integrand is summed on it into its slice of an N-vector, and the block
-    is dropped.  Memory scales as workers x BLOCK_PATHS x (M+1).
-
-    Each integrand's column elements are built once, before the sweep.  A
-    build error at column k is kept, and columns 0..k-1 are still summed,
-    because an overflow there comes first in ``ito_integral``.  An overflow
-    is reported at the first (column, term) where any block overflows, with
-    the maximum over those blocks: the maximum of the whole column.  With
-    workers > 1 the blocks are spread over that many threads; each writes
-    disjoint slices, so the results do not depend on scheduling.
+    matrix is never built: each integrand's column elements are built once
+    (``sweep_columns``), each ``BLOCK_PATHS`` block is generated and every
+    integrand summed on it (``sweep_block``), and the blocks' sums are put
+    together (``merge_sweep``).  This runs the blocks one after another; a
+    caller may run them anywhere, in any order, and merge their results.
     """
-    built = [_build_columns(z, grid.points[:-1]) for z in integrands]
-    sums = [np.empty(n_paths, dtype=complex) for _ in integrands]
-    overflows: list[list] = [[] for _ in integrands]
-    n_blocks = block_count(n_paths)
-    workers = max(1, min(workers, n_blocks))
-
-    def run_blocks(first: int) -> None:
-        buffer = np.empty((min(BLOCK_PATHS, n_paths), len(grid.points)), order="F")
-        for block in range(first, n_blocks, workers):
-            start = block * BLOCK_PATHS
-            stop = min(start + BLOCK_PATHS, n_paths)
-            x = fill_block(h, grid, n_paths, seed, block, buffer[: stop - start])
-            for i, (elements, _) in enumerate(built):
-                try:
-                    sums[i][start:stop] = _ito_columns(elements, x)
-                except EvaluationOverflowError as e:
-                    term = [c for c, _ in elements[e.column].terms].index(e.exponent)
-                    overflows[i].append((e.column, term, e.max_real, e.exponent, e.q))
-
-    if workers == 1:
-        run_blocks(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for done in [pool.submit(run_blocks, first) for first in range(workers)]:
-                done.result()
-    results = []
-    for (_, error), values, failed in zip(built, sums, overflows):
-        if failed:
-            column, term = min(f[:2] for f in failed)
-            at_first = [f for f in failed if f[:2] == (column, term)]
-            _, _, _, exponent, q = at_first[0]
-            error = EvaluationOverflowError(exponent, q, max(f[2] for f in at_first))
-            error.column = column
-        results.append(_outcome(values, error))
-    return results
+    columns = sweep_columns(integrands, grid)
+    blocks = (
+        sweep_block(columns, h, grid, n_paths, seed, block) for block in range(block_count(n_paths))
+    )
+    return merge_sweep(columns, n_paths, blocks)
 
 
 def _trapezoid_energy(z: ProcessElement, grid: TimeGrid, weighted: bool) -> float:

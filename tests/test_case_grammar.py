@@ -1,9 +1,10 @@
 """The one case grammar of h1, h2 and isometry: a named case, or
 'template:<element>[;key=value]...' with each kind's option keys.
 
-Every kind rejects the same four mistakes, as a ``ConfigError`` from the
-parser and as exit status 2 from an INI file, and every case keeps the fields
-and the label it has always had.
+Every kind rejects the same five mistakes, four in one case and two cases
+with one label, as a ``ConfigError`` from the parser or the config and as
+exit status 2 from an INI file, and every case keeps the fields and the
+label it has always had.
 """
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from expmart.cli import main
 from expmart.config import (
     ConfigError,
+    RunConfig,
     parse_centering,
     parse_element_template,
     parse_h1_case,
@@ -20,8 +22,8 @@ from expmart.config import (
 
 PARSERS = {"h1": parse_h1_case, "h2": parse_h2_case, "isometry": parse_isometry_case}
 
-# (kind, mistake, case string, start of the message); the isometry kind has
-# no options, so any option is an unknown one and none has a bad value
+# (kind, mistake, cases, start of the message); the isometry kind has no
+# options, so any option is an unknown one and none has a bad value
 BAD_CASES = [
     ("h1", "unknown-name", "spiral", "unknown h1 case 'spiral'"),
     ("h1", "unknown-option", "template:1@0;k=2", "unknown h1 case option 'k=2'"),
@@ -34,6 +36,11 @@ BAD_CASES = [
     ("isometry", "unknown-name", "spiral", "unknown isometry case 'spiral'"),
     ("isometry", "unknown-option", "template:1@0;g=zero", "unknown isometry case option 'g=zero'"),
     ("isometry", "empty-element", "template:", "empty element template"),
+    ("h1", "duplicate-label", "template:1@0;c=0.5 template:1@0;c=5e-1",
+     "two h1 cases share the label 'template[1@0;c=0.5;ct=0;q=1]'"),
+    ("h2", "duplicate-label", "template:1@0;g=const:1 template:1@0",
+     "two h2 cases share the label 'template[1@0]'"),
+    ("isometry", "duplicate-label", "one x one", "two isometry cases share the label 'one'"),
 ]
 
 
@@ -45,8 +52,11 @@ bad_cases = pytest.mark.parametrize(
 
 @bad_cases
 def test_bad_case_is_config_error(kind, case, message):
+    # each case on its own, then the list
     with pytest.raises(ConfigError) as e:
-        PARSERS[kind](case)
+        for one in case.split():
+            PARSERS[kind](one)
+        RunConfig(**{f"{kind}_cases": tuple(case.split())}).validated()
     assert str(e.value).startswith(message)
 
 

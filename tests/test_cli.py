@@ -402,6 +402,96 @@ def test_dead_worker_becomes_failing_row(tmp_path, monkeypatch):
     assert math.isnan(wall["pde/dies"])
 
 
+# 40000 paths are three blocks; five integrands of 16 columns each
+SWEPT_INI = (
+    "[run]\nsuites = isometry h2 pde\npaths = 40000\ngrid_steps = 16\n\n"
+    "[isometry]\ncases = one\n[h2]\ncases = brownian-equality brownian-strict\n"
+)
+
+
+def _swept_run(out_dir, workers):
+    out_dir.mkdir()
+    ini = out_dir / "run.ini"
+    ini.write_text(SWEPT_INI)
+    rc = main(["--config", str(ini), "--workers", str(workers), "--out-dir", str(out_dir)])
+    return rc, _read_reports(out_dir)
+
+
+def test_header_counts_the_sweep(tmp_path):
+    docs = []
+    for workers in (1, 2):
+        rc, (_, doc) = _swept_run(tmp_path / f"w{workers}", workers)
+        assert rc == 0
+        sweep = doc["header"]["sweep"]
+        assert set(sweep) == {"blocks", "seconds", "columns", "points"}
+        assert (sweep["blocks"], sweep["columns"], sweep["points"]) == (3, 3 * 80, 40000 * 80)
+        assert 0.0 < sweep["seconds"] < 60.0
+        cfg = load_ini(str(tmp_path / f"w{workers}" / "run.ini"))
+        tasks, _ = cli._build_tasks(cfg, cfg.suites)
+        assert list(doc["header"]["task_wall_s"]) == [label for _, (label, _) in tasks]
+        docs.append(_strip_json_header(doc))
+    assert docs[0] == docs[1]
+    # no sampled suite, no blocks
+    assert main(["pde", "--out-dir", str(tmp_path / "pde")]) == 0
+    assert _read_reports(tmp_path / "pde")[1]["header"]["sweep"] == {
+        "blocks": 0, "seconds": 0.0, "columns": 0, "points": 0,
+    }
+
+
+def _assert_sums_lost(doc, note):
+    # one failing row per isometry and h2 task, each with the block's error
+    readers = [c for c in doc["cases"] if c["suite"] in ("isometry", "h2")]
+    assert [c["case"] for c in readers] == [
+        "isometry/one", "h2/brownian-equality", "h2/brownian-strict",
+    ]
+    assert all(c["passed"] is False and c["note"].startswith(note) for c in readers)
+    assert all(math.isnan(doc["header"]["task_wall_s"][c["case"]]) for c in readers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_crashing_block_fails_the_tasks_that_read_its_sums(tmp_path, monkeypatch, workers):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "sweep_block", boom)
+    rc, (_, doc) = _swept_run(tmp_path / "out", workers)
+    assert rc == 4
+    _assert_sums_lost(doc, "error: RuntimeError: boom")
+    # the pde tasks read no sums and still ran
+    pde = [c for c in doc["cases"] if c["suite"] == "pde"]
+    assert len(pde) == len(RunConfig().pde_exponents) and all(c["passed"] for c in pde)
+
+
+def test_dead_worker_in_a_block_becomes_failing_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "sweep_block", lambda *args: os._exit(9))
+    rc, (csv_text, doc) = _swept_run(tmp_path / "out", 2)
+    assert rc == 4 and csv_text.count("\n") == len(doc["cases"]) + 1
+    _assert_sums_lost(doc, "error: BrokenProcessPool: ")
+    # every pde task finished, or was lost with the pool and says so
+    pde = [c for c in doc["cases"] if c["suite"] == "pde"]
+    assert len(pde) == len(RunConfig().pde_exponents)
+    assert all(c["passed"] or c["note"].startswith("error: BrokenProcessPool: ") for c in pde)
+    assert doc["header"]["sweep"]["blocks"] == 3
+
+
+def test_jobs_a_broken_pool_refuses_become_failing_rows(tmp_path, monkeypatch):
+    class BreaksAfterOneJob(concurrent.futures.process.ProcessPoolExecutor):
+        def submit(self, *args):
+            if getattr(self, "took_one", False):
+                raise concurrent.futures.process.BrokenProcessPool("broke")
+            self.took_one = True
+            return super().submit(*args)
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", BreaksAfterOneJob)
+    rc, (_, doc) = _swept_run(tmp_path / "out", 2)
+    assert rc == 4
+    # the first block ran; the others and every pde task never went in
+    _assert_sums_lost(doc, "error: BrokenProcessPool: broke")
+    pde = [c for c in doc["cases"] if c["suite"] == "pde"]
+    assert len(pde) == len(RunConfig().pde_exponents)
+    assert all(c["note"] == "error: BrokenProcessPool: broke" for c in pde)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_header_times_every_task(tmp_path, workers):
     ini = tmp_path / "run.ini"

@@ -20,7 +20,8 @@ the same kind of bound.  Both bounds fail a kernel whose ``exp`` is off by
 1e-13 relative or that drops a term (``test_bounds_reject_mutants``).
 
 ``ito_sweep`` and ``ito_integral`` run one kernel, so their sums stay
-bitwise equal at every path count and worker count.
+bitwise equal at every path count, and in whatever order the sweep's block
+results are merged.
 """
 
 import mpmath as mp
@@ -30,7 +31,7 @@ import pytest
 from expmart import TimeChange, TimeGrid, generate, make_element, make_exponential
 from expmart import verify
 from expmart.algebra import PolyExpElement
-from expmart.processes import BLOCK_PATHS, PathEnsemble, PiecewiseLinear
+from expmart.processes import BLOCK_PATHS, PathEnsemble, PiecewiseLinear, block_count
 from expmart.verify import (
     OVERFLOW_LIMIT,
     Estimate,
@@ -40,6 +41,9 @@ from expmart.verify import (
     evaluate_element,
     ito_integral,
     ito_sweep,
+    merge_sweep,
+    sweep_block,
+    sweep_columns,
 )
 
 EPS = np.finfo(float).eps
@@ -260,17 +264,30 @@ def test_generate_columns_are_contiguous_and_values_unchanged(label, n_paths):
 COMPLEX_PRODUCT = [(0.5 + 0.5j, (1j, 1 + 0.5j)), (-0.3j, (0.2, 1j))]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+def swept(zs, h, grid, n_paths, seed, order):
+    """``ito_sweep``, or its three pieces with the block results merged last first."""
+    if order == "forward":
+        return ito_sweep(zs, h, grid, n_paths, seed)
+    columns = sweep_columns(zs, grid)
+    blocks = [sweep_block(columns, h, grid, n_paths, seed, b) for b in range(block_count(n_paths))]
+    return merge_sweep(columns, n_paths, reversed(blocks))
+
+
+# the ids keep these tests' names from when they ran the sweep at 1 and 2 threads
+ORDERS = [pytest.param("forward", id="1"), pytest.param("reverse", id="2")]
+
+
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("n_paths", [2, 1000, BLOCK_PATHS, BLOCK_PATHS + 1234, 40_000])
 @pytest.mark.parametrize("h_label", sorted(TIME_CHANGES))
-def test_sweep_is_bitwise_the_complex_loop(h_label, n_paths, workers):
+def test_sweep_is_bitwise_the_complex_loop(h_label, n_paths, order):
     # bitwise ito_integral; against the complex loop as ito_integral is
     h = TIME_CHANGES[h_label]
     grid = TimeGrid.uniform(1.0, 8)
     zs = [*integrands(h).values(), ProcessElement.from_template(h, COMPLEX_PRODUCT)]
     ens = generate(h, grid, n_paths, 21)
-    for z, swept in zip(zs, ito_sweep(zs, h, grid, n_paths, 21, workers)):
-        got = swept()
+    for z, sums in zip(zs, swept(zs, h, grid, n_paths, 21, order)):
+        got = sums()
         assert got.dtype == complex
         assert np.array_equal(got, ito_integral(z, ens))
         assert_matches_reference(got, z, ens)
@@ -288,13 +305,13 @@ def _cut_off(h, t_fail):
     return ProcessElement(h, build, "cut-off")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize(
     "t_fail, error", [(2.0, EvaluationOverflowError), (0.875, EvaluationOverflowError),
                       (0.5, ValueError)],
     ids=["overflow", "overflow-before-build-error", "build-error-first"],
 )
-def test_sweep_raises_what_ito_integral_raises(workers, t_fail, error):
+def test_sweep_raises_what_ito_integral_raises(order, t_fail, error):
     # Re(c x - c^2 q/2) = x + 1012 t: every block overflows at t = 0.75 with
     # its own maximum, and the message must carry the whole column's
     h = TimeChange.identity()
@@ -304,7 +321,7 @@ def test_sweep_raises_what_ito_integral_raises(workers, t_fail, error):
     good, bad = ProcessElement.coordinate(h), _cut_off(h, t_fail)
     with pytest.raises(error) as expected:
         ito_integral(bad, ens)
-    swept_good, swept_bad = ito_sweep([good, bad], h, grid, n_paths, 3, workers)
+    swept_good, swept_bad = swept([good, bad], h, grid, n_paths, 3, order)
     with pytest.raises(error) as got:
         swept_bad()
     assert str(got.value) == str(expected.value)

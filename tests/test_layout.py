@@ -4,7 +4,10 @@
 draws inputs, builds tasks and runs them, so it constructs no ``Check`` and
 defines no ``*_TOL`` constant; it holds functions and data, and no class.  ``verify.py`` runs its mpmath arithmetic on
 libmp value tuples at explicit precisions, so it touches neither mpmath's
-global precision (``workdps``) nor the algebra's lock for it.
+global precision (``workdps``) nor the algebra's lock for it.  One process
+pool in ``cli.py`` runs the sweep's path blocks and the tasks, so
+``verify.py`` imports no concurrency and no other module creates an
+executor.
 """
 
 import ast
@@ -15,6 +18,19 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "expmart"
 
 def _tree(name: str) -> ast.Module:
     return ast.parse((SRC / name).read_text(), filename=name)
+
+
+def _modules(tree: ast.Module) -> set[str]:
+    """Every module imported, as ``import m`` or ``from m import ...``."""
+    return {
+        name
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.module
+            else []
+        )
+    }
 
 
 def _names(tree: ast.Module) -> list[tuple[int, str]]:
@@ -60,14 +76,21 @@ def test_cli_defines_no_class():
 def test_verify_uses_no_mpmath_global_precision():
     tree = _tree("verify.py")
     used = [(line, name) for line, name in _names(tree) if name in ("_MP_LOCK", "workdps")]
-    modules = [
-        name
-        for node in ast.walk(tree)
-        for name in (
-            [alias.name for alias in node.names] if isinstance(node, ast.Import)
-            else [node.module] if isinstance(node, ast.ImportFrom) and node.module
-            else []
-        )
-    ]
     assert used == []
-    assert {m for m in modules if m.split(".")[0] == "mpmath"} <= {"mpmath.libmp"}
+    assert {m for m in _modules(tree) if m.split(".")[0] == "mpmath"} <= {"mpmath.libmp"}
+
+
+def test_verify_imports_no_concurrency():
+    modules = _modules(_tree("verify.py"))
+    assert {m for m in modules if m.split(".")[0] in ("concurrent", "threading")} == set()
+
+
+def test_only_cli_creates_an_executor():
+    creators = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", "")).endswith("Executor")
+    }
+    assert creators == {"cli.py"}

@@ -8,19 +8,22 @@ Each report row is one ``verify.Check`` next to its suite's run metadata
 (seed, path count, grid steps, horizon, time change).  The suites here only
 draw inputs and build ``(label, thunk)`` tasks; each thunk returns the
 finished rows of ``verify_*`` functions, which own every row's shape, pass
-rule and tolerance.  One function, ``_run_task``, runs every task, in this
-process or in a worker: a task that raises becomes one failing row
+rule and tolerance.  One function, ``_rows``, gives every task's rows, in
+this process or in a worker: a task that raises becomes one failing row
 (``Check.failed``, with no sampled metadata) whose note starts with
 ``overflow:`` or ``error:``.
 
-With ``--workers K > 1`` one pool of up to K forked worker processes runs
-the path blocks of the sampled sweep and the tasks that read no sampled
-sums; the workers inherit the built tasks and the integrands' columns
-instead of receiving them pickled, and each holds one path block at a time.
-This process merges the blocks' sums and runs the isometry and h2 tasks,
-which read them, while the workers finish the rest.  A task whose worker
-process dies, any task lost with the pool, and every task whose sums were
-lost with a block, becomes an ``error:`` row like a task that raises.
+Every job, a path block of the sampled sweep or a task, is one entry of one
+list and runs through one runner and one schedule: the blocks start first,
+then the tasks that read no sampled sums; once every block is in, this
+process merges their sums and runs the isometry and h2 tasks, which read
+them.  With ``--workers K > 1`` starting a job submits it to a pool of up
+to K forked worker processes, which inherit the job list (the built tasks
+and the integrands' columns) instead of receiving it pickled, and each
+holds one path block at a time; at one worker it runs the job on the spot.
+A task whose worker process dies, any task lost with the pool, and every
+task whose sums were lost with a block, becomes an ``error:`` row like a
+task that raises.
 
 Reproducibility contract: with a fixed config and seed, report.csv is
 byte-identical across runs and across ``--workers`` values; report.json is
@@ -320,146 +323,123 @@ def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
     return [(_Meta(meta.suite, meta.seed), Check.failed(label, note))]
 
 
-# The jobs of the running ``_execute``: the tasks and the sweep's block
-# jobs.  Forked worker processes inherit these lists, so a worker is sent
-# only a job's index: the closures and the data they hold (ensembles, built
-# integrand columns) are never pickled.
-_TASKS: list[tuple[_Meta, Task]] = []
-_BLOCKS: list[Callable[[], SweepBlock]] = []
-
-Outcome = tuple[list[Result], dict[str, int], float]
-
-
-def _run_task(i: int) -> Outcome:
-    """Run task ``i`` of ``_TASKS`` in the calling process; return its rows,
-    the mpmath escalations it made (as ``take_mp_stats`` reports them) and
-    its wall time in seconds.  An overflow or any other exception becomes
-    one failing row."""
-    meta, (label, thunk) = _TASKS[i]
-    take_mp_stats()  # a forked worker starts with its parent's counts
-    start = time.perf_counter()
+def _rows(meta: _Meta, label: str, thunk: Callable[[], Iterable[Check]]) -> list[Result]:
+    """A task's rows: its checks with its suite's metadata.  An overflow or
+    any other exception becomes one failing row."""
     try:
-        rows = [(meta, chk) for chk in thunk()]
+        return [(meta, chk) for chk in thunk()]
     except (EvaluationOverflowError, OverflowError) as e:
-        rows = _failed(meta, label, f"overflow: {e}")
+        return _failed(meta, label, f"overflow: {e}")
     except Exception as e:
         # one broken task must not lose the run: record it and go on
         _LOG.error("task %s raised", label, exc_info=True)
-        rows = _failed(meta, label, f"error: {type(e).__name__}: {e}")
-    return rows, take_mp_stats(), time.perf_counter() - start
+        return _failed(meta, label, f"error: {type(e).__name__}: {e}")
 
 
-def _run_block(b: int) -> tuple[SweepBlock, float]:
-    """Run block job ``b`` of ``_BLOCKS`` in the calling process; return its
-    result and its wall time in seconds."""
+# The jobs of the running ``_execute``: the sweep's block jobs, then one
+# ``_rows`` job per task.  Forked worker processes inherit this list, so a
+# worker is sent only a job's index: the closures and the data they hold
+# (ensembles, built integrand columns) are never pickled.
+_JOBS: list[Callable[[], object]] = []
+
+Outcome = tuple[object, dict[str, int], float]
+
+
+def _run(i: int) -> Outcome:
+    """Run job ``i`` of ``_JOBS`` in the calling process; return its result,
+    the mpmath escalations it made (as ``take_mp_stats`` reports them) and
+    its wall time in seconds."""
+    take_mp_stats()  # a forked worker starts with its parent's counts
     start = time.perf_counter()
-    return _BLOCKS[b](), time.perf_counter() - start
-
-
-def _lost(i: int, error: BaseException) -> Outcome:
-    """The outcome of task ``i`` of ``_TASKS`` when ``error`` lost it: one
-    failing ``error:`` row, no escalations and a NaN wall time."""
-    meta, (label, _) = _TASKS[i]
-    _LOG.error("task %s was lost: %s", label, error)
-    rows = _failed(meta, label, f"error: {type(error).__name__}: {error}")
-    return rows, {"mp_escalations": 0, "mp_max_dps": 0}, math.nan
+    result = _JOBS[i]()
+    return result, take_mp_stats(), time.perf_counter() - start
 
 
 def _raise(error: BaseException) -> None:
     raise error
 
 
-def _sweep(
-    results: list[Callable[[], tuple[SweepBlock, float]]], merge: Callable[[list[SweepBlock]], None]
-) -> tuple[dict, BaseException | None]:
-    """Wait for every block job's result and, if none was lost, merge them;
-    return the sweep's telemetry (over the blocks that finished) and the
-    error a block was lost to, if any."""
-    done, lost = [], None
-    for result in results:
-        try:
-            done.append(result())
-        except Exception as e:
-            _LOG.error("a path block of the sweep was lost", exc_info=True)
-            lost = lost or e
-    if lost is None:
-        merge([block for block, _ in done])
-    telemetry = {
-        "blocks": len(results),
-        "seconds": sum(seconds for _, seconds in done),
-        "columns": sum(block.columns for block, _ in done),
-        "points": sum(block.points for block, _ in done),
-    }
-    return telemetry, lost
-
-
 def _execute(
     tasks: list[tuple[_Meta, Task]], sweep: Sweep, cfg: RunConfig
 ) -> tuple[list[Result], dict]:
-    """Run the sweep and the tasks; return the tasks' rows in task order, and
-    the telemetry of the run so far: mpmath escalations (summed over
-    processes, highest dps), the wall time per task label (tasks sharing a
-    label add up) and the sweep's blocks, seconds, columns and points.
+    """Run the sweep's blocks and the tasks on the one schedule of the module
+    docstring; return the tasks' rows in task order, and the telemetry of the
+    run so far: mpmath escalations (summed over processes, highest dps), the
+    wall time per task label (tasks sharing a label add up) and the sweep's
+    blocks, seconds, columns and points.
 
-    Everything runs here, in order, at one worker, for one job, or without
-    ``fork``: the block jobs, the merge, then the tasks.  Else one pool of
-    forked worker processes, at most one per job, takes the block jobs and
-    then every task that reads no sums.  This process merges the blocks once
-    all are in and runs the tasks that read the sums while the workers
-    finish the rest.  A job whose future raises (its worker died, or the
-    pool broke before it ran) is lost: a lost task, and every task that
-    reads the sums of a lost block, becomes a failing ``error:`` row with no
-    escalations and a NaN wall time.
+    ``start`` submits a job to the pool of forked workers (at most one per
+    pooled job), or runs it on the spot without one (one worker, one job,
+    or no ``fork``).  A job that raised, whose worker died, or that the pool
+    refused is lost: its task, or for a block every task that reads the
+    sums, becomes a failing ``error:`` row with no escalations and a NaN
+    wall time.
     """
     blocks, merge = sweep
+    n_blocks = len(blocks)
     reads_sums = [meta.suite in _SWEPT for meta, _ in tasks]
-    n_procs = min(cfg.workers, len(blocks) + reads_sums.count(False))
+    n_procs = min(cfg.workers, n_blocks + reads_sums.count(False))
+    pool = None
     if n_procs > 1:
         # imported here, as a run in one process needs neither
         import multiprocessing
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        from concurrent.futures.process import ProcessPoolExecutor
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            n_procs = 1
+        # Forking is safe: this program starts no thread, and a fork pool
+        # forks its workers at the first submit, after ``_JOBS`` is set and
+        # before its manager thread starts: no thread holds a lock they inherit.
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(n_procs, mp_context=multiprocessing.get_context("fork"))
     stats = [take_mp_stats()]  # made while building the tasks
-    _TASKS[:] = tasks
-    _BLOCKS[:] = blocks
+    _JOBS[:] = [*blocks, *(functools.partial(_rows, meta, *task) for meta, task in tasks)]
 
-    def run_here(i: int, lost: BaseException | None) -> Outcome:
-        return _lost(i, lost) if lost is not None and reads_sums[i] else _run_task(i)
+    def start(i: int, here: bool = False) -> Callable[[], Outcome]:
+        """Submit job ``i``, or run it here without a pool or if ``here``;
+        return a getter of its outcome that raises whatever lost the job."""
+        try:
+            if pool is None or here:
+                outcome = _run(i)
+                return lambda: outcome
+            return pool.submit(_run, i).result
+        except Exception as e:
+            return functools.partial(_raise, e)
 
     try:
-        if n_procs <= 1:
-            runs = [functools.partial(_run_block, b) for b in range(len(blocks))]
-            swept, lost = _sweep(runs, merge)
-            outcomes = [run_here(i, lost) for i in range(len(tasks))]
-        else:
-            # Forking is safe here: this program starts no thread of its own,
-            # and a fork pool forks all its workers at the first submit,
-            # before it starts its manager thread, so no thread can hold a
-            # lock the workers would inherit.
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=n_procs, mp_context=context) as pool:
-
-                def start(job: Callable[[int], object], i: int) -> Callable[[], object]:
-                    try:
-                        return pool.submit(job, i).result
-                    except BrokenProcessPool as e:  # it broke before this job went in
-                        return functools.partial(_raise, e)
-
-                runs = [start(_run_block, b) for b in range(len(blocks))]
-                pooled = {i: start(_run_task, i) for i in range(len(tasks)) if not reads_sums[i]}
-                swept, lost = _sweep(runs, merge)
-                done = {i: run_here(i, lost) for i in range(len(tasks)) if reads_sums[i]}
-            for i, result in pooled.items():
-                try:
-                    done[i] = result()
-                except Exception as e:
-                    done[i] = _lost(i, e)
-            outcomes = [done[i] for i in range(len(tasks))]
+        got = [start(i) for i in range(n_blocks)]
+        got += [None if reads else start(i) for i, reads in enumerate(reads_sums, n_blocks)]
+        done, lost = [], None
+        for i in range(n_blocks):
+            try:
+                done.append(got[i]())
+            except Exception as e:
+                _LOG.error("a path block of the sweep was lost", exc_info=True)
+                lost = lost or e
+            got[i] = None  # a future holds its result
+        if lost is None:
+            merge([block for block, _, _ in done])
+        swept = {
+            "blocks": n_blocks,
+            "seconds": sum(seconds for _, _, seconds in done),
+            "columns": sum(block.columns for block, _, _ in done),
+            "points": sum(block.points for block, _, _ in done),
+        }
+        stats += [st for _, st, _ in done]
+        del done  # merged and counted
+        for i, reads in enumerate(reads_sums, n_blocks):
+            if reads:
+                got[i] = functools.partial(_raise, lost) if lost else start(i, here=True)
+        outcomes = []
+        for (meta, (label, _)), get in zip(tasks, got[n_blocks:]):
+            try:
+                outcomes.append(get())
+            except Exception as e:
+                _LOG.error("task %s was lost: %s", label, e)
+                rows = _failed(meta, label, f"error: {type(e).__name__}: {e}")
+                outcomes.append((rows, {"mp_escalations": 0, "mp_max_dps": 0}, math.nan))
     finally:
-        _TASKS.clear()
-        _BLOCKS.clear()
+        if pool is not None:
+            pool.shutdown()
+        _JOBS.clear()
     stats += [st for _, st, _ in outcomes]
     wall: dict[str, float] = {}
     for (_, (label, _)), (_, _, seconds) in zip(tasks, outcomes):

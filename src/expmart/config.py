@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .processes import InvalidTimeChangeError, PiecewiseLinear, TimeChange
+from .processes import InvalidTimeChangeError, PiecewiseLinear, TimeChange, TimeGrid
 from .verify import H1_TOL
 
 __all__ = [
@@ -96,15 +96,17 @@ class RunConfig:
     l2_k_max: int = 13
 
     def validated(self) -> "RunConfig":
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        # the inputs' Philox keys, (seed + channel) * 2**64 with channel <= 5, are < 2**128
+        if not 0 <= self.seed < 2**64 - 5:
+            raise ConfigError("seed must be >= 0 and below 2**64 - 5, the Philox key range")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.grid_steps < 1 or self.paths < 2 or self.lemma2_paths < 2:
             raise ConfigError("grid_steps must be >= 1 and path counts >= 2")
-        # "not (finite and ...)" also refuses nan, which fails every comparison
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ConfigError("horizon must be finite and > 0")
+        try:  # refuses a horizon that is not finite and > 0, and repeated points
+            TimeGrid.uniform(self.horizon, self.grid_steps)
+        except ValueError as e:
+            raise ConfigError(f"no {self.grid_steps}-step grid to {self.horizon!r}: {e}") from None
         if self.algebra_n_random < 1 or self.h1_n_random < 1:
             raise ConfigError("randomized case counts must be >= 1")
         if not 2 <= self.l2_k_max <= L2_K_MAX:
@@ -120,7 +122,12 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown suite {s!r}; expected one of {', '.join(SUITES)} or all"
                 )
-        parse_time_change(self.time_change)
+        try:
+            q = parse_time_change(self.time_change)(self.horizon)
+        except OverflowError:
+            q = math.inf
+        if not math.isfinite(q):
+            raise ConfigError(f"time change {self.time_change!r} is not finite at the horizon")
         for s in self.lemma2_exponents + self.pde_exponents + self.l2_exponents:
             parse_complex(s)
         # a label names a case's rows and its task, so no two cases share one

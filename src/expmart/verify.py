@@ -31,11 +31,12 @@ against 0 with its reason in the note.
 
 Sampled memory: ``verify_isometry`` and ``verify_h2`` take their per-path
 Ito sums as callables that return them or raise.  ``ito_integral`` reads a
-materialized ``PathEnsemble`` (N x (M+1) floats).  ``ito_sweep`` forms the
-Ito sums of several integrands in one pass over path blocks generated on
-the fly, one block per ``sweep_block`` call, so a process that sweeps holds
-one block, ``BLOCK_PATHS`` x (M+1) floats, at a time instead.  Both run the
-same column kernel, and their per-path sums are bitwise equal.
+materialized ``PathEnsemble`` (N x (M+1) floats).  The sweep holds one
+block, ``BLOCK_PATHS`` x (M+1) floats, at a time instead: ``sweep_columns``
+builds each integrand's column elements once, ``sweep_block`` generates a
+block and sums every integrand on it, and ``merge_sweep`` turns the blocks'
+results, in any order, into one callable per integrand that returns or
+raises what ``ito_integral`` would, bitwise: both run one column kernel.
 
 Sampled evaluation has one rule for every input and path count: a real
 exponent is formed and exponentiated in float64, and a complex exponent's
@@ -101,7 +102,6 @@ from .processes import (
     PiecewiseLinear,
     TimeChange,
     TimeGrid,
-    block_count,
     fill_block,
     quadratic_variation_at,
 )
@@ -116,7 +116,6 @@ __all__ = [
     "evaluate_element",
     "mc_expectation",
     "ito_integral",
-    "ito_sweep",
     "sweep_columns",
     "sweep_block",
     "merge_sweep",
@@ -435,23 +434,22 @@ def ito_integral(z: ProcessElement, ensemble: PathEnsemble) -> np.ndarray:
     return acc.astype(complex, copy=False)
 
 
-def _build_columns(z: ProcessElement, times: Sequence[float]):
-    """z at each time, up to the first that fails: (elements, error or None)."""
-    elements = []
-    for t in times:
-        try:
-            elements.append(z.at(t))
-        except Exception as e:  # handed to the integrand's consumer, in order
-            return elements, e
-    return elements, None
-
-
 def sweep_columns(
     integrands: Sequence[ProcessElement], grid: TimeGrid
 ) -> list[tuple[list[PolyExpElement], BaseException | None]]:
     """Each integrand's column elements for the sweep, built once: z at each
     left grid point up to the first that fails, and that failure (or None)."""
-    return [_build_columns(z, grid.points[:-1]) for z in integrands]
+    columns = []
+    for z in integrands:
+        elements, error = [], None
+        for t in grid.points[:-1]:
+            try:
+                elements.append(z.at(t))
+            except Exception as e:  # handed to the integrand's consumer, in order
+                error = e
+                break
+        columns.append((elements, error))
+    return columns
 
 
 @dataclass(frozen=True)
@@ -535,31 +533,6 @@ def _outcome(values: np.ndarray, error: BaseException | None) -> Callable[[], np
         return values
 
     return get
-
-
-def ito_sweep(
-    integrands: Sequence[ProcessElement],
-    h: TimeChange,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-) -> list[Callable[[], np.ndarray]]:
-    """Ito sums of several integrands in one pass over generated path blocks.
-
-    Returns one callable per integrand.  Calling it returns what
-    ``ito_integral(z, generate(h, grid, n_paths, seed))`` returns, bitwise,
-    or raises what that call raises, with the same message.  The N x (M+1)
-    matrix is never built: each integrand's column elements are built once
-    (``sweep_columns``), each ``BLOCK_PATHS`` block is generated and every
-    integrand summed on it (``sweep_block``), and the blocks' sums are put
-    together (``merge_sweep``).  This runs the blocks one after another; a
-    caller may run them anywhere, in any order, and merge their results.
-    """
-    columns = sweep_columns(integrands, grid)
-    blocks = (
-        sweep_block(columns, h, grid, n_paths, seed, block) for block in range(block_count(n_paths))
-    )
-    return merge_sweep(columns, n_paths, blocks)
 
 
 def _trapezoid_energy(z: ProcessElement, grid: TimeGrid, weighted: bool) -> float:
@@ -762,7 +735,7 @@ def verify_isometry(
     """E[|int z dX|^2] from sampling vs the exact integral int E|z|^2 dh.
 
     ``integral()`` returns z's per-path Ito sums or raises: an item of
-    ``ito_sweep``, or ``lambda: ito_integral(z, ensemble)``.  A match check:
+    ``merge_sweep``, or ``lambda: ito_integral(z, ensemble)``.  A match check:
     factor1 is the sampled E|I|^2, factor2 the exact integral, and the note
     gives the deviation in standard errors.
     """
@@ -865,7 +838,7 @@ def verify_h2(
     """Integrated inequality via sampled Ito integrals vs the exact RHS.
 
     ``integral1()``/``integral2()`` return the per-path Ito sums of the two
-    ``h2_integrands`` or raise (items of ``ito_sweep``, or
+    ``h2_integrands`` or raise (items of ``merge_sweep``, or
     ``lambda: ito_integral(z, ensemble)``); the second is called only once
     the first factor is formed, so errors surface in the order of the
     factors.  The statistical allowance is k_sigma times the propagated

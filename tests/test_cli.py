@@ -308,6 +308,10 @@ def test_malformed_pw_knots_exit_2(tmp_path, capsys, ini_text):
         # [DEFAULT] is an unknown section, not defaults for the others
         "[run]\nsuites = l2limit\n\n[DEFAULT]\nspeed = 5\n",
         "[DEFAULT]\nseed = 5\n\n[run]\nsuites = h1\n\n[h1]\nn_random = 2\n",
+        # valid-looking values that no run can use
+        "[run]\nsuites = isometry\nhorizon = 1e-320\ngrid_steps = 100000\n",
+        "[run]\nsuites = h2\nhorizon = 2\ntime_change = power:1e300\n",
+        f"[run]\nsuites = h1\nseed = {2**64 - 5}\n",
     ],
     ids=[
         "horizon-nan", "pde-step-nan", "h1-n-random-0", "algebra-n-random-0",
@@ -315,6 +319,7 @@ def test_malformed_pw_knots_exit_2(tmp_path, capsys, ini_text):
         "lemma2-exponent-nan", "pde-exponent-inf",
         "percent", "repeated-key", "repeated-section", "no-section-header", "not-utf8",
         "default-section", "default-section-seed",
+        "grid-too-fine", "time-change-overflows-at-horizon", "seed-beyond-philox-keys",
     ],
 )
 def test_values_that_cannot_run_exit_2(tmp_path, capsys, ini_text):
@@ -325,6 +330,18 @@ def test_values_that_cannot_run_exit_2(tmp_path, capsys, ini_text):
     assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("expmart: config error:")
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    # the inputs' Philox streams are keyed by (seed + channel) * 2**64 with
+    # channels up to 5: every suite that draws one runs at the last seed
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        f"[run]\nsuites = check-algebra lemma2 isometry h1\nseed = {2**64 - 6}\n"
+        "paths = 2000\ngrid_steps = 8\n[algebra]\nn_random = 4\n[h1]\nn_random = 3\n"
+        "[lemma2]\npaths = 2000\n"
+    )
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 0
 
 
 def test_percent_in_out_dir_is_literal(tmp_path):
@@ -474,11 +491,12 @@ def test_dead_worker_in_a_block_becomes_failing_rows(tmp_path, monkeypatch):
     assert doc["header"]["sweep"]["blocks"] == 3
 
 
-def test_jobs_a_broken_pool_refuses_become_failing_rows(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [concurrent.futures.process.BrokenProcessPool, RuntimeError])
+def test_jobs_a_broken_pool_refuses_become_failing_rows(tmp_path, monkeypatch, error):
     class BreaksAfterOneJob(concurrent.futures.process.ProcessPoolExecutor):
         def submit(self, *args):
             if getattr(self, "took_one", False):
-                raise concurrent.futures.process.BrokenProcessPool("broke")
+                raise error("broke")
             self.took_one = True
             return super().submit(*args)
 
@@ -486,10 +504,11 @@ def test_jobs_a_broken_pool_refuses_become_failing_rows(tmp_path, monkeypatch):
     rc, (_, doc) = _swept_run(tmp_path / "out", 2)
     assert rc == 4
     # the first block ran; the others and every pde task never went in
-    _assert_sums_lost(doc, "error: BrokenProcessPool: broke")
+    note = f"error: {error.__name__}: broke"
+    _assert_sums_lost(doc, note)
     pde = [c for c in doc["cases"] if c["suite"] == "pde"]
     assert len(pde) == len(RunConfig().pde_exponents)
-    assert all(c["note"] == "error: BrokenProcessPool: broke" for c in pde)
+    assert all(c["note"] == note for c in pde)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -19,9 +19,9 @@ is below 2 eps.  ``evaluate_element`` is held to a 30-digit mpmath value by
 the same kind of bound.  Both bounds fail a kernel whose ``exp`` is off by
 1e-13 relative or that drops a term (``test_bounds_reject_mutants``).
 
-``ito_sweep`` and ``ito_integral`` run one kernel, so their sums stay
-bitwise equal at every path count, and in whatever order the sweep's block
-results are merged.
+The sweep (``sweep_columns``, ``sweep_block``, ``merge_sweep``) and
+``ito_integral`` run one kernel, so their sums stay bitwise equal at every
+path count, and in whatever order the sweep's block results are merged.
 """
 
 import mpmath as mp
@@ -40,7 +40,6 @@ from expmart.verify import (
     _abs_squared,
     evaluate_element,
     ito_integral,
-    ito_sweep,
     merge_sweep,
     sweep_block,
     sweep_columns,
@@ -265,12 +264,10 @@ COMPLEX_PRODUCT = [(0.5 + 0.5j, (1j, 1 + 0.5j)), (-0.3j, (0.2, 1j))]
 
 
 def swept(zs, h, grid, n_paths, seed, order):
-    """``ito_sweep``, or its three pieces with the block results merged last first."""
-    if order == "forward":
-        return ito_sweep(zs, h, grid, n_paths, seed)
+    """The sweep's three pieces, with the block results merged in ``order``."""
     columns = sweep_columns(zs, grid)
     blocks = [sweep_block(columns, h, grid, n_paths, seed, b) for b in range(block_count(n_paths))]
-    return merge_sweep(columns, n_paths, reversed(blocks))
+    return merge_sweep(columns, n_paths, blocks if order == "forward" else reversed(blocks))
 
 
 # the ids keep these tests' names from when they ran the sweep at 1 and 2 threads

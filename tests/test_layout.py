@@ -4,10 +4,10 @@
 draws inputs, builds tasks and runs them, so it constructs no ``Check`` and
 defines no ``*_TOL`` constant; it holds functions and data, and no class.  ``verify.py`` runs its mpmath arithmetic on
 libmp value tuples at explicit precisions, so it touches neither mpmath's
-global precision (``workdps``) nor the algebra's lock for it.  One process
-pool in ``cli.py`` runs the sweep's path blocks and the tasks, so
-``verify.py`` imports no concurrency and no other module creates an
-executor.
+global precision (``workdps``) nor the algebra's lock for it.  One list of
+jobs in ``cli.py`` holds the sweep's path blocks and the tasks, and one
+process pool runs them, so ``verify.py`` imports no concurrency and no
+other module creates an executor.
 """
 
 import ast
@@ -71,6 +71,22 @@ def test_cli_defines_no_class():
     tree = _tree("cli.py")
     classes = [(node.lineno, node.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     assert classes == []
+
+
+def test_cli_binds_one_job_list():
+    # the sweep's blocks and the tasks are one list of jobs with one runner
+    tree = _tree("cli.py")
+    bound = {
+        target.id: node.value
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    defined = set(bound) | {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    lists = [name for name, value in bound.items() if isinstance(value, ast.List)]
+    assert [name for name in lists if name != "__all__"] == ["_JOBS"]
+    assert defined & {"_BLOCKS", "_TASKS", "_run_task", "_run_block", "_lost", "_sweep"} == set()
 
 
 def test_verify_uses_no_mpmath_global_precision():

@@ -64,14 +64,13 @@ from .config import (
     parse_time_change,
 )
 from .processes import (
-    PathEnsemble,
     TimeChange,
     TimeGrid,
     block_count,
     generate,
     quadratic_variation_at,
 )
-from .report import Result, _Meta, print_summary, write_reports
+from .report import Result, _Meta, make_out_dir, print_summary, write_reports
 from .verify import (
     Check,
     EvaluationOverflowError,
@@ -162,9 +161,11 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
     ]
 
 
-def _lemma2_tasks(cfg: RunConfig, ensemble: PathEnsemble) -> list[Task]:
-    q = quadratic_variation_at(ensemble.time_change, ensemble.grid.horizon)
+def _lemma2_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> list[Task]:
     exps = [parse_complex(s) for s in cfg.lemma2_exponents]
+    # the ensemble is drawn only if there is a pair to check on it
+    ensemble = generate(h, grid, cfg.lemma2_paths, cfg.seed + 1) if exps else None
+    q = quadratic_variation_at(h, grid.horizon)
     return [
         (
             f"lemma2/c={format_complex(c)},d={format_complex(d)}",
@@ -275,10 +276,6 @@ def _build_tasks(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[tuple[_Met
         integrands.append(z)
         return lambda i=len(integrands) - 1: sums[i]()
 
-    lemma2 = None
-    if "lemma2" in suites:
-        lemma2 = generate(h, TimeGrid.uniform(cfg.horizon, 1), cfg.lemma2_paths, cfg.seed + 1)
-
     def sampled(suite: str, n_paths: int, grid: TimeGrid) -> _Meta:
         return _Meta(suite, cfg.seed, n_paths, grid.steps, grid.horizon, h.kind)
 
@@ -288,8 +285,9 @@ def _build_tasks(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[tuple[_Met
         if suite == "check-algebra":
             built = _check_algebra_tasks(cfg)
         elif suite == "lemma2":
-            meta = sampled(suite, lemma2.n_paths, lemma2.grid)
-            built = _lemma2_tasks(cfg, lemma2)
+            lemma2_grid = TimeGrid.uniform(cfg.horizon, 1)
+            meta = sampled(suite, cfg.lemma2_paths, lemma2_grid)
+            built = _lemma2_tasks(cfg, h, lemma2_grid)
         elif suite == "isometry":
             meta = sampled(suite, cfg.paths, grid)
             built = _isometry_tasks(cfg, h, grid, integral)
@@ -522,7 +520,7 @@ def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Result], int, dict]
     blocks, _ = sweep
     paths_generated = {
         "main": cfg.paths if blocks else 0,
-        "lemma2": cfg.lemma2_paths if "lemma2" in suites else 0,
+        "lemma2": cfg.lemma2_paths if any(meta.suite == "lemma2" for meta, _ in tasks) else 0,
     }
     telemetry = {"paths_generated": paths_generated, **task_telemetry}
     checks = [chk for _, chk in rows]
@@ -540,12 +538,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         cfg = _resolve_config(ns)
+        names = (ns.suite,) if ns.suite else cfg.suites
+        # "all" is every suite; otherwise keep the order, each suite once
+        suites = SUITES if "all" in names else tuple(dict.fromkeys(names))
+        if suites:
+            make_out_dir(cfg.out_dir)
     except ConfigError as e:
         print(f"expmart: config error: {e}", file=sys.stderr)
         return 2
-    names = (ns.suite,) if ns.suite else cfg.suites
-    # "all" is every suite; otherwise keep the order, each suite once
-    suites = SUITES if "all" in names else tuple(dict.fromkeys(names))
     if not suites:
         parser.print_usage(sys.stderr)
         print("expmart: no suite selected (give a subcommand or a [run] suites key)",

@@ -19,10 +19,10 @@ from datetime import datetime, timezone
 from typing import Sequence
 
 from . import __version__
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .verify import Check, Estimate
 
-__all__ = ["Result", "write_reports", "print_summary"]
+__all__ = ["Result", "make_out_dir", "write_reports", "print_summary"]
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,22 @@ def _peak_rss_mb() -> float:
     ) / 1024.0
 
 
+def make_out_dir(out_dir: str) -> None:
+    """Create the report directory, before the run: a ConfigError if it cannot be."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out_dir {out_dir!r} cannot be a directory: {e}") from None
+
+
 def write_reports(
     rows: list[Result],
     cfg: RunConfig,
     suites: Sequence[str],
     telemetry: dict,
 ) -> tuple[str, str]:
-    """Write report.csv and report.json; ``telemetry`` (what ``cli.run``
-    returns besides the rows) goes into the JSON header."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    """Write report.csv and report.json into ``make_out_dir``'s directory;
+    ``telemetry`` (what ``cli.run`` returns besides the rows) goes into the JSON header."""
     csv_path = os.path.join(cfg.out_dir, "report.csv")
     json_path = os.path.join(cfg.out_dir, "report.json")
     with open(csv_path, "w", newline="") as f:

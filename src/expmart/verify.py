@@ -29,6 +29,16 @@ rounding noise when their sample variance collapses; h2 adds a
 discretization allowance for the Ito sums.  A skipped entry is a match of 0
 against 0 with its reason in the note.
 
+The integrands are ``ProcessElement`` records with the fields, in order,
+time change h, ``template`` ((exponent, coefficients) pairs, constant in
+time: ((c, (1,)),) is the exponential martingale E(c)), ``label``,
+``transformed`` (G applied) and ``centering`` g (None for none).  ``at(t)``
+builds the template at q = h(t), applies G if transformed, then forms
+(X - g(t)) * Y as ``verify_h1`` forms its factors; so the h2 integrands
+(X - g) Y and (X - gt) GY are ``centered_position(g)`` and
+``gauss_transform().centered_position(gt)``.  G comes at most once, and
+before the one centering.
+
 Sampled memory: ``verify_isometry`` and ``verify_h2`` take their per-path
 Ito sums as callables that return them or raise.  ``ito_integral`` reads a
 materialized ``PathEnsemble`` (N x (M+1) floats).  The sweep holds one
@@ -48,7 +58,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -331,23 +341,19 @@ CenteringFunction = PiecewiseLinear
 
 @dataclass(frozen=True)
 class ProcessElement:
-    """A time-indexed element Y_t: at time t, a PolyExpElement at q = h(t).
-
-    ``build(t, q)`` constructs the fixed-time element.  Template-based
-    processes keep the (exponent, coefficients) pairs constant in time, so
-    e.g. the template (c, (1,)) is the exponential martingale itself.
-    """
+    """A time-indexed element Y_t: a record of values (module docstring)."""
 
     time_change: TimeChange
-    build: Callable[[float, float], PolyExpElement] = field(repr=False)
+    template: tuple[tuple[complex, tuple[complex, ...]], ...]
     label: str = ""
+    transformed: bool = False
+    centering: PiecewiseLinear | None = None
 
     def at(self, t: float) -> PolyExpElement:
-        q = quadratic_variation_at(self.time_change, t)
-        el = self.build(t, q)
-        if el.q != q:
-            raise VarianceMismatchError(f"builder returned q={el.q!r} at h({t!r})={q!r}")
-        return el
+        y = make_element(quadratic_variation_at(self.time_change, t), self.template)
+        if self.transformed:
+            y = apply_G(y)
+        return y if self.centering is None else _centered(y, self.centering(t))
 
     @classmethod
     def from_template(
@@ -357,7 +363,7 @@ class ProcessElement:
         label: str = "",
     ) -> "ProcessElement":
         tpl = tuple((complex(c), tuple(complex(v) for v in p)) for c, p in terms)
-        return cls(h, lambda t, q: make_element(q, tpl), label or _template_label(tpl))
+        return cls(h, tpl, label or " + ".join(f"{','.join(map(str, p))}@{c}" for c, p in tpl))
 
     @classmethod
     def constant_one(cls, h: TimeChange) -> "ProcessElement":
@@ -367,33 +373,21 @@ class ProcessElement:
     def coordinate(cls, h: TimeChange) -> "ProcessElement":
         return cls.from_template(h, [(0.0, (0.0, 1.0))], "X")
 
-    @classmethod
-    def exponential(cls, h: TimeChange, c: complex) -> "ProcessElement":
-        return cls.from_template(h, [(c, (1.0,))], f"E({complex(c)})")
-
     def gauss_transform(self) -> "ProcessElement":
-        inner = self.build
-        return ProcessElement(
-            self.time_change, lambda t, q: apply_G(inner(t, q)), f"G[{self.label}]"
-        )
+        if self.transformed or self.centering is not None:
+            raise ValueError("G applies once, before the centering")
+        return replace(self, transformed=True)
 
     def centered_position(self, g: PiecewiseLinear | None) -> "ProcessElement":
         """(X - g(t)) * Y_t, the integrand shape of both inequality factors."""
-        inner = self.build
-        if g is None:
-            g = PiecewiseLinear.zero()
-
-        def built(t: float, q: float) -> PolyExpElement:
-            y = inner(t, q)
-            return sub(apply_X(y), scale(y, g(t)))
-
-        return ProcessElement(self.time_change, built, f"(X-g)[{self.label}]")
+        if self.centering is not None:
+            raise ValueError("a process element is centered once")
+        return replace(self, centering=PiecewiseLinear.zero() if g is None else g)
 
 
-def _template_label(tpl: tuple) -> str:
-    return " + ".join(
-        f"{','.join(str(v) for v in p)}@{c}" for c, p in tpl
-    )
+def _centered(y: PolyExpElement, c: float) -> PolyExpElement:
+    """(X - c) * y: a factor of h1, and of h2 at each time."""
+    return sub(apply_X(y), scale(y, c))
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +531,10 @@ def _outcome(values: np.ndarray, error: BaseException | None) -> Callable[[], np
 
 def _trapezoid_energy(z: ProcessElement, grid: TimeGrid, weighted: bool) -> float:
     """Exact trapezoid of E|z_t|^2 * w(t) against dh, w = h when weighted, else 1."""
-    hv = [quadratic_variation_at(z.time_change, t) for t in grid.points]
-    u = []
-    for t, q in zip(grid.points, hv):
-        el = z.at(t)
-        u.append(inner_product(el, el).real * (q if weighted else 1.0))
+    els = [z.at(t) for t in grid.points]
+    u = [inner_product(el, el).real * (el.q if weighted else 1.0) for el in els]
     return math.fsum(
-        0.5 * (u[k] + u[k + 1]) * (hv[k + 1] - hv[k]) for k in range(len(u) - 1)
+        0.5 * (u[k] + u[k + 1]) * (els[k + 1].q - els[k].q) for k in range(len(u) - 1)
     )
 
 
@@ -772,9 +763,8 @@ def verify_h1(
     q = y.q
     c = float(c)
     c_tilde = float(c_tilde)
-    f1 = norm(sub(apply_X(y), scale(y, c)))
-    gy = apply_G(y)
-    f2 = norm(sub(apply_X(gy), scale(gy, c_tilde)))
+    f1 = norm(_centered(y, c))
+    f2 = norm(_centered(apply_G(y), c_tilde))
     rhs = q * inner_product(y, y).real
     return Check(
         f"h1[c={c:g},ct={c_tilde:g},q={q:g}]", "bound", f1 * f2, rhs, tol,

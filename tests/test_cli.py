@@ -361,6 +361,28 @@ def test_l2limit_k_max_bound(tmp_path, k_max, status):
     assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == status
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
+def test_out_dir_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch, below):
+    # refused before any suite runs, not after every row is computed
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("a suite ran"))
+    assert main(["l2limit", "--out-dir", str(blocker / below)]) == 2
+    assert capsys.readouterr().err.startswith("expmart: config error:")
+    assert blocker.read_text() == "kept"
+
+
+def test_lemma2_without_exponents_draws_no_ensemble(tmp_path, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(cli, "generate", lambda *args: drawn.append(args) or generate(*args))
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nsuites = lemma2 l2limit\n\n[lemma2]\nexponents =\n")
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 0
+    _, doc = _read_reports(tmp_path)
+    assert drawn == [] and {c["suite"] for c in doc["cases"]} == {"l2limit"}
+    assert doc["header"]["paths_generated"] == {"main": 0, "lemma2": 0}
+
+
 def test_h2_targets_follow_the_horizon(tmp_path):
     # at T = 2 the named cases' left sides are h(T)^2/2 = 2 and h(T)^3 = 8;
     # their T = 1 values, 0.5 and 1, fail both h2-target rows here

@@ -24,6 +24,9 @@ The sweep (``sweep_columns``, ``sweep_block``, ``merge_sweep``) and
 path count, and in whatever order the sweep's block results are merged.
 """
 
+import math
+from dataclasses import dataclass
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -139,7 +142,7 @@ def integrands(h):
     return {
         "polynomial": ProcessElement.from_template(h, [(0.0, (1.0, -0.3, 0.7))]),
         "real-exponent": ProcessElement.from_template(h, [(0.4, (1.0, 0.5))]),
-        "imaginary-exponent": ProcessElement.exponential(h, 0.7j),
+        "imaginary-exponent": ProcessElement.from_template(h, [(0.7j, (1.0,))]),
         "mixed-complex": ProcessElement.from_template(
             h, [(0.3 - 0.2j, (1 + 2j, 0.5)), (0.6, (0.25, -1j))]
         ),
@@ -237,7 +240,9 @@ def test_overflow_guard_raises_on_both_paths(element):
     grid = TimeGrid.uniform(1.0, 2)
     paths = np.array([[0.0, 800.0, 800.5], [0.0, 1.0, 0.5]])
     ens = PathEnsemble(grid=grid, time_change=TimeChange.identity(), paths=paths, seed=0)
-    z = ProcessElement(ens.time_change, lambda t, q: element if t == 0.5 else make_exponential(0.0, q))
+    # the element's own template: 1 at X_0 = 0, the element at t = 0.5
+    z = ProcessElement.from_template(ens.time_change, element.terms)
+    assert z.at(0.5) == element
     with pytest.raises(EvaluationOverflowError):
         ito_integral(z, ens)
     with pytest.raises(EvaluationOverflowError):
@@ -290,16 +295,16 @@ def test_sweep_is_bitwise_the_complex_loop(h_label, n_paths, order):
         assert_matches_reference(got, z, ens)
 
 
-def _cut_off(h, t_fail):
-    """1@1+45j, whose exponent overflows from t = 0.75 on, failing to build at t_fail."""
-    element = ProcessElement.from_template(h, [(1 + 45j, (1.0,))])
+@dataclass(frozen=True)
+class _CutOff(ProcessElement):
+    """A process element that fails to build from ``t_fail`` on."""
 
-    def build(t, q):
-        if t >= t_fail:
+    t_fail: float = math.inf
+
+    def at(self, t):
+        if t >= self.t_fail:
             raise ValueError(f"no element at t={t!r}")
-        return element.build(t, q)
-
-    return ProcessElement(h, build, "cut-off")
+        return super().at(t)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -315,7 +320,8 @@ def test_sweep_raises_what_ito_integral_raises(order, t_fail, error):
     grid = TimeGrid.uniform(1.0, 16)
     n_paths = 40_000
     ens = generate(h, grid, n_paths, 3)
-    good, bad = ProcessElement.coordinate(h), _cut_off(h, t_fail)
+    # 1@1+45j, whose exponent overflows from t = 0.75 on
+    good, bad = ProcessElement.coordinate(h), _CutOff(h, ((1 + 45j, (1 + 0j,)),), t_fail=t_fail)
     with pytest.raises(error) as expected:
         ito_integral(bad, ens)
     swept_good, swept_bad = swept([good, bad], h, grid, n_paths, 3, order)

@@ -7,7 +7,8 @@ libmp value tuples at explicit precisions, so it touches neither mpmath's
 global precision (``workdps``) nor the algebra's lock for it.  One list of
 jobs in ``cli.py`` holds the sweep's path blocks and the tasks, and one
 process pool runs them, so ``verify.py`` imports no concurrency and no
-other module creates an executor.
+other module creates an executor.  ``verify.ProcessElement`` is a record
+of values, so none of its fields holds a function.
 """
 
 import ast
@@ -110,3 +111,13 @@ def test_only_cli_creates_an_executor():
         and (getattr(node.func, "id", None) or getattr(node.func, "attr", "")).endswith("Executor")
     }
     assert creators == {"cli.py"}
+
+
+def test_process_element_has_no_callable_field():
+    # the integrands are data: nothing a field holds is a closure or a function
+    cls = next(
+        node for node in ast.walk(_tree("verify.py"))
+        if isinstance(node, ast.ClassDef) and node.name == "ProcessElement"
+    )
+    annotations = [ast.unparse(node.annotation) for node in cls.body if isinstance(node, ast.AnnAssign)]
+    assert annotations and [a for a in annotations if "Callable" in a] == []

@@ -363,15 +363,14 @@ def _execute(
     """Run the sweep's blocks and the tasks on the one schedule of the module
     docstring; return the tasks' rows in task order, and the telemetry of the
     run so far: mpmath escalations (summed over processes, highest dps), the
-    wall time per task label (tasks sharing a label add up) and the sweep's
-    blocks, seconds, columns and points.
+    wall time per task label and the sweep's blocks, seconds, columns and
+    points.
 
     ``start`` submits a job to the pool of forked workers (at most one per
-    pooled job), or runs it on the spot without one (one worker, one job,
-    or no ``fork``).  A job that raised, whose worker died, or that the pool
-    refused is lost: its task, or for a block every task that reads the
-    sums, becomes a failing ``error:`` row with no escalations and a NaN
-    wall time.
+    pooled job), or runs it on the spot without one (one worker or one
+    job).  A job that raised, whose worker died, or that the pool refused is
+    lost: its task, or for a block every task that reads the sums, becomes
+    a failing ``error:`` row with no escalations and a NaN wall time.
     """
     blocks, merge = sweep
     n_blocks = len(blocks)
@@ -386,8 +385,7 @@ def _execute(
         # Forking is safe: this program starts no thread, and a fork pool
         # forks its workers at the first submit, after ``_JOBS`` is set and
         # before its manager thread starts: no thread holds a lock they inherit.
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(n_procs, mp_context=multiprocessing.get_context("fork"))
+        pool = ProcessPoolExecutor(n_procs, mp_context=multiprocessing.get_context("fork"))
     stats = [take_mp_stats()]  # made while building the tasks
     _JOBS[:] = [*blocks, *(functools.partial(_rows, meta, *task) for meta, task in tasks)]
 
@@ -439,13 +437,12 @@ def _execute(
             pool.shutdown()
         _JOBS.clear()
     stats += [st for _, st, _ in outcomes]
-    wall: dict[str, float] = {}
-    for (_, (label, _)), (_, _, seconds) in zip(tasks, outcomes):
-        wall[label] = wall.get(label, 0.0) + seconds
     telemetry = {
         "mp_escalations": sum(st["mp_escalations"] for st in stats),
         "mp_max_dps": max(st["mp_max_dps"] for st in stats),
-        "task_wall_s": wall,
+        "task_wall_s": {
+            label: seconds for (_, (label, _)), (_, _, seconds) in zip(tasks, outcomes)
+        },
         "sweep": swept,
     }
     return [row for rows, _, _ in outcomes for row in rows], telemetry
@@ -468,8 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--paths", type=int, default=argparse.SUPPRESS,
                         help="Monte Carlo path count")
-    common.add_argument("--grid", type=int, default=argparse.SUPPRESS,
-                        help="time grid steps M")
+    common.add_argument("--grid", type=int, dest="grid_steps", metavar="GRID",
+                        default=argparse.SUPPRESS, help="time grid steps M")
     common.add_argument("--workers", type=int, default=argparse.SUPPRESS,
                         help="worker processes, which run the path blocks of "
                         "the sampled sweep and the tasks (results are "
@@ -502,10 +499,11 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
         cfg = load_ini(ns.config)
     elif hasattr(ns, "preset"):
         cfg = apply_preset(cfg, ns.preset)
-    fields = {"seed": "seed", "paths": "paths", "grid": "grid_steps", "workers": "workers",
-              "out_dir": "out_dir"}
-    overrides = {field: getattr(ns, flag) for flag, field in fields.items() if hasattr(ns, flag)}
-    return dataclasses.replace(cfg, **overrides).validated()
+    # each flag's destination is the field it sets
+    overrides = {
+        f.name: getattr(ns, f.name) for f in dataclasses.fields(cfg) if hasattr(ns, f.name)
+    }
+    return dataclasses.replace(cfg, **overrides)
 
 
 def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Result], int, dict]:

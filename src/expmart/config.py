@@ -8,7 +8,12 @@ exponential martingale with exponent 1, "1,0,2@0.5j" is (1 + 2 X^2) E(0.5j).
 Centerings: "zero", "const:<v>", or "pw:<t>:<v>,<t>:<v>,...".
 Time changes: "identity", "power:<alpha>", or "pw:<t>:<v>,...".
 Cases (h1, h2, isometry): a named case, or "template:<element>[;key=value]...",
-with each kind's own names and option keys.
+with each kind's own names and option keys; an option given twice is an
+error.
+
+Each ``RunConfig`` field declares, in its metadata, the INI section and key
+that set it and the parser of that key's text (``_ini``); ``load_ini`` reads
+the file's keys from the fields, so the dataclass is the one schema.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .processes import InvalidTimeChangeError, PiecewiseLinear, TimeChange, TimeGrid
-from .verify import H1_TOL
+from .verify import DISC_FACTOR, H1_TOL, K_SIGMA, L2_K_MAX_DEFAULT, PDE_STEP, format_complex
 
 __all__ = [
     "RunConfig",
@@ -55,47 +60,60 @@ class ConfigError(ValueError):
     """Bad configuration file, preset name, or spec string."""
 
 
+def _ini(section: str, key: str, parse: Callable[[str], object], default: object):
+    """A ``RunConfig`` field set by the INI key ``[section] key``, whose text
+    ``parse`` turns into the field's value."""
+    return dataclasses.field(default=default, metadata={"ini": (section, key), "parse": parse})
+
+
+# the list fields: suite names, case specs and complex literals
+Specs = tuple[str, ...]
+
+
+def _parse_names(s: str) -> Specs:
+    return tuple(s.split())
+
+
+def parse_complex_list(s: str) -> Specs:
+    return tuple(s.replace(",", " ").split())
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs of a verification run; every suite reads only what it needs."""
+    """All knobs of a verification run; every suite reads only what it needs.
 
-    seed: int = 20260815
-    workers: int = 1
-    out_dir: str = "reports"
-    horizon: float = 1.0
-    grid_steps: int = 256
-    paths: int = 20000
-    time_change: str = "identity"
+    Constructing one validates it: a value no run can use raises
+    ``ConfigError``, so every ``RunConfig`` that exists is valid.
+    """
+
+    seed: int = _ini("run", "seed", int, 20260815)
+    workers: int = _ini("run", "workers", int, 1)
+    out_dir: str = _ini("run", "out_dir", str, "reports")
+    horizon: float = _ini("run", "horizon", float, 1.0)
+    grid_steps: int = _ini("run", "grid_steps", int, 256)
+    paths: int = _ini("run", "paths", int, 20000)
+    time_change: str = _ini("run", "time_change", str, "identity")
     # suites to run when the command line names none; empty means "show usage"
-    suites: tuple[str, ...] = ()
-    # check-algebra
-    algebra_n_random: int = 1000
+    suites: Specs = _ini("run", "suites", _parse_names, ())
+    algebra_n_random: int = _ini("algebra", "n_random", int, 1000)
     # lemma2 (two-point exponential formula)
-    lemma2_paths: int = 1_000_000
-    lemma2_exponents: tuple[str, ...] = ("1", "-1", "1j")
-    # isometry
-    isometry_cases: tuple[str, ...] = ("one", "x")
-    # h1
-    h1_cases: tuple[str, ...] = (
-        "one-equality",
-        "coordinate",
-        "exp-energy",
-        "exp-equality",
+    lemma2_paths: int = _ini("lemma2", "paths", int, 1_000_000)
+    lemma2_exponents: Specs = _ini("lemma2", "exponents", parse_complex_list, ("1", "-1", "1j"))
+    isometry_cases: Specs = _ini("isometry", "cases", _parse_names, ("one", "x"))
+    h1_cases: Specs = _ini(
+        "h1", "cases", _parse_names, ("one-equality", "coordinate", "exp-energy", "exp-equality")
     )
-    h1_n_random: int = 500
-    h1_tol: float = H1_TOL
-    # h2
-    h2_cases: tuple[str, ...] = ("brownian-equality", "brownian-strict")
-    h2_k_sigma: float = 4.0
-    h2_disc_factor: float = 10.0
-    # pde
-    pde_exponents: tuple[str, ...] = ("0", "1", "1j", "1+1j")
-    pde_step: float = 1e-4
-    # l2limit
-    l2_exponents: tuple[str, ...] = ("0", "1", "1j")
-    l2_k_max: int = 13
+    h1_n_random: int = _ini("h1", "n_random", int, 500)
+    h1_tol: float = _ini("h1", "tol", float, H1_TOL)
+    h2_cases: Specs = _ini("h2", "cases", _parse_names, ("brownian-equality", "brownian-strict"))
+    h2_k_sigma: float = _ini("h2", "k_sigma", float, K_SIGMA)
+    h2_disc_factor: float = _ini("h2", "disc_factor", float, DISC_FACTOR)
+    pde_exponents: Specs = _ini("pde", "exponents", parse_complex_list, ("0", "1", "1j", "1+1j"))
+    pde_step: float = _ini("pde", "step", float, PDE_STEP)
+    l2_exponents: Specs = _ini("l2limit", "exponents", parse_complex_list, ("0", "1", "1j"))
+    l2_k_max: int = _ini("l2limit", "k_max", int, L2_K_MAX_DEFAULT)
 
-    def validated(self) -> "RunConfig":
+    def __post_init__(self) -> None:
         # the inputs' Philox keys, (seed + channel) * 2**64 with channel <= 5, are < 2**128
         if not 0 <= self.seed < 2**64 - 5:
             raise ConfigError("seed must be >= 0 and below 2**64 - 5, the Philox key range")
@@ -128,18 +146,22 @@ class RunConfig:
             q = math.inf
         if not math.isfinite(q):
             raise ConfigError(f"time change {self.time_change!r} is not finite at the horizon")
-        for s in self.lemma2_exponents + self.pde_exponents + self.l2_exponents:
-            parse_complex(s)
-        # a label names a case's rows and its task, so no two cases share one
+
+        def labels_of(exponents: Specs) -> list[str]:
+            return [format_complex(parse_complex(s)) for s in exponents]
+
+        # a label names rows and a task, so no two cases or exponents share one
         for kind, labels in (
-            ("h2", [parse_h2_case(s)["name"] for s in self.h2_cases]),
-            ("isometry", [parse_isometry_case(s)[0] for s in self.isometry_cases]),
-            ("h1", [parse_h1_case(s)["name"] for s in self.h1_cases]),
+            ("lemma2 exponents", labels_of(self.lemma2_exponents)),
+            ("pde exponents", labels_of(self.pde_exponents)),
+            ("l2limit exponents", labels_of(self.l2_exponents)),
+            ("h2 cases", [parse_h2_case(s)["name"] for s in self.h2_cases]),
+            ("isometry cases", [parse_isometry_case(s)[0] for s in self.isometry_cases]),
+            ("h1 cases", [parse_h1_case(s)["name"] for s in self.h1_cases]),
         ):
             repeated = [label for label in dict.fromkeys(labels) if labels.count(label) > 1]
             if repeated:
-                raise ConfigError(f"two {kind} cases share the label {repeated[0]!r}")
-        return self
+                raise ConfigError(f"two {kind} share the label {repeated[0]!r}")
 
 
 # named parameterizations; acceptance-scale sizes where a criterion pins them
@@ -176,10 +198,6 @@ def parse_complex(s: str) -> complex:
     if not cmath.isfinite(z):
         raise ConfigError(f"complex literal {s!r} is not finite")
     return z
-
-
-def parse_complex_list(s: str) -> tuple[str, ...]:
-    return tuple(tok for tok in s.replace(",", " ").split() if tok)
 
 
 def parse_element_template(s: str) -> tuple[tuple[complex, tuple[complex, ...]], ...]:
@@ -269,10 +287,14 @@ def _parse_case(
     if not s.startswith("template:"):
         raise ConfigError(f"unknown {kind} case {s!r}")
     element, *extras = s[len("template:") :].split(";")
+    given = set()
     for extra in extras:
         key, _, val = extra.partition("=")
         if key not in options:
             raise ConfigError(f"unknown {kind} case option {extra!r}")
+        if key in given:
+            raise ConfigError(f"repeated {kind} case option {extra!r}")
+        given.add(key)
         field, convert, _ = options[key]
         try:
             fields[field] = convert(val)
@@ -336,48 +358,6 @@ def parse_isometry_case(s: str) -> tuple[str, tuple]:
 # ---------------------------------------------------------------------------
 # INI loading
 
-def _parse_names(s: str) -> tuple[str, ...]:
-    return tuple(t for t in s.split() if t)
-
-
-_SECTION_KEYS = {
-    "run": {
-        "seed": ("seed", int),
-        "workers": ("workers", int),
-        "out_dir": ("out_dir", str),
-        "horizon": ("horizon", float),
-        "grid_steps": ("grid_steps", int),
-        "paths": ("paths", int),
-        "time_change": ("time_change", str),
-        "suites": ("suites", _parse_names),
-    },
-    "algebra": {"n_random": ("algebra_n_random", int)},
-    "lemma2": {
-        "paths": ("lemma2_paths", int),
-        "exponents": ("lemma2_exponents", parse_complex_list),
-    },
-    "isometry": {"cases": ("isometry_cases", _parse_names)},
-    "h1": {
-        "cases": ("h1_cases", _parse_names),
-        "n_random": ("h1_n_random", int),
-        "tol": ("h1_tol", float),
-    },
-    "h2": {
-        "cases": ("h2_cases", _parse_names),
-        "k_sigma": ("h2_k_sigma", float),
-        "disc_factor": ("h2_disc_factor", float),
-    },
-    "pde": {
-        "exponents": ("pde_exponents", parse_complex_list),
-        "step": ("pde_step", float),
-    },
-    "l2limit": {
-        "exponents": ("l2_exponents", parse_complex_list),
-        "k_max": ("l2_k_max", int),
-    },
-}
-
-
 def load_ini(path: str) -> RunConfig:
     # no interpolation: a "%" in a value is literal; no file can name the
     # section "", so [DEFAULT] is an unknown section like any other
@@ -388,17 +368,17 @@ def load_ini(path: str) -> RunConfig:
         raise ConfigError(f"malformed config file {path}: {e}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    fields = {f.metadata["ini"]: f for f in dataclasses.fields(RunConfig)}
     updates: dict = {}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in {known for known, _ in fields}:
             raise ConfigError(f"unknown config section [{section}]")
-        table = _SECTION_KEYS[section]
         for key, value in parser.items(section):
-            if key not in table:
+            if (section, key) not in fields:
                 raise ConfigError(f"unknown [{section}] key {key!r}")
-            field, conv = table[key]
+            field = fields[section, key]
             try:
-                updates[field] = conv(value)
+                updates[field.name] = field.metadata["parse"](value)
             except ValueError:
                 raise ConfigError(f"bad value for [{section}] {key}: {value!r}") from None
-    return dataclasses.replace(RunConfig(), **updates).validated()
+    return RunConfig(**updates)

@@ -164,13 +164,19 @@ HERMITE_ROUNDTRIP_TOL = 1e-9
 H1_TOL = 1e-9
 LEMMA2_EXACT_TOL = 1e-12
 PDE_TOL = 1e-6
+# central-difference step of the PDE stencils
+PDE_STEP = 1e-4
 L2_FINAL_TOL = 1e-3
 L2_RATIO_TOL = 0.05
+# the difference quotient's offsets r = 2^-1 .. 2^-k_max
+L2_K_MAX_DEFAULT = 13
 
 # standard errors allowed to a sampled check, and the absolute floor added
 # to its allowance (module docstring)
 K_SIGMA = 4.0
 MC_FLOOR = 1e-12
+# an h2 check's discretization allowance, in units of T/M
+DISC_FACTOR = 10.0
 
 # (-i)^n without complex powers, so eigenvalue checks stay exact
 _MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
@@ -823,7 +829,7 @@ def verify_h2(
     integral1: Callable[[], np.ndarray],
     integral2: Callable[[], np.ndarray],
     k_sigma: float = K_SIGMA,
-    disc_factor: float = 10.0,
+    disc_factor: float = DISC_FACTOR,
 ) -> Check:
     """Integrated inequality via sampled Ito integrals vs the exact RHS.
 
@@ -883,7 +889,7 @@ def pde_grid() -> tuple[tuple[float, float], ...]:
 def verify_pde(
     c: complex,
     points: Iterable[tuple[float, float]] | None = None,
-    step: float = 1e-4,
+    step: float = PDE_STEP,
 ) -> Check:
     """Max |0.5 u_xx + u_y| over the sample points, central differences.
 
@@ -961,7 +967,7 @@ def verify_pde(
     )
 
 
-def verify_l2_limit(c: complex, q: float, k_max: int = 13) -> list[Check]:
+def verify_l2_limit(c: complex, q: float, k_max: int = L2_K_MAX_DEFAULT) -> list[Check]:
     """First-order convergence of the difference quotient to X E(c), exactly.
 
     The norms || (E(r) - 1)/r * E(c) - X E(c) || along r = 2^-k, k = 1..k_max,

@@ -1,7 +1,7 @@
 """The one case grammar of h1, h2 and isometry: a named case, or
 'template:<element>[;key=value]...' with each kind's option keys.
 
-Every kind rejects the same five mistakes, four in one case and two cases
+Every kind rejects the same six mistakes, five in one case and two cases
 with one label, as a ``ConfigError`` from the parser or the config and as
 exit status 2 from an INI file, and every case keeps the fields and the
 label it has always had.
@@ -23,7 +23,8 @@ from expmart.config import (
 PARSERS = {"h1": parse_h1_case, "h2": parse_h2_case, "isometry": parse_isometry_case}
 
 # (kind, mistake, cases, start of the message); the isometry kind has no
-# options, so any option is an unknown one and none has a bad value
+# options, so any option is an unknown one and none has a bad value or is
+# repeated
 BAD_CASES = [
     ("h1", "unknown-name", "spiral", "unknown h1 case 'spiral'"),
     ("h1", "unknown-option", "template:1@0;k=2", "unknown h1 case option 'k=2'"),
@@ -41,6 +42,9 @@ BAD_CASES = [
     ("h2", "duplicate-label", "template:1@0;g=const:1 template:1@0",
      "two h2 cases share the label 'template[1@0]'"),
     ("isometry", "duplicate-label", "one x one", "two isometry cases share the label 'one'"),
+    ("h1", "repeated-option", "template:1@0;c=1;c=2", "repeated h1 case option 'c=2'"),
+    ("h2", "repeated-option", "template:1@0;g=zero;g=const:1",
+     "repeated h2 case option 'g=const:1'"),
 ]
 
 
@@ -56,7 +60,7 @@ def test_bad_case_is_config_error(kind, case, message):
     with pytest.raises(ConfigError) as e:
         for one in case.split():
             PARSERS[kind](one)
-        RunConfig(**{f"{kind}_cases": tuple(case.split())}).validated()
+        RunConfig(**{f"{kind}_cases": tuple(case.split())})
     assert str(e.value).startswith(message)
 
 

@@ -142,13 +142,16 @@ def test_presets_cover_documented_names():
         dict(h2_k_sigma=-1.0),
         dict(h2_disc_factor=float("inf")),
         dict(h2_disc_factor=-0.5),
+        # exponents whose labels collide would run one task twice under one label
+        dict(lemma2_exponents=("1", "1.0")),
+        dict(pde_exponents=("1", "1.0", "1+0j")),
+        dict(l2_exponents=("1j", "0+1j")),
     ],
 )
 def test_validated_rejects_bad_configs(kwargs):
     import dataclasses
-    cfg = dataclasses.replace(RunConfig(), **kwargs)
     with pytest.raises(ConfigError):
-        cfg.validated()
+        dataclasses.replace(RunConfig(), **kwargs)
 
 
 def test_load_ini(tmp_path):
@@ -163,10 +166,22 @@ def test_load_ini(tmp_path):
 
 
 def test_h1_tolerance_has_one_owner(tmp_path):
-    # the default is verify's constant itself, not a copy of its value
+    # the default is verify's constant itself, not a copy of its value, and
+    # so is the default of the verify function that the field feeds
     import dataclasses
+    import inspect
+    from expmart import verify
     [field] = [f for f in dataclasses.fields(RunConfig) if f.name == "h1_tol"]
     assert field.default is H1_TOL and RunConfig().h1_tol == H1_TOL
+    for name, constant, function, parameter in [
+        ("h2_k_sigma", verify.K_SIGMA, verify.verify_h2, "k_sigma"),
+        ("h2_disc_factor", verify.DISC_FACTOR, verify.verify_h2, "disc_factor"),
+        ("pde_step", verify.PDE_STEP, verify.verify_pde, "step"),
+        ("l2_k_max", verify.L2_K_MAX_DEFAULT, verify.verify_l2_limit, "k_max"),
+    ]:
+        [field] = [f for f in dataclasses.fields(RunConfig) if f.name == name]
+        assert field.default is constant
+        assert inspect.signature(function).parameters[parameter].default is constant
     ini = tmp_path / "run.ini"
     ini.write_text("[h1]\ntol = 1e-6\n")
     assert load_ini(str(ini)).h1_tol == 1e-6
@@ -312,6 +327,7 @@ def test_malformed_pw_knots_exit_2(tmp_path, capsys, ini_text):
         "[run]\nsuites = isometry\nhorizon = 1e-320\ngrid_steps = 100000\n",
         "[run]\nsuites = h2\nhorizon = 2\ntime_change = power:1e300\n",
         f"[run]\nsuites = h1\nseed = {2**64 - 5}\n",
+        "[run]\nsuites = pde\n\n[pde]\nexponents = 1 1.0 1+0j\n",
     ],
     ids=[
         "horizon-nan", "pde-step-nan", "h1-n-random-0", "algebra-n-random-0",
@@ -320,6 +336,7 @@ def test_malformed_pw_knots_exit_2(tmp_path, capsys, ini_text):
         "percent", "repeated-key", "repeated-section", "no-section-header", "not-utf8",
         "default-section", "default-section-seed",
         "grid-too-fine", "time-change-overflows-at-horizon", "seed-beyond-philox-keys",
+        "pde-exponent-labels-collide",
     ],
 )
 def test_values_that_cannot_run_exit_2(tmp_path, capsys, ini_text):
@@ -545,32 +562,6 @@ def test_header_times_every_task(tmp_path, workers):
     wall = _read_reports(out)[1]["header"]["task_wall_s"]
     cfg = load_ini(str(ini))
     tasks, _ = cli._build_tasks(cfg, cfg.suites)
-    assert list(wall) == [label for _, (label, _) in tasks]
-    assert all(0.0 < seconds < 60.0 for seconds in wall.values())
-
-
-def test_tasks_run_inline_without_fork(tmp_path, monkeypatch):
-    import multiprocessing
-
-    ini = tmp_path / "run.ini"
-    ini.write_text(
-        "[run]\nsuites = check-algebra h1 pde l2limit\n[algebra]\nn_random = 20\n"
-        "[h1]\nn_random = 10\n"
-    )
-    assert main(["--config", str(ini), "--workers", "1", "--out-dir", str(tmp_path / "one")]) == 0
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started without fork")
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
-    out = tmp_path / "two"
-    assert main(["--config", str(ini), "--workers", "2", "--out-dir", str(out)]) == 0
-    csv_text, doc = _read_reports(out)
-    assert csv_text == _read_reports(tmp_path / "one")[0]
-    cfg = load_ini(str(ini))
-    tasks, _ = cli._build_tasks(cfg, cfg.suites)
-    wall = doc["header"]["task_wall_s"]
     assert list(wall) == [label for _, (label, _) in tasks]
     assert all(0.0 < seconds < 60.0 for seconds in wall.values())
 

@@ -506,12 +506,18 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     return dataclasses.replace(cfg, **overrides)
 
 
+def _selected(names: Sequence[str]) -> tuple[str, ...]:
+    """Every suite for "all"; otherwise each suite of ``names`` once, in order."""
+    return SUITES if "all" in names else tuple(dict.fromkeys(names))
+
+
 def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Result], int, dict]:
-    """Run the suites; return the rows, the exit status (0/1/3/4) and the
-    run's telemetry: paths drawn per ensemble, the count and highest dps of
-    the algebra's mpmath escalations, the wall time per task, and the
+    """Run the ``_selected`` suites; return the rows, the exit status (0/1/3/4)
+    and the run's telemetry: paths drawn per ensemble, the count and highest
+    dps of the algebra's mpmath escalations, the wall time per task, and the
     sweep's blocks, seconds (summed over the block jobs), columns summed and
     points evaluated."""
+    suites = _selected(suites)
     take_mp_stats()  # count this run's escalations only
     tasks, sweep = _build_tasks(cfg, suites)
     rows, task_telemetry = _execute(tasks, sweep, cfg)
@@ -536,9 +542,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         cfg = _resolve_config(ns)
-        names = (ns.suite,) if ns.suite else cfg.suites
-        # "all" is every suite; otherwise keep the order, each suite once
-        suites = SUITES if "all" in names else tuple(dict.fromkeys(names))
+        suites = _selected((ns.suite,) if ns.suite else cfg.suites)
         if suites:
             make_out_dir(cfg.out_dir)
     except ConfigError as e:

@@ -19,7 +19,8 @@ works, only strided.  :func:`generate` stacks every block into one
 N x (M+1) ``PathEnsemble``.  A consumer that only needs per-path results
 (the Ito sums of ``verify.sweep_block``) fills one block at a time instead,
 so each process that runs one holds ``BLOCK_PATHS`` x (M+1) floats, not
-N x (M+1).
+N x (M+1).  :func:`column_ranges` checks a block or an ensemble and returns
+each column's range, from which ``verify`` decides overflow.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "TimeGrid",
     "PathEnsemble",
     "block_count",
+    "column_ranges",
     "fill_block",
     "generate",
     "quadratic_variation_at",
@@ -212,7 +214,7 @@ class PathEnsemble:
             raise ValueError("paths must be N x (M+1)")
         if self.paths.shape[0] < 1:
             raise ValueError("ensemble needs at least one path")
-        _check_paths(self.paths)
+        column_ranges(self.paths)
 
     @property
     def n_paths(self) -> int:
@@ -229,11 +231,14 @@ def _grid_variances(h: TimeChange, grid: TimeGrid) -> np.ndarray:
     return np.maximum(dv, 0.0)
 
 
-def _check_paths(paths: np.ndarray) -> None:
-    if np.any(paths[:, 0] != 0.0):
+def column_ranges(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's min and max, checked to start at X_0 = 0 and be finite."""
+    lo, hi = paths.min(axis=0), paths.max(axis=0)
+    if lo[0] != 0.0 or hi[0] != 0.0:
         raise ValueError("paths must start at X_0 = 0")
-    if not np.all(np.isfinite(paths)):
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("paths must be finite")
+    return lo, hi
 
 
 def _check_size(n_paths: int, seed: int) -> int:
@@ -252,17 +257,15 @@ def block_count(n_paths: int) -> int:
 
 def fill_block(
     h: TimeChange, grid: TimeGrid, n_paths: int, seed: int, block: int, out: np.ndarray
-) -> np.ndarray:
-    """Write block ``block`` of an n_paths ensemble into ``out`` and return it.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write block ``block`` of an n_paths ensemble into ``out``; return its :func:`column_ranges`.
 
     The block is paths block * BLOCK_PATHS onward, at most BLOCK_PATHS of
     them: the same rows as ``generate(h, grid, n_paths, seed)``.  ``out`` is
     rows x (M+1), a slice of a larger matrix or a buffer reused across
     blocks; column-major keeps each of its columns contiguous.  Block b
     draws from Philox keyed by seed * 2**64 + b, so any path index maps to
-    the same numbers regardless of n_paths or scheduling.  Like a
-    ``PathEnsemble``, every block is checked to start at X_0 = 0 and to be
-    finite.
+    the same numbers regardless of n_paths or scheduling.
     """
     seed = _check_size(n_paths, seed)
     start = block * BLOCK_PATHS
@@ -283,8 +286,7 @@ def fill_block(
         draws *= stds
         # per-row running sums in k order, whatever the layout of the output
         np.cumsum(draws, axis=1, out=out[lo:hi, 1:])
-    _check_paths(out)
-    return out
+    return column_ranges(out)
 
 
 def generate(h: TimeChange, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:

@@ -51,7 +51,7 @@ raises what ``ito_integral`` would, bitwise: both run one column kernel.
 Sampled evaluation has one rule for every input and path count: a real
 exponent is formed and exponentiated in float64, and a complex exponent's
 term is exp(w) * val in complex128.  The values agree with an all-complex
-evaluation within rounding, not bitwise.
+evaluation within rounding, not bitwise.  Overflow is decided by column ranges.
 """
 
 from __future__ import annotations
@@ -112,6 +112,7 @@ from .processes import (
     PiecewiseLinear,
     TimeChange,
     TimeGrid,
+    column_ranges,
     fill_block,
     quadratic_variation_at,
 )
@@ -183,12 +184,7 @@ _MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 
 
 class EvaluationOverflowError(ArithmeticError):
-    """An evaluation or sample moment exceeds the float64 range.
-
-    ``column`` is the grid column of the Ito sum that raised it, when known.
-    """
-
-    column: int | None = None
+    """An evaluation or sample moment exceeds the float64 range."""
 
     def __init__(
         self,
@@ -233,10 +229,23 @@ def _horner(p: Sequence[complex], xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_exponent(w_real: np.ndarray, c: complex, q: float) -> None:
-    max_real = float(np.max(w_real, initial=-np.inf))
-    if max_real > OVERFLOW_LIMIT:
-        raise EvaluationOverflowError(c, q, max_real)
+def _first_overflow(
+    elements: Sequence[PolyExpElement], lo: Sequence[float], hi: Sequence[float]
+) -> tuple[int, EvaluationOverflowError | None]:
+    """The first column k of ``elements`` on whose points, in [lo[k], hi[k]],
+    a term's exponent passes OVERFLOW_LIMIT, and its error; else
+    (len(elements), None).  Re(c x - c^2 q/2) is affine in x and rounds
+    monotonically, so its maximum, at lo (Re c < 0) or hi, is bitwise what
+    ``_evaluate`` forms, up to the sign of a zero."""
+    for k, f in enumerate(elements):
+        for c, _ in f.terms:
+            if c == 0:
+                continue
+            x = lo[k] if c.real < 0 else hi[k]
+            max_real = float(c.real * x - (0.5 * c * c * f.q).real)
+            if max_real > OVERFLOW_LIMIT:
+                return k, EvaluationOverflowError(c, f.q, max_real)
+    return len(elements), None
 
 
 def _evaluate(f: PolyExpElement, xs: np.ndarray) -> np.ndarray:
@@ -245,33 +254,38 @@ def _evaluate(f: PolyExpElement, xs: np.ndarray) -> np.ndarray:
     Polynomial parts are bitwise a complex Horner evaluation up to the sign
     of zero parts.  A real exponent is formed and exponentiated in float64;
     a complex exponent's term is exp(w) * val.  The terms are summed in
-    order.
+    order.  The caller has ruled out overflow with ``_first_overflow``.
     """
     total = None
     for c, p in f.terms:
         val = _horner(p, xs)
         if c.imag != 0.0:
-            w = c * xs - 0.5 * c * c * f.q
-            _check_exponent(w.real, c, f.q)
-            e = np.exp(w)
+            e = np.exp(c * xs - 0.5 * c * c * f.q)
             val = e * val  # not in place: on 1 point that can change the last bit
         elif c.real != 0.0:
             w = c.real * xs
             w -= (0.5 * c * c * f.q).real
-            _check_exponent(w, c, f.q)
             val *= np.exp(w, out=w)
         total = val if total is None else total + val
     return np.zeros(xs.shape) if total is None else total
 
 
 def evaluate_element(f: PolyExpElement, x):
-    """Evaluate f at scalar x or a numpy array of points (complex result).
+    """Evaluate f at scalar x or a numpy array of finite points (complex result).
 
     Guards against silent saturation: if any term's exponent real part
     exceeds OVERFLOW_LIMIT on the points, EvaluationOverflowError is raised.
     """
     arr = np.asarray(x, dtype=float)
-    total = _evaluate(f, np.atleast_1d(arr))
+    xs = np.atleast_1d(arr)
+    if xs.size:
+        lo, hi = xs.min(), xs.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("points must be finite")
+        overflow = _first_overflow([f], [lo], [hi])[1]
+        if overflow:
+            raise overflow
+    total = _evaluate(f, xs)
     if arr.ndim == 0:
         return complex(total[0])
     return total.astype(complex, copy=False)
@@ -406,15 +420,11 @@ def _ito_columns(elements: Iterable[PolyExpElement], x: np.ndarray) -> np.ndarra
     column-major paths).  Every path sums its terms left to right over k, in
     float64 while the integrand is real and in complex128 from its first
     complex column on, which equals a complex accumulation throughout up to
-    the sign of zero parts.  An overflow is raised with its ``column`` set.
+    the sign of zero parts.  The elements end before their first overflow.
     """
     acc = np.zeros(x.shape[0])
     for k, el in enumerate(elements):
-        try:
-            vals = _evaluate(el, x[:, k])
-        except EvaluationOverflowError as e:
-            e.column = k
-            raise
+        vals = _evaluate(el, x[:, k])
         if vals.dtype.kind == "c" and acc.dtype.kind != "c":
             acc = acc.astype(complex)
         vals *= x[:, k + 1] - x[:, k]
@@ -425,13 +435,14 @@ def _ito_columns(elements: Iterable[PolyExpElement], x: np.ndarray) -> np.ndarra
 def ito_integral(z: ProcessElement, ensemble: PathEnsemble) -> np.ndarray:
     """Left-endpoint Ito sums: per path, sum_k z(t_k, X_{t_k}) (X_{t_k+1} - X_{t_k}).
 
-    Each column's element is built just before the column is evaluated, so
-    a build error at column k surfaces after columns 0..k-1 evaluated
-    cleanly.  The result is complex128.
+    Raises, as the sweep does, an overflow before the first column whose
+    element fails to build, else that build error.  The result is complex128.
     """
-    elements = (z.at(t) for t in ensemble.grid.points[:-1])
-    acc = _ito_columns(elements, ensemble.paths)
-    return acc.astype(complex, copy=False)
+    [(elements, error)] = sweep_columns([z], ensemble.grid)
+    error = _first_overflow(elements, *column_ranges(ensemble.paths))[1] or error
+    if error:
+        raise error
+    return _ito_columns(elements, ensemble.paths).astype(complex, copy=False)
 
 
 def sweep_columns(
@@ -454,13 +465,14 @@ def sweep_columns(
 
 @dataclass(frozen=True)
 class SweepBlock:
-    """What one path block of the sweep gives: per integrand, its Ito sums on
-    the block's rows or, if a column overflowed, the record (column, term,
-    max_real, exponent, q) of the first one; and the columns summed over the
-    integrands and the points (rows x columns) evaluated for them."""
+    """One path block's share of the sweep: per integrand, its Ito sums on the
+    block's rows up to its first overflowing column there; each column's range
+    (lo, hi) on the block; and the columns summed and points evaluated."""
 
     block: int
-    sums: list
+    sums: list[np.ndarray]
+    lo: np.ndarray
+    hi: np.ndarray
     columns: int
     points: int
 
@@ -477,18 +489,11 @@ def sweep_block(
     integrand of ``sweep_columns`` summed on it.  The block's paths live only
     for this call: BLOCK_PATHS x (M+1) floats."""
     rows = min(BLOCK_PATHS, n_paths - block * BLOCK_PATHS)
-    x = fill_block(h, grid, n_paths, seed, block, np.empty((rows, len(grid.points)), order="F"))
-    sums = []
-    summed = 0
-    for elements, _ in columns:
-        try:
-            sums.append(_ito_columns(elements, x))
-            summed += len(elements)
-        except EvaluationOverflowError as e:
-            term = [c for c, _ in elements[e.column].terms].index(e.exponent)
-            sums.append((e.column, term, e.max_real, e.exponent, e.q))
-            summed += e.column
-    return SweepBlock(block, sums, summed, summed * rows)
+    x = np.empty((rows, len(grid.points)), order="F")
+    lo, hi = fill_block(h, grid, n_paths, seed, block, x)
+    stops = [_first_overflow(elements, lo, hi)[0] for elements, _ in columns]
+    sums = [_ito_columns(elements[:stop], x) for (elements, _), stop in zip(columns, stops)]
+    return SweepBlock(block, sums, lo, hi, sum(stops), sum(stops) * rows)
 
 
 def merge_sweep(
@@ -498,32 +503,20 @@ def merge_sweep(
 ) -> list[Callable[[], np.ndarray]]:
     """One callable per integrand from the ``sweep_block`` results of every
     block, in any order: it returns the integrand's N-vector of sums, or
-    raises its build error or overflow.
-
-    A build error at column k is kept, and columns 0..k-1 are still summed,
-    because an overflow there comes first in ``ito_integral``.  An overflow
-    is reported at the first (column, term) where any block overflows, with
-    the maximum over those blocks: the maximum of the whole column.
-    """
+    raises what ``ito_integral`` would, by the same rule on the ensemble's
+    column ranges, the element-wise extremes of the blocks' ranges."""
     sums = [np.empty(n_paths, dtype=complex) for _ in columns]
-    overflows: list[list] = [[] for _ in columns]
+    lo = hi = None
     for done in blocks:
         start = done.block * BLOCK_PATHS
-        for values, result, failed in zip(sums, done.sums, overflows):
-            if isinstance(result, tuple):
-                failed.append(result)
-            else:
-                values[start : start + len(result)] = result
-    outcomes = []
-    for (_, error), values, failed in zip(columns, sums, overflows):
-        if failed:
-            column, term = min(f[:2] for f in failed)
-            at_first = [f for f in failed if f[:2] == (column, term)]
-            _, _, _, exponent, q = at_first[0]
-            error = EvaluationOverflowError(exponent, q, max(f[2] for f in at_first))
-            error.column = column
-        outcomes.append(_outcome(values, error))
-    return outcomes
+        for values, result in zip(sums, done.sums):
+            values[start : start + len(result)] = result
+        lo = done.lo if lo is None else np.minimum(lo, done.lo)
+        hi = done.hi if hi is None else np.maximum(hi, done.hi)
+    return [
+        _outcome(values, _first_overflow(elements, lo, hi)[1] or error)
+        for (elements, error), values in zip(columns, sums)
+    ]
 
 
 def _outcome(values: np.ndarray, error: BaseException | None) -> Callable[[], np.ndarray]:

@@ -17,6 +17,7 @@ from expmart.verify import H1_TOL, EvaluationOverflowError, ProcessElement, ito_
 from expmart.config import (
     L2_K_MAX,
     PRESETS,
+    SUITES,
     ConfigError,
     RunConfig,
     apply_preset,
@@ -225,6 +226,24 @@ def test_no_suite_selected_prints_usage(tmp_path, capsys):
     rc = main(["--out-dir", str(tmp_path)])
     assert rc == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_run_selects_suites_as_main_does(monkeypatch):
+    # "all" is every suite; otherwise each named suite runs once, in order
+    def cases(suites):
+        return [chk.case for _, chk in cli.run(RunConfig(), suites)[0]]
+
+    assert cases(("l2limit", "l2limit")) == cases(("l2limit",))
+    built = []
+
+    def no_tasks(cfg, suites):
+        built.append(suites)
+        return [], ([], lambda done: None)
+
+    monkeypatch.setattr(cli, "_build_tasks", no_tasks)
+    cli.run(RunConfig(), ("all",))
+    cli.run(RunConfig(), ("pde", "h1", "pde"))
+    assert built == [SUITES, ("pde", "h1")]
 
 
 def test_bad_preset_is_config_error(tmp_path, capsys):
@@ -716,6 +735,15 @@ def test_overflowing_integrand_fails_only_its_own_task(tmp_path, workers):
     assert [line for line in csv_text.splitlines() if f",{label}," not in line] == (
         csv_clean.splitlines()
     )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_overflowing_integrand_is_summed_up_to_its_overflow_column(tmp_path, workers):
+    # 7 integrands of 16 columns on 3 blocks; 1@1+45j stops at t = 0.75,
+    # column 12, in every block: 3 * (7 * 16 - 4) columns over 40000 rows
+    _, (_, doc) = _isometry_h2_run(tmp_path / "out", workers, OVERFLOW_CASE)
+    sweep = doc["header"]["sweep"]
+    assert (sweep["blocks"], sweep["columns"], sweep["points"]) == (3, 324, 40000 * 108)
 
 
 def test_main_ensemble_is_never_materialized(tmp_path, monkeypatch):

@@ -22,14 +22,19 @@ the same kind of bound.  Both bounds fail a kernel whose ``exp`` is off by
 The sweep (``sweep_columns``, ``sweep_block``, ``merge_sweep``) and
 ``ito_integral`` run one kernel, so their sums stay bitwise equal at every
 path count, and in whatever order the sweep's block results are merged.
+Both decide overflow by one rule from each column's smallest and largest
+point, which must give bitwise the maximum exponent the evaluation forms.
 """
 
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expmart import TimeChange, TimeGrid, generate, make_element, make_exponential
 from expmart import verify
@@ -247,6 +252,52 @@ def test_overflow_guard_raises_on_both_paths(element):
         ito_integral(z, ens)
     with pytest.raises(EvaluationOverflowError):
         evaluate_element(element, paths[:, 1])
+
+
+def evaluated_max(c, q, xs):
+    """The largest real part of the exponent, formed as ``_evaluate`` forms it."""
+    if c.imag != 0.0:
+        return float(np.max((c * xs - 0.5 * c * c * q).real))
+    w = c.real * xs
+    w -= (0.5 * c * c * q).real
+    return float(np.max(w))
+
+
+finite = st.floats(-60.0, 60.0)
+
+
+def overflow_bound_property(rule):
+    """Hypothesis test: ``rule``'s bound from a column's range is the evaluated maximum."""
+
+    @given(finite, finite, st.sampled_from([0.0, 0.25, 1.0, 7.5]),
+           st.lists(finite, min_size=1, max_size=12))
+    @example(-2.0, 0.0, 1.0, [-3.0, 5.0])  # Re c < 0, real branch
+    @example(-2.0, 1.5, 1.0, [-3.0, 5.0])  # Re c < 0, complex branch
+    @example(0.0, 3.0, 0.5, [-1.0, 2.0])  # Re c = 0
+    @example(1.5, 0.0, 0.0, [-1.0, 2.0])  # q = 0, real branch
+    @example(1.5, -0.5, 0.0, [-1.0, 2.0])  # q = 0, complex branch
+    @settings(max_examples=300, deadline=None, database=None)
+    def check(re, im, q, points):
+        c = complex(re, im)
+        if c == 0:
+            return
+        xs = np.array(points)
+        f = make_element(q, [(c, (1.0,))])
+        # every exponent "overflows", so the rule reports each bound it forms
+        with mock.patch.object(verify, "OVERFLOW_LIMIT", -math.inf):
+            column, error = rule([f], [xs.min()], [xs.max()])
+        assert column == 0 and error.max_real == evaluated_max(c, f.q, xs)
+
+    return check
+
+
+def test_overflow_bound_is_the_evaluated_maximum():
+    overflow_bound_property(verify._first_overflow)()
+
+
+def test_overflow_bound_property_rejects_hi_for_a_negative_real_part():
+    with pytest.raises(AssertionError):
+        overflow_bound_property(lambda els, lo, hi: verify._first_overflow(els, hi, hi))()
 
 
 @pytest.mark.parametrize("label", sorted(TIME_CHANGES))

@@ -8,7 +8,9 @@ global precision (``workdps``) nor the algebra's lock for it.  One list of
 jobs in ``cli.py`` holds the sweep's path blocks and the tasks, and one
 process pool runs them, so ``verify.py`` imports no concurrency and no
 other module creates an executor.  ``verify.ProcessElement`` is a record
-of values, so none of its fields holds a function.
+of values, so none of its fields holds a function.  One rule in
+``verify.py`` decides an exponent's overflow from column ranges, so the
+evaluation, the column kernel and the sweep catch none.
 """
 
 import ast
@@ -121,3 +123,25 @@ def test_process_element_has_no_callable_field():
     )
     annotations = [ast.unparse(node.annotation) for node in cls.body if isinstance(node, ast.AnnAssign)]
     assert annotations and [a for a in annotations if "Callable" in a] == []
+
+
+def test_verify_decides_exponent_overflow_in_one_function():
+    # Estimate.from_samples builds the other overflow error, the sample
+    # moments', with its own message
+    functions = [n for n in ast.walk(_tree("verify.py")) if isinstance(n, ast.FunctionDef)]
+    builds = [
+        (fn.name, any(k.arg == "message" for k in node.keywords))
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "EvaluationOverflowError"
+    ]
+    assert sorted(builds) == [("_first_overflow", False), ("from_samples", True)]
+    kernel = {
+        fn.name: fn for fn in functions if fn.name in ("_evaluate", "_ito_columns", "sweep_block")
+    }
+    catching = [
+        name for name, fn in kernel.items()
+        if any(isinstance(node, (ast.Try, ast.TryStar)) for node in ast.walk(fn))
+    ]
+    assert len(kernel) == 3 and catching == []

@@ -115,6 +115,13 @@ def test_evaluate_overflow_is_flagged():
         evaluate_element(f, -20.0)  # exponent real part 800
 
 
+@pytest.mark.parametrize("points", [[np.nan, 800.0], [np.inf], [1.0, -np.inf], np.nan])
+def test_evaluate_rejects_non_finite_points(points):
+    # a NaN must not hide the overflow at 800 behind a NaN maximum
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_element(make_exponential(1.0, 1.0), np.array(points))
+
+
 # ---------------------------------------------------------------------------
 # estimates
 

@@ -5,10 +5,12 @@ single RunConfig, producing ``report.csv`` and ``report.json`` in the output
 directory plus one PASS/FAIL console line per check (``report``).
 
 Each report row is one ``verify.Check`` next to its suite's run metadata
-(seed, path count, grid steps, horizon, time change).  The suites here only
-draw inputs and build ``(label, thunk)`` tasks; each thunk returns the
-finished rows of ``verify_*`` functions, which own every row's shape, pass
-rule and tolerance.  One function, ``_rows``, gives every task's rows, in
+(seed, path count, grid steps, horizon, time change).  Each suite is one
+entry of ``_SUITES``, whose builder only draws inputs and builds
+``(label, integrands, fn)`` tasks: ``fn`` takes one getter of sampled sums
+per integrand the task reads (most read none) and returns the finished rows
+of ``verify_*`` functions, which own every row's shape, pass rule and
+tolerance.  One function, ``_rows``, gives every task's rows, in
 this process or in a worker: a task that raises becomes one failing row
 (``Check.failed``, with no sampled metadata) whose note starts with
 ``overflow:`` or ``error:``.
@@ -16,11 +18,11 @@ this process or in a worker: a task that raises becomes one failing row
 Every job, a path block of the sampled sweep or a task, is one entry of one
 list and runs through one runner and one schedule: the blocks start first,
 then the tasks that read no sampled sums; once every block is in, this
-process merges their sums and runs the isometry and h2 tasks, which read
-them.  With ``--workers K > 1`` starting a job submits it to a pool of up
-to K forked worker processes, which inherit the job list (the built tasks
-and the integrands' columns) instead of receiving it pickled, and each
-holds one path block at a time; at one worker it runs the job on the spot.
+process merges their sums and runs the tasks that read them.  With
+``--workers K > 1`` starting a job submits it to a pool of up to K forked
+worker processes, which inherit the job list (the built tasks and the
+integrands' columns) instead of receiving it pickled, and each holds one
+path block at a time; at one worker it runs the job on the spot.
 A task whose worker process dies, any task lost with the pool, and every
 task whose sums were lost with a block, becomes an ``error:`` row like a
 task that raises.
@@ -41,6 +43,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import logging
 import math
 import sys
@@ -134,12 +137,15 @@ def random_element(
 
 
 # ---------------------------------------------------------------------------
-# suites: each builder returns [(label, thunk)] with thunk() -> the checks
+# suites: each builder takes the config, the run's time change h and the main
+# ensemble's grid, and returns its suite's run metadata and its tasks.  A task
+# is its label, the integrands whose sweep sums it reads, and a function that
+# takes one getter of those sums per integrand and returns the checks.
+Task = tuple[str, tuple[ProcessElement, ...], Callable[..., Iterable[Check]]]
+Built = tuple[_Meta, list[Task]]
 
-Task = tuple[str, Callable[[], Iterable[Check]]]
 
-
-def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
+def _check_algebra_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     n = cfg.algebra_n_random
     rng_f = _rng(cfg.seed, 2)
     rng_g = _rng(cfg.seed, 3)
@@ -151,48 +157,40 @@ def _check_algebra_tasks(cfg: RunConfig) -> list[Task]:
         deg = int(rng_p.integers(0, 9))
         coeffs = rng_p.standard_normal(deg + 1) + 1j * rng_p.standard_normal(deg + 1)
         polys.append(make_element(ALGEBRA_QS[i % 4], [(0.0, tuple(complex(v) for v in coeffs))]))
-    return [
-        ("check-algebra/commutators", lambda: verify_commutators(fs)),
-        ("check-algebra/unitarity", lambda: [verify_unitarity(fs, gs)]),
-        ("check-algebra/adjointness", lambda: [verify_adjointness(fs, gs)]),
-        ("check-algebra/g-fourth", lambda: [verify_g_fourth(fs)]),
-        ("check-algebra/hermite-diagonal", lambda: [verify_hermite_diagonal(ALGEBRA_QS)]),
-        ("check-algebra/hermite-roundtrip", lambda: [verify_hermite_roundtrip(polys)]),
+    return _Meta("check-algebra", cfg.seed), [
+        ("check-algebra/commutators", (), lambda: verify_commutators(fs)),
+        ("check-algebra/unitarity", (), lambda: [verify_unitarity(fs, gs)]),
+        ("check-algebra/adjointness", (), lambda: [verify_adjointness(fs, gs)]),
+        ("check-algebra/g-fourth", (), lambda: [verify_g_fourth(fs)]),
+        ("check-algebra/hermite-diagonal", (), lambda: [verify_hermite_diagonal(ALGEBRA_QS)]),
+        ("check-algebra/hermite-roundtrip", (), lambda: [verify_hermite_roundtrip(polys)]),
     ]
 
 
-def _lemma2_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> list[Task]:
+def _lemma2_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     exps = [parse_complex(s) for s in cfg.lemma2_exponents]
+    one_step = TimeGrid.uniform(cfg.horizon, 1)
     # the ensemble is drawn only if there is a pair to check on it
-    ensemble = generate(h, grid, cfg.lemma2_paths, cfg.seed + 1) if exps else None
-    q = quadratic_variation_at(h, grid.horizon)
-    return [
-        (
-            f"lemma2/c={format_complex(c)},d={format_complex(d)}",
-            lambda c=c, d=d: verify_lemma2(c, d, q, ensemble),
-        )
+    ensemble = generate(h, one_step, cfg.lemma2_paths, cfg.seed + 1) if exps else None
+    q = quadratic_variation_at(h, one_step.horizon)
+    meta = _Meta("lemma2", cfg.seed, cfg.lemma2_paths, one_step.steps, one_step.horizon, h.kind)
+    return meta, [
+        (f"lemma2/c={format_complex(c)},d={format_complex(d)}", (),
+         lambda c=c, d=d: verify_lemma2(c, d, q, ensemble))
         for c in exps
         for d in exps
     ]
 
 
-# registers an integrand for the main sweep; returns the callable for its sums
-Register = Callable[[ProcessElement], Callable[[], np.ndarray]]
-
-
-def _isometry_tasks(
-    cfg: RunConfig, h: TimeChange, grid: TimeGrid, integral: Register
-) -> list[Task]:
+def _isometry_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     tasks: list[Task] = []
     for label, template in map(parse_isometry_case, cfg.isometry_cases):
         z = ProcessElement.from_template(h, template, label)
-        tasks.append(
-            (f"isometry/{label}", lambda z=z, i=integral(z): [verify_isometry(z, grid, i)])
-        )
-    return tasks
+        tasks.append((f"isometry/{label}", (z,), lambda i, z=z: [verify_isometry(z, grid, i)]))
+    return _Meta("isometry", cfg.seed, cfg.paths, grid.steps, grid.horizon, h.kind), tasks
 
 
-def _h1_tasks(cfg: RunConfig) -> list[Task]:
+def _h1_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     def named() -> list[Check]:
         checks = []
         for case in map(parse_h1_case, cfg.h1_cases):
@@ -207,20 +205,19 @@ def _h1_tasks(cfg: RunConfig) -> list[Task]:
     for i in range(cfg.h1_n_random):
         y = random_element(rng, H1_QS[i % 3], max_degree=4, max_terms=2, c_bound=2.0)
         params.append((y, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-2.0, 2.0))))
-    return [
-        ("h1/named", named),
-        ("h1/randomized", lambda: [verify_h1_randomized(params, tol=cfg.h1_tol)]),
+    return _Meta("h1", cfg.seed), [
+        ("h1/named", (), named),
+        ("h1/randomized", (), lambda: [verify_h1_randomized(params, tol=cfg.h1_tol)]),
     ]
 
 
-def _h2_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid, integral: Register) -> list[Task]:
+def _h2_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     q = quadratic_variation_at(h, grid.horizon)
     tasks: list[Task] = []
     for case in map(parse_h2_case, cfg.h2_cases):
         y = ProcessElement.from_template(h, case["template"], case["name"])
-        integrals = [integral(z) for z in h2_integrands(y, case["g"], case["g_tilde"])]
 
-        def task(case=case, y=y, integrals=integrals) -> list[Check]:
+        def task(*integrals, case=case, y=y) -> list[Check]:
             bound = verify_h2(
                 y, grid, *integrals, k_sigma=cfg.h2_k_sigma, disc_factor=cfg.h2_disc_factor
             )
@@ -228,92 +225,69 @@ def _h2_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid, integral: Register)
                 return [bound]
             return [bound, verify_h2_target(case["name"], bound, case["target_lhs"](q))]
 
-        tasks.append((f"h2/{case['name']}", task))
-    return tasks
+        tasks.append((f"h2/{case['name']}", h2_integrands(y, case["g"], case["g_tilde"]), task))
+    return _Meta("h2", cfg.seed, cfg.paths, grid.steps, grid.horizon, h.kind), tasks
 
 
-def _pde_tasks(cfg: RunConfig) -> list[Task]:
-    return [
-        (f"pde/{format_complex(c)}", lambda c=c: [verify_pde(c, step=cfg.pde_step)])
+def _pde_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
+    return _Meta("pde", cfg.seed), [
+        (f"pde/{format_complex(c)}", (), lambda c=c: [verify_pde(c, step=cfg.pde_step)])
         for c in map(parse_complex, cfg.pde_exponents)
     ]
 
 
-def _l2limit_tasks(cfg: RunConfig) -> list[Task]:
-    q = quadratic_variation_at(parse_time_change(cfg.time_change), cfg.horizon)
-    return [
-        (f"l2limit/{format_complex(c)}", lambda c=c: verify_l2_limit(c, q, cfg.l2_k_max))
+def _l2limit_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
+    q = quadratic_variation_at(h, cfg.horizon)
+    # h_kind is the time change's spec here, not its kind as on the sampled
+    # suites' rows; report.csv pins it (ROADMAP, open items)
+    return _Meta("l2limit", cfg.seed, horizon=cfg.horizon, h_kind=cfg.time_change), [
+        (f"l2limit/{format_complex(c)}", (), lambda c=c: verify_l2_limit(c, q, cfg.l2_k_max))
         for c in map(parse_complex, cfg.l2_exponents)
     ]
+
+
+# every suite, in SUITES order: its builder and its subcommand's help line
+_SUITES = {
+    "check-algebra": (
+        _check_algebra_tasks, "commutators, unitarity, adjointness, G^4, Hermite identities"
+    ),
+    "lemma2": (_lemma2_tasks, "two-point exponential formula, exact and Monte Carlo"),
+    "isometry": (_isometry_tasks, "E|int Z dX|^2 against the exact energy integral"),
+    "h1": (_h1_tasks, "fixed-time inequality, closed form"),
+    "h2": (_h2_tasks, "integrated inequality, sampled Ito integrals vs exact RHS"),
+    "pde": (_pde_tasks, "finite-difference residual of the heat-type equation"),
+    "l2limit": (_l2limit_tasks, "difference-quotient convergence to X E(c)"),
+}
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 
-# the suites whose tasks read the sweep's sums
-_SWEPT = ("isometry", "h2")
+def _build_tasks(
+    cfg: RunConfig, suites: Sequence[str]
+) -> tuple[list[tuple[_Meta, Task]], list[Callable[[], SweepBlock]], Callable]:
+    """The tasks of the suites, each with its suite's run metadata; the
+    sweep's block jobs; and the merge that turns the finished blocks into
+    one getter of sums per integrand the tasks read, in task order.
 
-# A run's sweep: one job per path block of the main ensemble, and the merge
-# that hands the finished blocks' sums to the tasks that read them.
-Sweep = tuple[list[Callable[[], SweepBlock]], Callable[[list[SweepBlock]], None]]
-
-
-def _build_tasks(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[tuple[_Meta, Task]], Sweep]:
-    """The tasks of the suites, each with its suite's run metadata, and the
-    run's sweep.
-
-    The isometry and h2 builders register their integrands on the main
-    ensemble's time grid.  That ensemble is never materialized: each
-    integrand's column elements are built here, once, and each block job
-    generates one path block and sums every integrand on it.
+    The main ensemble is never materialized: each integrand's column
+    elements are built here, once, and each block job generates one path
+    block and sums every integrand on it.
     """
     h = parse_time_change(cfg.time_change)
     grid = TimeGrid.uniform(cfg.horizon, cfg.grid_steps)
-    integrands: list[ProcessElement] = []
-    sums: list[Callable[[], np.ndarray]] = []
-
-    def integral(z: ProcessElement) -> Callable[[], np.ndarray]:
-        integrands.append(z)
-        return lambda i=len(integrands) - 1: sums[i]()
-
-    def sampled(suite: str, n_paths: int, grid: TimeGrid) -> _Meta:
-        return _Meta(suite, cfg.seed, n_paths, grid.steps, grid.horizon, h.kind)
-
     tasks = []
     for suite in suites:
-        meta = _Meta(suite, cfg.seed)
-        if suite == "check-algebra":
-            built = _check_algebra_tasks(cfg)
-        elif suite == "lemma2":
-            lemma2_grid = TimeGrid.uniform(cfg.horizon, 1)
-            meta = sampled(suite, cfg.lemma2_paths, lemma2_grid)
-            built = _lemma2_tasks(cfg, h, lemma2_grid)
-        elif suite == "isometry":
-            meta = sampled(suite, cfg.paths, grid)
-            built = _isometry_tasks(cfg, h, grid, integral)
-        elif suite == "h1":
-            built = _h1_tasks(cfg)
-        elif suite == "h2":
-            meta = sampled(suite, cfg.paths, grid)
-            built = _h2_tasks(cfg, h, grid, integral)
-        elif suite == "pde":
-            built = _pde_tasks(cfg)
-        elif suite == "l2limit":
-            meta = _Meta(suite, cfg.seed, horizon=cfg.horizon, h_kind=cfg.time_change)
-            built = _l2limit_tasks(cfg)
-        else:
+        if suite not in _SUITES:
             raise ConfigError(f"unknown suite {suite!r}")
-        tasks.extend((meta, task) for task in built)
-    columns = sweep_columns(integrands, grid)
+        meta, built = _SUITES[suite][0](cfg, h, grid)
+        tasks += [(meta, task) for task in built]
+    columns = sweep_columns([z for _, (_, zs, _) in tasks for z in zs], grid)
     blocks = [
         functools.partial(sweep_block, columns, h, grid, cfg.paths, cfg.seed, block)
-        for block in range(block_count(cfg.paths) if integrands else 0)
+        for block in range(block_count(cfg.paths) if columns else 0)
     ]
-
-    def merge(done: list[SweepBlock]) -> None:
-        sums[:] = merge_sweep(columns, cfg.paths, done)
-
-    return tasks, (blocks, merge)
+    return tasks, blocks, functools.partial(merge_sweep, columns, cfg.paths)
 
 
 def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
@@ -321,11 +295,11 @@ def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
     return [(_Meta(meta.suite, meta.seed), Check.failed(label, note))]
 
 
-def _rows(meta: _Meta, label: str, thunk: Callable[[], Iterable[Check]]) -> list[Result]:
-    """A task's rows: its checks with its suite's metadata.  An overflow or
-    any other exception becomes one failing row."""
+def _rows(meta: _Meta, label: str, fn: Callable[..., Iterable[Check]], *sums) -> list[Result]:
+    """A task's rows: its checks, from ``fn(*sums)``, with its suite's
+    metadata.  An overflow or any other exception becomes one failing row."""
     try:
-        return [(meta, chk) for chk in thunk()]
+        return [(meta, chk) for chk in fn(*sums)]
     except (EvaluationOverflowError, OverflowError) as e:
         return _failed(meta, label, f"overflow: {e}")
     except Exception as e:
@@ -335,9 +309,10 @@ def _rows(meta: _Meta, label: str, thunk: Callable[[], Iterable[Check]]) -> list
 
 
 # The jobs of the running ``_execute``: the sweep's block jobs, then one
-# ``_rows`` job per task.  Forked worker processes inherit this list, so a
-# worker is sent only a job's index: the closures and the data they hold
-# (ensembles, built integrand columns) are never pickled.
+# ``_rows`` job per task (the job of a task that reads sums is given their
+# getters once they are merged).  Forked worker processes inherit this list,
+# so a worker is sent only a job's index: the closures and the data they
+# hold (ensembles, built integrand columns) are never pickled.
 _JOBS: list[Callable[[], object]] = []
 
 Outcome = tuple[object, dict[str, int], float]
@@ -358,7 +333,8 @@ def _raise(error: BaseException) -> None:
 
 
 def _execute(
-    tasks: list[tuple[_Meta, Task]], sweep: Sweep, cfg: RunConfig
+    tasks: list[tuple[_Meta, Task]], blocks: list[Callable[[], SweepBlock]],
+    merge: Callable, cfg: RunConfig,
 ) -> tuple[list[Result], dict]:
     """Run the sweep's blocks and the tasks on the one schedule of the module
     docstring; return the tasks' rows in task order, and the telemetry of the
@@ -369,13 +345,13 @@ def _execute(
     ``start`` submits a job to the pool of forked workers (at most one per
     pooled job), or runs it on the spot without one (one worker or one
     job).  A job that raised, whose worker died, or that the pool refused is
-    lost: its task, or for a block every task that reads the sums, becomes
-    a failing ``error:`` row with no escalations and a NaN wall time.
+    lost: its task, or for a block every task that reads sums, becomes a
+    failing ``error:`` row with no escalations and a NaN wall time.  A task
+    that reads sums starts once they are merged, with their getters.
     """
-    blocks, merge = sweep
     n_blocks = len(blocks)
-    reads_sums = [meta.suite in _SWEPT for meta, _ in tasks]
-    n_procs = min(cfg.workers, n_blocks + reads_sums.count(False))
+    reads = [len(integrands) for _, (_, integrands, _) in tasks]
+    n_procs = min(cfg.workers, n_blocks + reads.count(0))
     pool = None
     if n_procs > 1:
         # imported here, as a run in one process needs neither
@@ -387,7 +363,9 @@ def _execute(
         # before its manager thread starts: no thread holds a lock they inherit.
         pool = ProcessPoolExecutor(n_procs, mp_context=multiprocessing.get_context("fork"))
     stats = [take_mp_stats()]  # made while building the tasks
-    _JOBS[:] = [*blocks, *(functools.partial(_rows, meta, *task) for meta, task in tasks)]
+    _JOBS[:] = [
+        *blocks, *(functools.partial(_rows, meta, label, fn) for meta, (label, _, fn) in tasks)
+    ]
 
     def start(i: int, here: bool = False) -> Callable[[], Outcome]:
         """Submit job ``i``, or run it here without a pool or if ``here``;
@@ -402,7 +380,7 @@ def _execute(
 
     try:
         got = [start(i) for i in range(n_blocks)]
-        got += [None if reads else start(i) for i, reads in enumerate(reads_sums, n_blocks)]
+        got += [None if n else start(i) for i, n in enumerate(reads, n_blocks)]
         done, lost = [], None
         for i in range(n_blocks):
             try:
@@ -412,7 +390,7 @@ def _execute(
                 lost = lost or e
             got[i] = None  # a future holds its result
         if lost is None:
-            merge([block for block, _, _ in done])
+            sums = iter(merge([block for block, _, _ in done]))
         swept = {
             "blocks": n_blocks,
             "seconds": sum(seconds for _, _, seconds in done),
@@ -421,11 +399,14 @@ def _execute(
         }
         stats += [st for _, st, _ in done]
         del done  # merged and counted
-        for i, reads in enumerate(reads_sums, n_blocks):
-            if reads:
-                got[i] = functools.partial(_raise, lost) if lost else start(i, here=True)
+        for i, n in enumerate(reads, n_blocks):
+            if n and lost:
+                got[i] = functools.partial(_raise, lost)
+            elif n:
+                _JOBS[i] = functools.partial(_JOBS[i], *itertools.islice(sums, n))
+                got[i] = start(i, here=True)
         outcomes = []
-        for (meta, (label, _)), get in zip(tasks, got[n_blocks:]):
+        for (meta, (label, _, _)), get in zip(tasks, got[n_blocks:]):
             try:
                 outcomes.append(get())
             except Exception as e:
@@ -441,7 +422,7 @@ def _execute(
         "mp_escalations": sum(st["mp_escalations"] for st in stats),
         "mp_max_dps": max(st["mp_max_dps"] for st in stats),
         "task_wall_s": {
-            label: seconds for (_, (label, _)), (_, _, seconds) in zip(tasks, outcomes)
+            label: seconds for (_, (label, _, _)), (_, _, seconds) in zip(tasks, outcomes)
         },
         "sweep": swept,
     }
@@ -478,18 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification suites for the exponential-martingale operator algebra.",
     )
     sub = parser.add_subparsers(dest="suite", metavar="SUITE")
-    descriptions = {
-        "check-algebra": "commutators, unitarity, adjointness, G^4, Hermite identities",
-        "lemma2": "two-point exponential formula, exact and Monte Carlo",
-        "isometry": "E|int Z dX|^2 against the exact energy integral",
-        "h1": "fixed-time inequality, closed form",
-        "h2": "integrated inequality, sampled Ito integrals vs exact RHS",
-        "pde": "finite-difference residual of the heat-type equation",
-        "l2limit": "difference-quotient convergence to X E(c)",
-        "all": "every suite above, in order",
-    }
-    for name in SUITES + ("all",):
-        sub.add_parser(name, parents=[common], help=descriptions[name])
+    for name, (_, help_line) in _SUITES.items():
+        sub.add_parser(name, parents=[common], help=help_line)
+    sub.add_parser("all", parents=[common], help="every suite above, in order")
     return parser
 
 
@@ -519,12 +491,12 @@ def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Result], int, dict]
     points evaluated."""
     suites = _selected(suites)
     take_mp_stats()  # count this run's escalations only
-    tasks, sweep = _build_tasks(cfg, suites)
-    rows, task_telemetry = _execute(tasks, sweep, cfg)
-    blocks, _ = sweep
+    tasks, blocks, merge = _build_tasks(cfg, suites)
+    rows, task_telemetry = _execute(tasks, blocks, merge, cfg)
     paths_generated = {
         "main": cfg.paths if blocks else 0,
-        "lemma2": cfg.lemma2_paths if any(meta.suite == "lemma2" for meta, _ in tasks) else 0,
+        # a task that reads no sums but has paths drew them: lemma2's ensemble
+        "lemma2": max((meta.n_paths for meta, (_, zs, _) in tasks if not zs), default=0),
     }
     telemetry = {"paths_generated": paths_generated, **task_telemetry}
     checks = [chk for _, chk in rows]

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import __version__
 from .config import ConfigError, RunConfig
-from .verify import Check, Estimate
+from .verify import Check
 
 __all__ = ["Result", "make_out_dir", "write_reports", "print_summary"]
 
@@ -40,12 +40,14 @@ class _Meta:
 # one report row: a check and the run metadata of its suite
 Result = tuple[_Meta, Check]
 
-_CSV_COLUMNS = (
-    "suite", "case", "kind", "seed", "n_paths", "grid_steps", "horizon",
-    "h_kind", "factor1_mean", "factor1_stderr", "factor2_mean",
-    "factor2_stderr", "lhs_product", "rhs_exact", "slack", "allowance",
-    "passed", "note",
+# The reports' fields, in order.  Each is the attribute of the same name of
+# the row's _Meta or Check, but lhs_product and rhs_exact hold its lhs and
+# rhs.  The CSV spreads each factor (an Estimate or None) over _mean and _stderr.
+_FIELDS = (
+    "suite", "case", "kind", "seed", "n_paths", "grid_steps", "horizon", "h_kind",
+    "factor1", "factor2", "lhs_product", "rhs_exact", "slack", "allowance", "passed", "note",
 )
+_FACTORS = ("factor1", "factor2")
 
 
 def _fmt_complex_repr(z: complex) -> str:
@@ -55,46 +57,31 @@ def _fmt_complex_repr(z: complex) -> str:
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
 
 
+def _fields(meta: _Meta, chk: Check) -> dict:
+    """The row's fields, in ``_FIELDS`` order."""
+    attrs = {"lhs_product": "lhs", "rhs_exact": "rhs"}
+    return {
+        name: getattr(meta if hasattr(meta, name) else chk, attrs.get(name, name))
+        for name in _FIELDS
+    }
+
+
 def _csv_cells(meta: _Meta, chk: Check) -> list[str]:
-    f1 = chk.factor1
-    f2 = chk.factor2
-    return [
-        meta.suite, chk.case, chk.kind, str(meta.seed), str(meta.n_paths),
-        str(meta.grid_steps), repr(meta.horizon), meta.h_kind,
-        _fmt_complex_repr(f1.mean) if f1 else "",
-        repr(f1.stderr) if f1 else "",
-        _fmt_complex_repr(f2.mean) if f2 else "",
-        repr(f2.stderr) if f2 else "",
-        repr(chk.lhs), repr(chk.rhs), repr(chk.slack),
-        repr(chk.allowance), str(chk.passed), chk.note,
-    ]
+    cells = []
+    for name, value in _fields(meta, chk).items():
+        if name in _FACTORS:
+            cells += [_fmt_complex_repr(value.mean), repr(value.stderr)] if value else ["", ""]
+        else:
+            cells.append(value if isinstance(value, str) else repr(value))
+    return cells
 
 
 def _json_case(meta: _Meta, chk: Check) -> dict:
-    def est(e: Estimate | None):
-        if e is None:
-            return None
-        return {"mean": _fmt_complex_repr(e.mean), "stderr": e.stderr, "n": e.n}
-
-    return {
-        "suite": meta.suite,
-        "case": chk.case,
-        "kind": chk.kind,
-        "seed": meta.seed,
-        "n_paths": meta.n_paths,
-        "grid_steps": meta.grid_steps,
-        "horizon": meta.horizon,
-        "h_kind": meta.h_kind,
-        "factor1": est(chk.factor1),
-        "factor2": est(chk.factor2),
-        "lhs_product": chk.lhs,
-        "rhs_exact": chk.rhs,
-        "slack": chk.slack,
-        "allowance": chk.allowance,
-        "passed": chk.passed,
-        "note": chk.note,
-        "extra": {k: v for k, v in chk.extra},
-    }
+    case = _fields(meta, chk)
+    for name in _FACTORS:
+        if (e := case[name]) is not None:
+            case[name] = {"mean": _fmt_complex_repr(e.mean), "stderr": e.stderr, "n": e.n}
+    return {**case, "extra": dict(chk.extra)}
 
 
 def _peak_rss_mb() -> float:
@@ -126,7 +113,11 @@ def write_reports(
     json_path = os.path.join(cfg.out_dir, "report.json")
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(
+            name + part
+            for name in _FIELDS
+            for part in (("_mean", "_stderr") if name in _FACTORS else ("",))
+        )
         for meta, chk in rows:
             writer.writerow(_csv_cells(meta, chk))
     run_echo = dataclasses.asdict(cfg)

@@ -1,6 +1,7 @@
 """Command-line runner: config handling, exit codes, report artifacts."""
 
 import concurrent.futures.process
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,9 @@ import pytest
 from expmart.cli import main
 from expmart import cli
 from expmart.processes import TimeChange, TimeGrid, generate
-from expmart.verify import H1_TOL, EvaluationOverflowError, ProcessElement, ito_integral
+from expmart.verify import (
+    H1_TOL, EvaluationOverflowError, ProcessElement, ito_integral, verify_isometry,
+)
 from expmart.config import (
     L2_K_MAX,
     PRESETS,
@@ -238,7 +241,7 @@ def test_run_selects_suites_as_main_does(monkeypatch):
 
     def no_tasks(cfg, suites):
         built.append(suites)
-        return [], ([], lambda done: None)
+        return [], [], lambda done: []
 
     monkeypatch.setattr(cli, "_build_tasks", no_tasks)
     cli.run(RunConfig(), ("all",))
@@ -434,16 +437,23 @@ def test_h2_targets_follow_the_horizon(tmp_path):
     assert all(c["passed"] for c in doc["cases"])
 
 
+def _add_pde_task(monkeypatch, make_task):
+    """Put ``make_task(h, grid)`` before the pde suite's own tasks."""
+    build, help_line = cli._SUITES["pde"]
+
+    def with_task(cfg, h, grid):
+        meta, tasks = build(cfg, h, grid)
+        return meta, [make_task(h, grid)] + tasks
+
+    monkeypatch.setitem(cli._SUITES, "pde", (with_task, help_line))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_crashing_task_becomes_failing_row(tmp_path, monkeypatch, workers):
-    real_pde_tasks = cli._pde_tasks
-
     def boom():
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(
-        cli, "_pde_tasks", lambda cfg: [("pde/boom", boom)] + real_pde_tasks(cfg)
-    )
+    _add_pde_task(monkeypatch, lambda h, grid: ("pde/boom", (), boom))
     rc = main(["pde", "--workers", str(workers), "--out-dir", str(tmp_path)])
     assert rc == 4
     _, doc = _read_reports(tmp_path)
@@ -456,11 +466,7 @@ def test_crashing_task_becomes_failing_row(tmp_path, monkeypatch, workers):
 
 
 def test_dead_worker_becomes_failing_row(tmp_path, monkeypatch):
-    real_pde_tasks = cli._pde_tasks
-    monkeypatch.setattr(
-        cli, "_pde_tasks",
-        lambda cfg: [("pde/dies", lambda: os._exit(9))] + real_pde_tasks(cfg),
-    )
+    _add_pde_task(monkeypatch, lambda h, grid: ("pde/dies", (), lambda: os._exit(9)))
     rc = main(["pde", "--workers", "2", "--out-dir", str(tmp_path)])
     assert rc == 4
     _, doc = _read_reports(tmp_path)
@@ -470,10 +476,10 @@ def test_dead_worker_becomes_failing_row(tmp_path, monkeypatch):
     # every other task finished, or was lost with the pool and says so
     lost = [c for c in doc["cases"] if not c["passed"]]
     assert all(c["note"].startswith("error: BrokenProcessPool: ") for c in lost)
-    tasks, _ = cli._build_tasks(RunConfig(), ("pde",))
+    tasks, _, _ = cli._build_tasks(RunConfig(), ("pde",))
     assert len(doc["cases"]) == len(tasks) == 1 + len(RunConfig().pde_exponents)
     wall = doc["header"]["task_wall_s"]
-    assert list(wall) == [label for _, (label, _) in tasks]
+    assert list(wall) == [label for _, (label, _, _) in tasks]
     assert math.isnan(wall["pde/dies"])
 
 
@@ -502,8 +508,8 @@ def test_header_counts_the_sweep(tmp_path):
         assert (sweep["blocks"], sweep["columns"], sweep["points"]) == (3, 3 * 80, 40000 * 80)
         assert 0.0 < sweep["seconds"] < 60.0
         cfg = load_ini(str(tmp_path / f"w{workers}" / "run.ini"))
-        tasks, _ = cli._build_tasks(cfg, cfg.suites)
-        assert list(doc["header"]["task_wall_s"]) == [label for _, (label, _) in tasks]
+        tasks, _, _ = cli._build_tasks(cfg, cfg.suites)
+        assert list(doc["header"]["task_wall_s"]) == [label for _, (label, _, _) in tasks]
         docs.append(_strip_json_header(doc))
     assert docs[0] == docs[1]
     # no sampled suite, no blocks
@@ -549,6 +555,35 @@ def test_dead_worker_in_a_block_becomes_failing_rows(tmp_path, monkeypatch):
     assert doc["header"]["sweep"]["blocks"] == 3
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_any_task_that_names_an_integrand_reads_its_sums(tmp_path, monkeypatch, workers):
+    # the schedule reads which tasks wait for the sums from the tasks, not
+    # from their suites: a pde task that names X gets the isometry[x] row
+    def isometry_of_x(h, grid):
+        z = dataclasses.replace(ProcessElement.coordinate(h), label="x")
+        return "pde/x", (z,), lambda integral: [verify_isometry(z, grid, integral)]
+
+    _add_pde_task(monkeypatch, isometry_of_x)
+    out = tmp_path / "out"
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nsuites = isometry pde\npaths = 40000\ngrid_steps = 16\n"
+                   "[isometry]\ncases = x\n")
+    rc = main(["--config", str(ini), "--workers", str(workers), "--out-dir", str(out)])
+    # no task was lost; isometry[x] may fail on its left-sum bias at M = 16
+    assert rc in (0, 1)
+    _, doc = _read_reports(out)
+    meta = ("suite", "seed", "n_paths", "grid_steps", "horizon", "h_kind")
+    rows = [
+        {k: v for k, v in c.items() if k not in meta}
+        for c in doc["cases"] if c["case"] == "isometry[x]"
+    ]
+    assert [c["suite"] for c in doc["cases"] if c["case"] == "isometry[x]"] == ["isometry", "pde"]
+    assert rows[0] == rows[1] and rows[0]["factor1"]["n"] == 40000
+    # two integrands of 16 columns each, on each of three blocks
+    sweep = doc["header"]["sweep"]
+    assert (sweep["blocks"], sweep["columns"], sweep["points"]) == (3, 3 * 32, 40000 * 32)
+
+
 @pytest.mark.parametrize("error", [concurrent.futures.process.BrokenProcessPool, RuntimeError])
 def test_jobs_a_broken_pool_refuses_become_failing_rows(tmp_path, monkeypatch, error):
     class BreaksAfterOneJob(concurrent.futures.process.ProcessPoolExecutor):
@@ -580,8 +615,8 @@ def test_header_times_every_task(tmp_path, workers):
     assert main(["--config", str(ini), "--workers", str(workers), "--out-dir", str(out)]) == 0
     wall = _read_reports(out)[1]["header"]["task_wall_s"]
     cfg = load_ini(str(ini))
-    tasks, _ = cli._build_tasks(cfg, cfg.suites)
-    assert list(wall) == [label for _, (label, _) in tasks]
+    tasks, _, _ = cli._build_tasks(cfg, cfg.suites)
+    assert list(wall) == [label for _, (label, _, _) in tasks]
     assert all(0.0 < seconds < 60.0 for seconds in wall.values())
 
 

@@ -10,11 +10,17 @@ process pool runs them, so ``verify.py`` imports no concurrency and no
 other module creates an executor.  ``verify.ProcessElement`` is a record
 of values, so none of its fields holds a function.  One rule in
 ``verify.py`` decides an exponent's overflow from column ranges, so the
-evaluation, the column kernel and the sweep catch none.
+evaluation, the column kernel and the sweep catch none.  Each suite is one
+entry of one table in ``cli.py``, and a task names the integrands whose
+sums it reads, so no code in ``cli.py`` branches on a suite's name.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from expmart import cli
+from expmart.config import SUITES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "expmart"
 
@@ -145,3 +151,28 @@ def test_verify_decides_exponent_overflow_in_one_function():
         if any(isinstance(node, (ast.Try, ast.TryStar)) for node in ast.walk(fn))
     ]
     assert len(kernel) == 3 and catching == []
+
+
+def test_each_suite_is_declared_once_in_cli():
+    assert tuple(cli._SUITES) == SUITES
+    [sub] = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert tuple(sub.choices) == SUITES + ("all",)
+    tree = _tree("cli.py")
+    # a suite's name is data: no function compares a value against one
+    compared = [
+        (fn.name, node.lineno)
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for leaf in ast.walk(operand)
+        if isinstance(leaf, ast.Constant) and leaf.value in SUITES
+    ]
+    assert compared == []
+    # which tasks read the sweep's sums is task data, not a list of suites
+    bound = {
+        target.id
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    assert bound & {"_SWEPT", "Register", "Sweep"} == set()

@@ -22,13 +22,14 @@ Every operation returns a normalized element: terms sorted by exponent
 (real part, then imaginary part), exponents equal to within 1e-12 per
 component merged, trailing zero coefficients trimmed, zero polynomials
 dropped.  Where terms merge (addition, subtraction, colliding exponents,
-commutator residuals) and in products, coefficients at or below 1e-12
-relative to the pre-cancellation coefficient scale are dropped, so that
-f - f collapses to the literal zero element (no terms).  A term copied
-unchanged keeps every coefficient, and exact unary maps (conjugation, X,
-D, D*, G, scalar multiples) never drop small coefficients: a legitimate
-element may mix coefficient magnitudes across many orders.  Canonicalization
-is therefore a projection: make_element(f.q, f.terms) == f.
+commutator residuals) and in products that convolve, coefficients at or
+below 1e-12 relative to the pre-cancellation coefficient scale are dropped,
+so that f - f collapses to the literal zero element (no terms).  A term
+copied unchanged keeps every coefficient, and exact unary maps (conjugation,
+X, D, D*, G, scalar multiples, products with a constant polynomial) never
+drop small coefficients: a legitimate element may mix coefficient magnitudes
+across many orders.  Canonicalization is therefore a projection:
+make_element(f.q, f.terms) == f.
 """
 
 from __future__ import annotations
@@ -187,7 +188,9 @@ def _max_abs(coeffs: Iterable[complex]) -> float:
 # ---------------------------------------------------------------------------
 # canonicalization
 
-def _canonical_terms(raw: Iterable[Term], scale: float, computed: bool = False) -> tuple[Term, ...]:
+def _canonical_terms(
+    raw: Sequence[Term], scale: float, computed: bool | Sequence[bool] = False
+) -> tuple[Term, ...]:
     """Sort, merge near-equal exponents, drop sub-scale coefficients.
 
     An exponent joins the first cluster, latest first, whose representative
@@ -199,24 +202,25 @@ def _canonical_terms(raw: Iterable[Term], scale: float, computed: bool = False) 
     ``scale`` is the pre-cancellation coefficient magnitude of the operation
     that produced ``raw``; coefficients at or below CANONICAL_TOL * scale are
     set to zero in merged terms, which are sums.  Unmerged terms are copied
-    unchanged and keep every coefficient, unless ``computed`` says that the
-    operation computed all of ``raw`` (a product): then every term drops.
+    unchanged and keep every coefficient, unless ``computed`` (one flag, or
+    one per term of ``raw``) says that sums computed them, as in a product.
     """
+    flags = [computed] * len(raw) if isinstance(computed, bool) else computed
     # v + 0j turns -0.0 components into +0.0: they break nothing but make
     # reprs and golden files unstable
     items = sorted(
-        ((c + 0j, [v + 0j for v in p]) for c, p in raw),
+        ((c + 0j, [v + 0j for v in p], flag) for (c, p), flag in zip(raw, flags)),
         key=lambda t: (t[0].real, t[0].imag),
     )
     clusters: list[list] = []  # [representative, coefficients, droppable]
-    for c, p in items:
+    for c, p, flag in items:
         k = len(clusters) - 1
         while k >= 0 and c.real - clusters[k][0].real <= CANONICAL_TOL:
             if abs(c.imag - clusters[k][0].imag) <= CANONICAL_TOL:
                 break
             k -= 1
         else:
-            clusters.append([c, p, computed])
+            clusters.append([c, p, flag])
             continue
         cluster = clusters[k]
         cluster[1] = _poly_add(cluster[1], p)
@@ -339,16 +343,15 @@ def mul(f: PolyExpElement, g: PolyExpElement) -> PolyExpElement:
     """Pointwise product.
 
     Exponential parts combine as E(c)E(d) = exp(c*d*q) E(c+d); polynomial
-    parts multiply by convolution.
+    parts multiply by convolution.  A constant polynomial sums nothing, so
+    its pair's term is a scaled copy and keeps every coefficient.
     """
     q = _check_same_q(f, g)
-    raw: list[Term] = []
-    for c, p in f.terms:
-        for d, r in g.terms:
-            factor = _pair_factor(c, d, q)
-            raw.append((c + d, _poly_scale(_poly_mul(p, r), factor)))
+    pairs = [(c, p, d, r) for c, p in f.terms for d, r in g.terms]
+    raw = [(c + d, _poly_scale(_poly_mul(p, r), _pair_factor(c, d, q))) for c, p, d, r in pairs]
     scale_ = max((_max_abs(p) for _, p in raw), default=0.0)
-    return PolyExpElement(q, _canonical_terms(raw, scale_, computed=True))
+    convolved = [len(p) > 1 and len(r) > 1 for _, p, _, r in pairs]
+    return PolyExpElement(q, _canonical_terms(raw, scale_, computed=convolved))
 
 
 def conjugate(f: PolyExpElement) -> PolyExpElement:
@@ -362,16 +365,14 @@ def conjugate(f: PolyExpElement) -> PolyExpElement:
 #
 # Moment sums can cancel catastrophically: a G-image at q = 4 carries
 # coefficients ~1e11 while its norm stays O(1)-relative, so the float64 sum
-# can lose every digit.  All scalar reductions therefore fall back to mpmath
-# at a cancellation-adapted precision whenever more than _ESCALATE_DIGITS
-# decimal digits cancel; coefficients stay exact float64 inputs either way.
+# can lose every digit.  inner_product is the one scalar reduction (the
+# expectations are <f, 1>), and it falls back to mpmath at a
+# cancellation-adapted precision whenever more than _ESCALATE_DIGITS decimal
+# digits cancel; coefficients stay exact float64 inputs either way.
 #
-# The escalated sums need 27-35 digits on the CLI's randomized families
-# (check-algebra at seed 1: 328 of 10,000 inner products escalate, all in
-# that range), more than double-double's ~32, so double-double cannot
-# replace mpmath exactly.  They run on libmp value tuples rather than mpf/mpc
-# objects, because mpmath's object layer (conversion and allocation per
-# operation) costs more than its arithmetic.
+# The escalated sums need 27-35 digits on check-algebra's families, beyond
+# double-double's ~32.  They run on libmp value tuples, not mpf/mpc objects,
+# whose conversion and allocation per operation cost more than the arithmetic.
 #
 # The kernels below obey one rule: every rounded float, complex or mpmath
 # operation of the plain object-level formulation runs with the same
@@ -410,21 +411,20 @@ def _csum(values: Sequence[complex]) -> complex:
 
 
 def _moment_addends(
-    out: list[complex], p: Sequence[complex], a: complex, q: float, factor: complex | None = None
+    out: list[complex], p: Sequence[complex], a: complex, q: float, factor: complex
 ) -> None:
-    """Append the addends p[k] * m_k, times ``factor`` if given, to ``out``.
+    """Append the addends factor * (p[k] * m_k) to ``out``.
 
     m_k = E[X^k exp(aX - a^2 q/2)], X ~ N(0, q), follows the tilted moment
     recursion m_0 = 1, m_1 = a q, m_k = a q m_{k-1} + (k-1) q m_{k-2}.
     """
     if not p:
         return
-    out.append(p[0] if factor is None else factor * p[0])
+    out.append(factor * p[0])
     m_prev2 = 1 + 0j
     m_prev1 = aq = a * q
     for k in range(1, len(p)):
-        v = p[k] * m_prev1
-        out.append(v if factor is None else factor * v)
+        out.append(factor * (p[k] * m_prev1))
         m_prev2, m_prev1 = m_prev1, aq * m_prev1 + k * q * m_prev2
 
 
@@ -482,39 +482,13 @@ def _mp_moment_sum(p: Sequence[tuple], a: tuple, q: tuple, prec: int, rnd: str) 
 
 
 def gaussian_expectation(p: Sequence[complex], a: complex, q: float) -> complex:
-    """E[p(X) exp(a X - a^2 q/2)] for X ~ N(0, q), exactly.
-
-    Uses the tilted moment recursion with compensated summation, escalating
-    to mpmath when cancellation would dominate the float64 result.
-    """
-    a = _require_finite_complex(a, "tilt")
-    q = _require_variance(q)
-    coeffs = [complex(v) for v in p]
-    addends: list[complex] = []
-    _moment_addends(addends, coeffs, a, q)
-    return _reduce(
-        addends,
-        lambda prec, rnd: _mp_moment_sum(
-            [_mpc(v) for v in coeffs], _mpc(a), from_float(q), prec, rnd
-        ),
-    )
+    """E[p(X) exp(a X - a^2 q/2)] for X ~ N(0, q): the expectation of p(X) E(a)."""
+    return expectation(make_element(q, [(a, p)]))
 
 
 def expectation(f: PolyExpElement) -> complex:
-    """E[f(X)] for X ~ N(0, q); each exponential term has expectation one."""
-    addends: list[complex] = []
-    for c, p in f.terms:
-        _moment_addends(addends, p, c, f.q)
-
-    def exact(prec: int, rnd: str) -> tuple:
-        q = from_float(f.q)
-        acc = (fzero, fzero)
-        for c, p in f.terms:
-            moment = _mp_moment_sum([_mpc(v) for v in p], _mpc(c), q, prec, rnd)
-            acc = mpc_add(acc, moment, prec, rnd)
-        return acc
-
-    return _reduce(addends, exact)
+    """E[f(X)] = <f, 1> for X ~ N(0, q); each exponential term has expectation one."""
+    return inner_product(f, one_element(f.q))
 
 
 def inner_product(f: PolyExpElement, g: PolyExpElement) -> complex:
@@ -570,17 +544,19 @@ def apply_X(f: PolyExpElement) -> PolyExpElement:
     return PolyExpElement(f.q, _canonical_terms(raw, 0.0))
 
 
+def _lowered(c: complex, p: Sequence[complex], q: float) -> tuple[complex, ...]:
+    """q (p' + c p): the polynomial factor of D(p(x) E(c))."""
+    return _poly_add(_poly_scale(_poly_diff(p), q), _poly_scale(p, c * q))
+
+
 def apply_D(f: PolyExpElement) -> PolyExpElement:
     """Lowering operator D = q * d/dx.
 
     On a term p(x) E(c) the derivative acts as q (p' + c p) E(c); in
     particular D E(c) = c q E(c).
     """
-    q = f.q
-    raw = []
-    for c, p in f.terms:
-        raw.append((c, _poly_add(_poly_scale(_poly_diff(p), q), _poly_scale(p, c * q))))
-    return PolyExpElement(q, _canonical_terms(raw, 0.0))
+    raw = [(c, _lowered(c, p, f.q)) for c, p in f.terms]
+    return PolyExpElement(f.q, _canonical_terms(raw, 0.0))
 
 
 def apply_D_star(f: PolyExpElement) -> PolyExpElement:
@@ -589,11 +565,8 @@ def apply_D_star(f: PolyExpElement) -> PolyExpElement:
     On exponentials: D* E(c) = (x - c q) E(c).
     """
     q = f.q
-    raw = []
-    for c, p in f.terms:
-        lowered = _poly_add(_poly_scale(_poly_diff(p), q), _poly_scale(p, c * q))
-        raw.append((c, _poly_add(_poly_shift(p), _poly_scale(lowered, -1.0))))
-    return PolyExpElement(q, _canonical_terms(raw, 0.0))
+    raw = [(c, _poly_add(_poly_shift(p), _poly_scale(_lowered(c, p, q), -1.0))) for c, p in f.terms]
+    return PolyExpElement(f.q, _canonical_terms(raw, 0.0))
 
 
 def apply_G(f: PolyExpElement) -> PolyExpElement:

@@ -898,8 +898,8 @@ def verify_pde(
     rounding to nearest, and touch no global precision.  Each runs the rounded
     operations of the mpf/mpc formulation at 30 digits (u = mp.e ** (c x -
     c c y / 2), then the stencils as written) on the same operands, so the
-    results are bitwise that formulation's (tests/test_verify.py keeps it
-    as the oracle).
+    results are bitwise that formulation's (tests/test_pde_kernel.py keeps
+    it as the oracle).
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, not {step!r}")

@@ -92,6 +92,19 @@ def test_gaussian_expectation_against_quadrature(p, a, q):
     assert abs(exact - reference) <= 1e-8 * max(1.0, abs(reference))
 
 
+def test_gaussian_expectation_validates_its_polynomial():
+    # p(X) E(a) is built as an element, so a coefficient that is not finite
+    # raises instead of summing to inf or nan
+    for p, a in (([1.0, math.inf], 0.5), ([math.nan], 0.0)):
+        with pytest.raises(ValueError, match="coefficient must be finite"):
+            gaussian_expectation(p, a, 1.0)
+    assert repr(gaussian_expectation([], 0.5, 1.0)) == "0j"
+    p = [1.0, -2j, 0.5]
+    assert repr(gaussian_expectation(p + [0.0, 0j], 0.5, 1.0)) == repr(
+        gaussian_expectation(p, 0.5, 1.0)
+    )
+
+
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 4.0])
 def test_expectation_matches_per_term_quadrature(q):
     for _ in range(5):
@@ -254,9 +267,18 @@ tame_terms_st = st.lists(
 )
 
 
+# tame coefficients whose merge leaves dust just above 1e-12 of the raw
+# scale, and at 1e-12 of the merged one
+MERGED_DUST = [
+    (0j, [0j, 272j, 0j, 0j, -1 + 2.722211087271196e-10j]),
+    (0j, [0j, 273j, 0j, 0j, 1 + 2.722211087271196e-10j]),
+]
+
+
 @given(tame_terms_st, st.sampled_from([0.5, 1.0]))
 @settings(max_examples=100, deadline=None)
 @example(SPLIT_BY_VANISHED_TERM, 0.5)
+@example(MERGED_DUST, 0.5)
 def test_additive_and_multiplicative_identities(terms, q):
     f = make_element(q, terms)
     assert add(f, zero_element(q)) == f
@@ -266,7 +288,8 @@ def test_additive_and_multiplicative_identities(terms, q):
 def test_canonicalization_drops_relative_dust():
     # coefficients <= 1e-12 of the producing operation's scale are dropped
     # where terms merge (construction measures the raw inputs, binary ops the
-    # operands) and in products; a term copied unchanged keeps them all
+    # operands) and in products that convolve; a term copied unchanged, or
+    # scaled by a constant polynomial, keeps them all
     f = make_element(0.5, [(0.0, (0.0, 1e6, 1e-7))])
     assert f.terms[0][1] == (0.0, 1e6, 1e-7)
     merged = make_element(0.5, [(0.0, (0.0, 1e6)), (0.0, (0.0, 0.0, 1e-7))])
@@ -276,7 +299,8 @@ def test_canonicalization_drops_relative_dust():
     assert add(g, zero_element(0.5)) == g     # nothing merges, nothing drops
     one = one_element(0.5)
     assert add(g, one).terms[0][1] == (1.0, 1e6)  # operand scale 1e6 drops it
-    assert mul(g, one).terms[0][1] == (0.0, 1e6)  # so does the product's scale
+    assert mul(g, monomial(1, 0.5)).terms[0][1] == (0.0, 0.0, 1e6)  # so does a convolution's
+    assert mul(g, one) == g  # a constant factor sums nothing
     kept = make_element(0.5, [(0.0, (0.0, 1e6, 1e-4))])
     assert add(kept, one).terms[0][1] == (1.0, 1e6, 1e-4)
 

@@ -3,14 +3,19 @@ from h1 and h2.
 
 Each check-algebra row passes on the exact operators and fails when
 ``verify``'s binding of the operator it checks is perturbed by one part in
-a million; the golden reports pin only passing values.
+a million; the golden reports pin only passing values.  The exact rows of
+the h1, l2limit and lemma2 suites have a table of such mutants: each entry
+names the rows it must fail, and a row that it cannot fail is recorded with
+the reason.
 """
 
 import numpy as np
+import pytest
 
-from expmart import make_element, one_element, scale, verify
+from expmart import PolyExpElement, cli, make_element, one_element, scale, verify
 from expmart.cli import ALGEBRA_QS, random_element
-from expmart.config import parse_h1_case
+from expmart.config import RunConfig, parse_complex, parse_h1_case, parse_time_change
+from expmart.processes import quadratic_variation_at
 from expmart.verify import (
     Check,
     Estimate,
@@ -23,6 +28,7 @@ from expmart.verify import (
     verify_h2_target,
     verify_hermite_diagonal,
     verify_hermite_roundtrip,
+    verify_lemma2,
     verify_unitarity,
 )
 
@@ -52,8 +58,12 @@ def _algebra_rows() -> dict[str, Check]:
     return {chk.case: chk for chk in rows}
 
 
-def _scaled(op):
-    return lambda f: scale(op(f), 1 + 1e-6)
+def _scaled(op, factor=1 + 1e-6):
+    """``op`` with its result, an element or a scalar, times ``factor``."""
+    def mutant(*args):
+        out = op(*args)
+        return scale(out, factor) if isinstance(out, PolyExpElement) else out * factor
+    return mutant
 
 
 def _failing(rows: dict[str, Check]) -> set[str]:
@@ -133,3 +143,69 @@ def test_h2_target_row_carries_the_bound_rows_sampled_side():
     assert not target.passed
     assert verify_h2_target("b", bound, 0.55).passed
 
+
+# ---------------------------------------------------------------------------
+# the exact suites outside check-algebra, at the default config: the named h1
+# cases, 500 randomized h1 cases, l2limit exponents 0 1 1j and lemma2
+# exponents 1 -1 1j, all at q = 1
+
+CFG = RunConfig()
+
+
+def _exact_rows() -> dict[str, Check]:
+    rows, _, _ = cli.run(CFG, ("h1", "l2limit"))
+    q = quadratic_variation_at(parse_time_change(CFG.time_change), CFG.horizon)
+    exps = [parse_complex(s) for s in CFG.lemma2_exponents]
+    lemma2 = [chk for c in exps for d in exps for chk in verify_lemma2(c, d, q)]
+    return {chk.case: chk for chk in [*(chk for _, chk in rows), *lemma2]}
+
+
+H1_EQUALITY = {"h1-equality[one-equality]", "h1-equality[exp-equality]"}
+H1_EQUALITY_CASES = H1_EQUALITY | {"h1[one-equality]", "h1[exp-equality]"}
+L2_EXPONENTS = ("0", "1", "0+1j")
+LEMMA2_EXPONENTS = ("1", "-1", "0+1j")
+LEMMA2_EXACT = {f"lemma2-exact[c={c},d={d}]" for c in LEMMA2_EXPONENTS for d in LEMMA2_EXPONENTS}
+L2LIMIT = {
+    f"l2limit-{kind}[c={c}]" for kind in ("final", "ratio", "decreasing") for c in L2_EXPONENTS
+}
+
+# (binding in verify, factor, the rows that must fail, the rows that must pass
+# with the reason they cannot fail)
+EXACT_MUTANTS = [
+    ("inner_product", 1 + 1e-6, LEMMA2_EXACT | H1_EQUALITY_CASES, None),
+    ("apply_G", 1 + 1e-6, H1_EQUALITY, None),
+    ("apply_G", 1 - 1e-6, H1_EQUALITY_CASES, None),
+    # apply_X forms the l2limit target X E(c), and the (X - c) factors of h1
+    ("apply_X", 1 + 1e-6, H1_EQUALITY, (
+        L2LIMIT,
+        "gap: the final norms are 8.6e-5 to 5.9e-4 against L2_FINAL_TOL = 1e-3, "
+        "so a 1e-6 change to the target moves no row",
+    )),
+    ("apply_X", 1 + 1e-4, H1_EQUALITY | {f"l2limit-ratio[c={c}]" for c in L2_EXPONENTS}, None),
+    ("apply_G", 1 - 1e-3, H1_EQUALITY_CASES, (
+        {"h1-random-worst[n=500]"},
+        "gap: no randomized case is near equality; the smallest slack is 7.8e-3",
+    )),
+]
+
+
+def test_exact_rows_pass_on_the_exact_operators():
+    rows = _exact_rows()
+    assert set(rows) == (
+        H1_EQUALITY_CASES | LEMMA2_EXACT | L2LIMIT
+        | {"h1[coordinate]", "h1[exp-energy]", "h1-random-worst[n=500]"}
+    )
+    assert _failing(rows) == set()
+
+
+@pytest.mark.parametrize(
+    "name, factor, fails, gap", EXACT_MUTANTS,
+    ids=[f"{name}*(1{factor - 1:+.0e})" for name, factor, _, _ in EXACT_MUTANTS],
+)
+def test_scaled_operator_fails_its_exact_rows(monkeypatch, name, factor, fails, gap):
+    monkeypatch.setattr(verify, name, _scaled(getattr(verify, name), factor))
+    rows = _exact_rows()
+    assert _failing(rows) == fails
+    if gap is not None:
+        passing, reason = gap
+        assert passing <= set(rows) - fails, reason

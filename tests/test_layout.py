@@ -13,6 +13,8 @@ of values, so none of its fields holds a function.  One rule in
 evaluation, the column kernel and the sweep catch none.  Each suite is one
 entry of one table in ``cli.py``, and a task names the integrands whose
 sums it reads, so no code in ``cli.py`` branches on a suite's name.
+``algebra.inner_product`` is the one scalar reduction: only it sums moments
+and escalates, and the expectations are inner products with 1.
 """
 
 import argparse
@@ -176,3 +178,21 @@ def test_each_suite_is_declared_once_in_cli():
         if isinstance(target, ast.Name)
     }
     assert bound & {"_SWEPT", "Register", "Sweep"} == set()
+
+
+def test_inner_product_is_the_algebras_one_reduction():
+    functions = {n.name: n for n in _tree("algebra.py").body if isinstance(n, ast.FunctionDef)}
+    used = {
+        name: {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        for name, fn in functions.items()
+    }
+
+    def users(name: str) -> set[str]:
+        return {fn for fn, names in used.items() if name in names}
+
+    assert users("_reduce") == users("_moment_addends") == {"inner_product"}
+    assert users("_mp_moment_sum") == {"_mp_inner_product"}
+    for name in ("expectation", "gaussian_expectation"):
+        assert {n for n in used[name] if n == "_reduce" or n.startswith("_mp_")} == set()
+    # D and D* write the lowering q (p' + c p) once
+    assert users("_lowered") == {"apply_D", "apply_D_star"}

@@ -238,9 +238,7 @@ def _pde_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
 
 def _l2limit_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     q = quadratic_variation_at(h, cfg.horizon)
-    # h_kind is the time change's spec here, not its kind as on the sampled
-    # suites' rows; report.csv pins it (ROADMAP, open items)
-    return _Meta("l2limit", cfg.seed, horizon=cfg.horizon, h_kind=cfg.time_change), [
+    return _Meta("l2limit", cfg.seed, horizon=cfg.horizon, h_kind=h.kind), [
         (f"l2limit/{format_complex(c)}", (), lambda c=c: verify_l2_limit(c, q, cfg.l2_k_max))
         for c in map(parse_complex, cfg.l2_exponents)
     ]

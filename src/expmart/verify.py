@@ -62,29 +62,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from mpmath.libmp import (
-    dps_to_prec,
-    fnan,
-    from_float,
-    from_int,
-    fzero,
-    mpc_abs,
-    mpc_add,
-    mpc_div_mpf,
-    mpc_mul,
-    mpc_mul_int,
-    mpc_mul_mpf,
-    mpc_pow,
-    mpc_sub,
-    mpf_add,
-    mpf_e,
-    mpf_gt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_sub,
-    round_nearest,
-    to_float,
-)
 
 from .algebra import (
     PolyExpElement,
@@ -886,73 +863,37 @@ def verify_pde(
 ) -> Check:
     """Max |0.5 u_xx + u_y| over the sample points, central differences.
 
-    Checked for both u = exp(c x - c^2 y / 2) and its x-derivative-shape
-    companion u = (x - c y) exp(c x - c^2 y / 2).  Differences are honest
-    second-order stencils with the given step; they are evaluated at 30
-    significant digits because at step 1e-4 the float64 rounding floor
-    (4 eps |u| / step^2, up to ~3e-6 on the target box) exceeds the
-    residual sizes of interest.  A match of the worst residual against 0
-    within ``PDE_TOL``; a NaN residual is the worst, so the check fails.
+    Checked for u = exp(c x - c^2 y / 2) and its companion (x - c y) u, with
+    second-order stencils at step d.  Each neighbour is u times exp(+-c d)
+    or exp(-+c^2 d / 2), so with s = x - c y the residuals are |u a| and
+    |u (s a + b)| for
 
-    The stencils run on libmp value tuples at ``dps_to_prec(30)`` bits,
-    rounding to nearest, and touch no global precision.  Each runs the rounded
-    operations of the mpf/mpc formulation at 30 digits (u = mp.e ** (c x -
-    c c y / 2), then the stencils as written) on the same operands, so the
-    results are bitwise that formulation's (tests/test_pde_kernel.py keeps
-    it as the oracle).
+        a = 2 sinh(c d / 2)^2 / d^2 - sinh(c^2 d / 2) / d,
+        b = sinh(c d) / d - c cosh(c^2 d / 2),
+
+    and no two nearly equal values of u are subtracted: float64 holds them
+    within a few eps |u| (1 + |s|) max(1, |c|)^2 (tests/test_pde_kernel.py).
+    A match of the worst residual against 0 within ``PDE_TOL``; a step whose
+    shifts overflow gives an inf or NaN residual, and NaN is the worst.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, not {step!r}")
     if not cmath.isfinite(c):
         raise ValueError(f"exponent must be finite, not {c!r}")
     pts = tuple(points) if points is not None else pde_grid()
-    prec, rnd = dps_to_prec(30), round_nearest
-    c = complex(c)
-    cc = (from_float(c.real), from_float(c.imag))
-    cc2 = mpc_mul(cc, cc, prec, rnd)
-    e = (mpf_e(prec, rnd), fzero)
-    two = from_int(2)
-    d = from_float(step)
-    d2 = mpf_mul(d, d, prec, rnd)
-    two_d = mpf_mul_int(d, 2, prec, rnd)
-
-    def base(x: tuple, y: tuple) -> tuple:
-        w = mpc_sub(
-            mpc_mul_mpf(cc, x, prec, rnd),
-            mpc_div_mpf(mpc_mul_mpf(cc2, y, prec, rnd), two, prec, rnd),
-            prec, rnd,
-        )
-        return mpc_pow(e, w, prec, rnd)
-
-    def drifted(x: tuple, y: tuple) -> tuple:
-        shift = mpc_sub((x, fzero), mpc_mul_mpf(cc, y, prec, rnd), prec, rnd)
-        return mpc_mul(shift, base(x, y), prec, rnd)
-
-    worst = fzero
-    for u in (base, drifted):
-        for x0, y0 in pts:
-            x0 = from_float(x0)
-            y0 = from_float(y0)
-            second = mpc_add(
-                mpc_sub(
-                    u(mpf_add(x0, d, prec, rnd), y0),
-                    mpc_mul_int(u(x0, y0), 2, prec, rnd),
-                    prec, rnd,
-                ),
-                u(mpf_sub(x0, d, prec, rnd), y0),
-                prec, rnd,
-            )
-            uxx = mpc_div_mpf(second, d2, prec, rnd)
-            first = mpc_sub(
-                u(x0, mpf_add(y0, d, prec, rnd)), u(x0, mpf_sub(y0, d, prec, rnd)), prec, rnd
-            )
-            uy = mpc_div_mpf(first, two_d, prec, rnd)
-            r = mpc_abs(mpc_add(mpc_div_mpf(uxx, two, prec, rnd), uy, prec, rnd), prec, rnd)
-            # once worst is NaN, no residual compares greater
-            if r == fnan or mpf_gt(r, worst):
-                worst = r
+    x, y = np.array(pts, dtype=float).reshape(-1, 2).T
+    cc, d = np.complex128(c), np.float64(step)
+    cc2 = cc * cc
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.sinh(cc * d / 2)
+        a = 2 * half * half / (d * d) - np.sinh(cc2 * d / 2) / d
+        b = np.sinh(cc * d) / d - cc * np.cosh(cc2 * d / 2)
+        u = np.exp(cc * x - cc2 * y / 2)
+        r = np.abs(np.concatenate((u * a, u * ((x - cc * y) * a + b))))
+    # np.max propagates NaN, so a NaN residual is the worst
+    worst = float(np.max(r, initial=0.0))
     return Check(
-        f"pde[c={format_complex(c)}]", "match", to_float(worst, rnd=rnd), 0.0, PDE_TOL,
+        f"pde[c={format_complex(complex(c))}]", "match", worst, 0.0, PDE_TOL,
         note=(
             "max |u_xx/2 + u_y| for both element shapes, central "
             f"differences at step {step:g}"

@@ -682,6 +682,34 @@ def test_lemma2_overflowing_exponent_product_exits_3(tmp_path):
     assert row["passed"] is False and row["note"].startswith("overflow:")
 
 
+def test_pde_step_whose_shifts_overflow_fails_its_rows(tmp_path):
+    # at step 1000 the stencils' shifts reach exp(500) and beyond: every
+    # c != 0 reads a residual of 1.9e217, inf or NaN, which fails its row
+    # and is no overflow error; c = 0 has no shift and still passes
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nsuites = pde\n\n[pde]\nstep = 1000\n")
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 1
+    _, doc = _read_reports(tmp_path)
+    passed = {c["case"]: c["passed"] for c in doc["cases"]}
+    assert passed == {
+        "pde[c=0]": True, "pde[c=1]": False, "pde[c=0+1j]": False, "pde[c=1+1j]": False
+    }
+    assert not any(c["note"].startswith(("overflow:", "error:")) for c in doc["cases"])
+
+
+def test_l2limit_rows_carry_the_time_change_kind(tmp_path):
+    # every suite's rows name the time change by its kind, not its spec
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nsuites = lemma2 l2limit\ntime_change = power:0.5\n\n"
+        "[lemma2]\npaths = 100\nexponents = 1\n\n[l2limit]\nexponents = 1\n"
+    )
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 0
+    _, doc = _read_reports(tmp_path)
+    assert {c["suite"] for c in doc["cases"]} == {"lemma2", "l2limit"}
+    assert {c["h_kind"] for c in doc["cases"]} == {"power"}
+
+
 def test_lemma2_sample_overflow_is_a_skip_row(tmp_path):
     # E(1) conj(E(1+30j)) reaches about exp(460) on the samples: finite, but
     # its square is not, so the sampled entry of both mixed pairs is skipped

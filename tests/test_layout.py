@@ -2,11 +2,12 @@
 
 ``verify`` owns every check: its rows and its tolerances.  ``cli.py`` only
 draws inputs, builds tasks and runs them, so it constructs no ``Check`` and
-defines no ``*_TOL`` constant; it holds functions and data, and no class.  ``verify.py`` runs its mpmath arithmetic on
-libmp value tuples at explicit precisions, so it touches neither mpmath's
-global precision (``workdps``) nor the algebra's lock for it.  One list of
-jobs in ``cli.py`` holds the sweep's path blocks and the tasks, and one
-process pool runs them, so ``verify.py`` imports no concurrency and no
+defines no ``*_TOL`` constant; it holds functions and data, and no class.
+``verify.py`` imports no ``mpmath`` module (its PDE stencils run in
+float64), so it touches neither mpmath's global precision (``workdps``) nor
+the algebra's lock for it.  One list of jobs in ``cli.py`` holds the sweep's
+path blocks and the tasks, and one process pool runs them, so
+``verify.py`` imports no concurrency and no
 other module creates an executor.  ``verify.ProcessElement`` is a record
 of values, so none of its fields holds a function.  One rule in
 ``verify.py`` decides an exponent's overflow from column ranges, so the
@@ -104,7 +105,7 @@ def test_verify_uses_no_mpmath_global_precision():
     tree = _tree("verify.py")
     used = [(line, name) for line, name in _names(tree) if name in ("_MP_LOCK", "workdps")]
     assert used == []
-    assert {m for m in _modules(tree) if m.split(".")[0] == "mpmath"} <= {"mpmath.libmp"}
+    assert {m for m in _modules(tree) if m.split(".")[0] == "mpmath"} == set()
 
 
 def test_verify_imports_no_concurrency():

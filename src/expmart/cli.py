@@ -7,13 +7,13 @@ directory plus one PASS/FAIL console line per check (``report``).
 Each report row is one ``verify.Check`` next to its suite's run metadata
 (seed, path count, grid steps, horizon, time change).  Each suite is one
 entry of ``_SUITES``, whose builder only draws inputs and builds
-``(label, integrands, fn)`` tasks: ``fn`` takes one getter of sampled sums
-per integrand the task reads (most read none) and returns the finished rows
-of ``verify_*`` functions, which own every row's shape, pass rule and
-tolerance.  One function, ``_rows``, gives every task's rows, in
-this process or in a worker: a task that raises becomes one failing row
-(``Check.failed``, with no sampled metadata) whose note starts with
-``overflow:`` or ``error:``.
+``(label, integrands, fn)`` tasks: ``fn`` takes the sampled sums of each
+integrand the task reads (most read none) and returns the finished rows of
+``verify_*`` functions, which own every row's shape, pass rule and
+tolerance.  One function, ``_rows``, gives every task's rows, in this
+process or in a worker, and is the one place where an error of the sweep is
+raised: a task that raises becomes one failing row (``Check.failed``, with
+no sampled metadata) whose note starts with ``overflow:`` or ``error:``.
 
 Every job, a path block of the sampled sweep or a task, is one entry of one
 list and runs through one runner and one schedule: the blocks start first,
@@ -140,7 +140,7 @@ def random_element(
 # suites: each builder takes the config, the run's time change h and the main
 # ensemble's grid, and returns its suite's run metadata and its tasks.  A task
 # is its label, the integrands whose sweep sums it reads, and a function that
-# takes one getter of those sums per integrand and returns the checks.
+# takes the sums of each of those integrands and returns the checks.
 Task = tuple[str, tuple[ProcessElement, ...], Callable[..., Iterable[Check]]]
 Built = tuple[_Meta, list[Task]]
 
@@ -186,7 +186,7 @@ def _isometry_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     tasks: list[Task] = []
     for label, template in map(parse_isometry_case, cfg.isometry_cases):
         z = ProcessElement.from_template(h, template, label)
-        tasks.append((f"isometry/{label}", (z,), lambda i, z=z: [verify_isometry(z, grid, i)]))
+        tasks.append((f"isometry/{label}", (z,), lambda s, z=z: [verify_isometry(z, grid, s)]))
     return _Meta("isometry", cfg.seed, cfg.paths, grid.steps, grid.horizon, h.kind), tasks
 
 
@@ -217,9 +217,9 @@ def _h2_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     for case in map(parse_h2_case, cfg.h2_cases):
         y = ProcessElement.from_template(h, case["template"], case["name"])
 
-        def task(*integrals, case=case, y=y) -> list[Check]:
+        def task(sums1, sums2, case=case, y=y) -> list[Check]:
             bound = verify_h2(
-                y, grid, *integrals, k_sigma=cfg.h2_k_sigma, disc_factor=cfg.h2_disc_factor
+                y, grid, sums1, sums2, k_sigma=cfg.h2_k_sigma, disc_factor=cfg.h2_disc_factor
             )
             if case["target_lhs"] is None:
                 return [bound]
@@ -266,7 +266,7 @@ def _build_tasks(
 ) -> tuple[list[tuple[_Meta, Task]], list[Callable[[], SweepBlock]], Callable]:
     """The tasks of the suites, each with its suite's run metadata; the
     sweep's block jobs; and the merge that turns the finished blocks into
-    one getter of sums per integrand the tasks read, in task order.
+    one (sums, error) pair per integrand the tasks read, in task order.
 
     The main ensemble is never materialized: each integrand's column
     elements are built here, once, and each block job generates one path
@@ -293,11 +293,15 @@ def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
     return [(_Meta(meta.suite, meta.seed), Check.failed(label, note))]
 
 
-def _rows(meta: _Meta, label: str, fn: Callable[..., Iterable[Check]], *sums) -> list[Result]:
-    """A task's rows: its checks, from ``fn(*sums)``, with its suite's
-    metadata.  An overflow or any other exception becomes one failing row."""
+def _rows(meta: _Meta, label: str, fn: Callable[..., Iterable[Check]], *swept) -> list[Result]:
+    """A task's rows, with its suite's metadata: ``fn``'s checks on the sums of
+    ``swept``, its (sums, error) pairs.  The pairs' first error, in integrand
+    order, an overflow or any other exception becomes one failing row."""
     try:
-        return [(meta, chk) for chk in fn(*sums)]
+        for _, error in swept:
+            if error is not None:
+                raise error
+        return [(meta, chk) for chk in fn(*(sums for sums, _ in swept))]
     except (EvaluationOverflowError, OverflowError) as e:
         return _failed(meta, label, f"overflow: {e}")
     except Exception as e:
@@ -308,9 +312,9 @@ def _rows(meta: _Meta, label: str, fn: Callable[..., Iterable[Check]], *sums) ->
 
 # The jobs of the running ``_execute``: the sweep's block jobs, then one
 # ``_rows`` job per task (the job of a task that reads sums is given their
-# getters once they are merged).  Forked worker processes inherit this list,
-# so a worker is sent only a job's index: the closures and the data they
-# hold (ensembles, built integrand columns) are never pickled.
+# (sums, error) pairs once they are merged).  Forked worker processes
+# inherit this list, so a worker is sent only a job's index: the closures and
+# the data they hold (ensembles, built integrand columns) are never pickled.
 _JOBS: list[Callable[[], object]] = []
 
 Outcome = tuple[object, dict[str, int], float]
@@ -345,7 +349,7 @@ def _execute(
     job).  A job that raised, whose worker died, or that the pool refused is
     lost: its task, or for a block every task that reads sums, becomes a
     failing ``error:`` row with no escalations and a NaN wall time.  A task
-    that reads sums starts once they are merged, with their getters.
+    that reads sums starts once they and their errors are merged.
     """
     n_blocks = len(blocks)
     reads = [len(integrands) for _, (_, integrands, _) in tasks]

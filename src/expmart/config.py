@@ -22,6 +22,7 @@ import cmath
 import configparser
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,7 +72,9 @@ Specs = tuple[str, ...]
 
 
 def _parse_names(s: str) -> Specs:
-    return tuple(s.split())
+    """Whitespace-separated names; a standalone "+" keeps its neighbours in
+    one name, so a multi-term template case ("1@0 + 0,1@1") is one case."""
+    return tuple(" ".join(m.split()) for m in re.findall(r"\S+(?:\s+\+\s+\S+)*", s))
 
 
 def parse_complex_list(s: str) -> Specs:

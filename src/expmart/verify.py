@@ -39,14 +39,14 @@ builds the template at q = h(t), applies G if transformed, then forms
 ``gauss_transform().centered_position(gt)``.  G comes at most once, and
 before the one centering.
 
-Sampled memory: ``verify_isometry`` and ``verify_h2`` take their per-path
-Ito sums as callables that return them or raise.  ``ito_integral`` reads a
-materialized ``PathEnsemble`` (N x (M+1) floats).  The sweep holds one
-block, ``BLOCK_PATHS`` x (M+1) floats, at a time instead: ``sweep_columns``
-builds each integrand's column elements once, ``sweep_block`` generates a
-block and sums every integrand on it, and ``merge_sweep`` turns the blocks'
-results, in any order, into one callable per integrand that returns or
-raises what ``ito_integral`` would, bitwise: both run one column kernel.
+Sampled memory: ``verify_isometry`` and ``verify_h2`` take per-path Ito
+sums as arrays.  ``ito_integral`` reads a materialized ``PathEnsemble``
+(N x (M+1) floats).  The sweep holds one block, ``BLOCK_PATHS`` x (M+1)
+floats, at a time instead: ``sweep_columns`` builds each integrand's column
+elements once, ``sweep_block`` generates a block and sums every integrand on
+it, and ``merge_sweep`` turns the blocks' results, in any order, into one
+(sums, error) pair per integrand: the sums ``ito_integral`` would return, or
+the error it would raise, bitwise: both run one column kernel.
 
 Sampled evaluation has one rule for every input and path count: a real
 exponent is formed and exponentiated in float64, and a complex exponent's
@@ -59,7 +59,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -179,6 +179,10 @@ class EvaluationOverflowError(ArithmeticError):
                 f"Re(c*x - c^2 q/2) = {max_real:.3g} > {OVERFLOW_LIMIT}"
             )
         super().__init__(message)
+
+    def __reduce__(self):
+        # the default re-calls __init__ with the message as the exponent
+        return type(self), (self.exponent, self.q, self.max_real, str(self))
 
 
 def _horner(p: Sequence[complex], xs: np.ndarray) -> np.ndarray:
@@ -477,11 +481,11 @@ def merge_sweep(
     columns: Sequence[tuple[list[PolyExpElement], BaseException | None]],
     n_paths: int,
     blocks: Iterable[SweepBlock],
-) -> list[Callable[[], np.ndarray]]:
-    """One callable per integrand from the ``sweep_block`` results of every
-    block, in any order: it returns the integrand's N-vector of sums, or
-    raises what ``ito_integral`` would, by the same rule on the ensemble's
-    column ranges, the element-wise extremes of the blocks' ranges."""
+) -> list[tuple[np.ndarray, BaseException | None]]:
+    """One (sums, error) pair per integrand from the ``sweep_block`` results of
+    every block, in any order: its N-vector of sums, and what ``ito_integral``
+    would raise (or None), by the same rule on the ensemble's column ranges,
+    the element-wise extremes of the blocks' ranges."""
     sums = [np.empty(n_paths, dtype=complex) for _ in columns]
     lo = hi = None
     for done in blocks:
@@ -491,18 +495,9 @@ def merge_sweep(
         lo = done.lo if lo is None else np.minimum(lo, done.lo)
         hi = done.hi if hi is None else np.maximum(hi, done.hi)
     return [
-        _outcome(values, _first_overflow(elements, lo, hi)[1] or error)
+        (values, _first_overflow(elements, lo, hi)[1] or error)
         for (elements, error), values in zip(columns, sums)
     ]
-
-
-def _outcome(values: np.ndarray, error: BaseException | None) -> Callable[[], np.ndarray]:
-    def get() -> np.ndarray:
-        if error is not None:
-            raise error
-        return values
-
-    return get
 
 
 def _trapezoid_energy(z: ProcessElement, grid: TimeGrid, weighted: bool) -> float:
@@ -696,17 +691,14 @@ def verify_hermite_roundtrip(polys: Sequence[PolyExpElement]) -> Check:
 # ---------------------------------------------------------------------------
 # the isometry and the two inequalities
 
-def verify_isometry(
-    z: ProcessElement, grid: TimeGrid, integral: Callable[[], np.ndarray]
-) -> Check:
+def verify_isometry(z: ProcessElement, grid: TimeGrid, sums: np.ndarray) -> Check:
     """E[|int z dX|^2] from sampling vs the exact integral int E|z|^2 dh.
 
-    ``integral()`` returns z's per-path Ito sums or raises: an item of
-    ``merge_sweep``, or ``lambda: ito_integral(z, ensemble)``.  A match check:
-    factor1 is the sampled E|I|^2, factor2 the exact integral, and the note
-    gives the deviation in standard errors.
+    ``sums`` are z's per-path Ito sums, from ``ito_integral`` or the sweep.
+    A match check: factor1 is the sampled E|I|^2, factor2 the exact
+    integral, and the note gives the deviation in standard errors.
     """
-    mc = Estimate.from_samples(_abs_squared(integral()))
+    mc = Estimate.from_samples(_abs_squared(sums))
     exact = energy_integral(z, grid)
     return Check(
         f"isometry[{z.label}]", "match", mc.mean.real, exact,
@@ -796,26 +788,24 @@ def h2_integrands(
 def verify_h2(
     y: ProcessElement,
     grid: TimeGrid,
-    integral1: Callable[[], np.ndarray],
-    integral2: Callable[[], np.ndarray],
+    sums1: np.ndarray,
+    sums2: np.ndarray,
     k_sigma: float = K_SIGMA,
     disc_factor: float = DISC_FACTOR,
 ) -> Check:
     """Integrated inequality via sampled Ito integrals vs the exact RHS.
 
-    ``integral1()``/``integral2()`` return the per-path Ito sums of the two
-    ``h2_integrands`` or raise (items of ``merge_sweep``, or
-    ``lambda: ito_integral(z, ensemble)``); the second is called only once
-    the first factor is formed, so errors surface in the order of the
-    factors.  The statistical allowance is k_sigma times the propagated
-    standard error of the factor product (delta method through each square
-    root, then the conservative f2*s1 + f1*s2 for the product); the
-    discretization allowance is disc_factor * (T/M) for the left-endpoint
-    sums.  The bound check's ``extra`` holds the right side on the refined
-    grid, the two parts of the allowance and the raw sampled energies.
+    ``sums1``/``sums2`` are the per-path Ito sums of the two
+    ``h2_integrands``.  The statistical allowance is k_sigma times the
+    propagated standard error of the factor product (delta method through
+    each square root, then the conservative f2*s1 + f1*s2 for the product);
+    the discretization allowance is disc_factor * (T/M) for the
+    left-endpoint sums.  The bound check's ``extra`` holds the right side on
+    the refined grid, the two parts of the allowance and the raw sampled
+    energies.
     """
-    e1 = Estimate.from_samples(_abs_squared(integral1()))
-    e2 = Estimate.from_samples(_abs_squared(integral2()))
+    e1 = Estimate.from_samples(_abs_squared(sums1))
+    e2 = Estimate.from_samples(_abs_squared(sums2))
     f1 = _sqrt_estimate(e1)
     f2 = _sqrt_estimate(e2)
     stderr = f1.mean.real * f2.stderr + f2.mean.real * f1.stderr

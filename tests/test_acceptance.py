@@ -239,7 +239,7 @@ def test_criterion_09_integral_isometry():
     h = TimeChange.identity()
     ens = generate(h, TimeGrid.uniform(1.0, 512), 100_000, SEED)
     chk_one, chk_x = (
-        verify_isometry(z, ens.grid, lambda z=z: ito_integral(z, ens))
+        verify_isometry(z, ens.grid, ito_integral(z, ens))
         for z in (ProcessElement.constant_one(h), ProcessElement.coordinate(h))
     )
     dt = time.perf_counter() - t0

@@ -6,28 +6,44 @@ Each check-algebra row passes on the exact operators and fails when
 a million; the golden reports pin only passing values.  The exact rows of
 the h1, l2limit and lemma2 suites have a table of such mutants: each entry
 names the rows it must fail, and a row that it cannot fail is recorded with
-the reason.
+the reason.  The sampled rows (isometry, h2, h2-target and lemma2-mc) have
+one too, whose mutants are the sampler's paths, and so its increments,
+scaled by a constant.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from expmart import PolyExpElement, cli, make_element, one_element, scale, verify
 from expmart.cli import ALGEBRA_QS, random_element
-from expmart.config import RunConfig, parse_complex, parse_h1_case, parse_time_change
-from expmart.processes import quadratic_variation_at
+from expmart.config import (
+    RunConfig,
+    parse_complex,
+    parse_h1_case,
+    parse_h2_case,
+    parse_isometry_case,
+    parse_time_change,
+)
+from expmart.processes import TimeGrid, generate, quadratic_variation_at
 from expmart.verify import (
     Check,
     Estimate,
+    ProcessElement,
+    h2_integrands,
+    ito_integral,
     verify_adjointness,
     verify_commutators,
     verify_g_fourth,
     verify_h1,
     verify_h1_case,
     verify_h1_randomized,
+    verify_h2,
     verify_h2_target,
     verify_hermite_diagonal,
     verify_hermite_roundtrip,
+    verify_isometry,
     verify_lemma2,
     verify_unitarity,
 )
@@ -209,3 +225,93 @@ def test_scaled_operator_fails_its_exact_rows(monkeypatch, name, factor, fails, 
     if gap is not None:
         passing, reason = gap
         assert passing <= set(rows) - fails, reason
+
+
+# ---------------------------------------------------------------------------
+# the sampled rows at N = 1e5 paths on M = 128 steps, with the default
+# isometry and h2 cases and lemma2's default 1e6 one-step paths and
+# exponents 1 -1 1j, all at q = 1; each mutant scales both ensembles' paths
+
+SAMPLED_CFG = dataclasses.replace(RunConfig(), paths=100_000, grid_steps=128)
+
+
+@pytest.fixture(scope="module")
+def ensembles():
+    cfg = SAMPLED_CFG
+    h = parse_time_change(cfg.time_change)
+    grid = TimeGrid.uniform(cfg.horizon, cfg.grid_steps)
+    one_step = TimeGrid.uniform(cfg.horizon, 1)
+    return (
+        generate(h, grid, cfg.paths, cfg.seed),
+        generate(h, one_step, cfg.lemma2_paths, cfg.seed + 1),
+    )
+
+
+def _sampled_rows(ensembles, factor: float) -> dict[str, Check]:
+    """The sampled rows, as the CLI builds them, on paths scaled by ``factor``."""
+    main, one_step = (dataclasses.replace(ens, paths=ens.paths * factor) for ens in ensembles)
+    h, grid = main.time_change, main.grid
+    q = quadratic_variation_at(h, grid.horizon)
+    rows = []
+    for label, template in map(parse_isometry_case, SAMPLED_CFG.isometry_cases):
+        z = ProcessElement.from_template(h, template, label)
+        rows.append(verify_isometry(z, grid, ito_integral(z, main)))
+    for case in map(parse_h2_case, SAMPLED_CFG.h2_cases):
+        y = ProcessElement.from_template(h, case["template"], case["name"])
+        z1, z2 = h2_integrands(y, case["g"], case["g_tilde"])
+        bound = verify_h2(y, grid, ito_integral(z1, main), ito_integral(z2, main))
+        rows += [bound, verify_h2_target(case["name"], bound, case["target_lhs"](q))]
+    exps = [parse_complex(s) for s in SAMPLED_CFG.lemma2_exponents]
+    rows += [verify_lemma2(c, d, q, one_step)[1] for c in exps for d in exps]
+    return {chk.case: chk for chk in rows}
+
+
+ISOMETRY = {"isometry[one]", "isometry[x]"}
+H2_BOUND = {"h2[brownian-equality]", "h2[brownian-strict]"}
+LEMMA2_MC = {f"lemma2-mc[c={c},d={d}]" for c in LEMMA2_EXPONENTS for d in LEMMA2_EXPONENTS}
+# c + conj(d) = 0: E(c) conj(E(d)) is a constant, so its sample is one value
+LEMMA2_CONSTANT = {"lemma2-mc[c=1,d=-1]", "lemma2-mc[c=-1,d=1]", "lemma2-mc[c=0+1j,d=0+1j]"}
+LEMMA2_POWERED = LEMMA2_MC - LEMMA2_CONSTANT
+CONSTANT_REASON = "gap: c + conj(d) = 0 samples a constant, which no path scaling moves"
+DISC_REASON = (
+    "the discretization allowance 10 T/M = 0.078 is most of the h2 allowance "
+    "(about 0.10 for brownian-equality, 0.16 to 0.20 for brownian-strict)"
+)
+
+# (path factor, the rows that must fail, the rows that must pass with the
+# reason they cannot fail), as observed at SAMPLED_CFG
+SAMPLED_MUTANTS = [
+    (1.02, ISOMETRY | LEMMA2_POWERED, [
+        (H2_BOUND, "gap: inflation raises the left side of a lower bound"),
+        ({"h2-target[brownian-equality]"}, "gap: the left side moves 0.040; " + DISC_REASON),
+        ({"h2-target[brownian-strict]"}, "gap: the left side moves 0.13; " + DISC_REASON),
+        (LEMMA2_CONSTANT, CONSTANT_REASON),
+    ]),
+    (0.95, ISOMETRY | LEMMA2_POWERED | {"h2-target[brownian-strict]"}, [
+        ({"h2[brownian-equality]", "h2-target[brownian-equality]"},
+         "gap: the left side falls 0.094; " + DISC_REASON),
+        ({"h2[brownian-strict]"}, "gap: the strict case's slack, 0.67, outlasts the fall"),
+        (LEMMA2_CONSTANT, CONSTANT_REASON),
+    ]),
+]
+
+
+def test_sampled_rows_pass_on_the_sampler(ensembles):
+    rows = _sampled_rows(ensembles, 1.0)
+    assert set(rows) == ISOMETRY | H2_BOUND | LEMMA2_MC | {
+        "h2-target[brownian-equality]", "h2-target[brownian-strict]"
+    }
+    assert _failing(rows) == set()
+
+
+@pytest.mark.parametrize(
+    "factor, fails, gaps", SAMPLED_MUTANTS,
+    ids=[f"paths*{factor:g}" for factor, _, _ in SAMPLED_MUTANTS],
+)
+def test_scaled_sampler_fails_its_sampled_rows(ensembles, factor, fails, gaps):
+    rows = _sampled_rows(ensembles, factor)
+    assert _failing(rows) == fails
+    for passing, reason in gaps:
+        assert passing <= set(rows) - fails, reason
+    # every row is either failed or recorded as a gap
+    assert fails | set().union(*(passing for passing, _ in gaps)) == set(rows)

@@ -191,6 +191,30 @@ def test_h1_tolerance_has_one_owner(tmp_path):
     assert load_ini(str(ini)).h1_tol == 1e-6
 
 
+TWO_TERM_CASE = "template:1@1+45j + 1@45+1j"
+
+
+def test_case_list_keeps_a_multi_term_template_whole(tmp_path, capsys):
+    # the template's terms are joined by " + "; the list splits on whitespace
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nsuites = h2\npaths = 2000\ngrid_steps = 16\n\n"
+        f"[h2]\ncases = brownian-equality {TWO_TERM_CASE}\n"
+    )
+    assert load_ini(str(ini)).h2_cases == ("brownian-equality", TWO_TERM_CASE)
+    out = tmp_path / "out"
+    assert main(["--config", str(ini), "--out-dir", str(out)]) == 3
+    cases = [c["case"] for c in _read_reports(out)[1]["cases"]]
+    assert cases == [
+        "h2[brownian-equality]", "h2-target[brownian-equality]",
+        "h2/template[1@1+45j + 1@45+1j]",
+    ]
+    # a "+" with no term on one side is still no case
+    ini.write_text("[run]\nsuites = h2\n\n[h2]\ncases = brownian-equality +\n")
+    assert main(["--config", str(ini), "--out-dir", str(out)]) == 2
+    assert "unknown h2 case '+'" in capsys.readouterr().err
+
+
 def test_load_ini_rejects_unknown_keys(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text("[run]\nspeed = 5\n")
@@ -561,7 +585,7 @@ def test_any_task_that_names_an_integrand_reads_its_sums(tmp_path, monkeypatch, 
     # from their suites: a pde task that names X gets the isometry[x] row
     def isometry_of_x(h, grid):
         z = dataclasses.replace(ProcessElement.coordinate(h), label="x")
-        return "pde/x", (z,), lambda integral: [verify_isometry(z, grid, integral)]
+        return "pde/x", (z,), lambda sums: [verify_isometry(z, grid, sums)]
 
     _add_pde_task(monkeypatch, isometry_of_x)
     out = tmp_path / "out"
@@ -807,6 +831,31 @@ def test_overflowing_integrand_is_summed_up_to_its_overflow_column(tmp_path, wor
     _, (_, doc) = _isometry_h2_run(tmp_path / "out", workers, OVERFLOW_CASE)
     sweep = doc["header"]["sweep"]
     assert (sweep["blocks"], sweep["columns"], sweep["points"]) == (3, 324, 40000 * 108)
+
+
+def _h2_run(out_dir, workers, extra_case=""):
+    out_dir.mkdir()
+    ini = out_dir / "run.ini"
+    ini.write_text(
+        "[run]\nsuites = isometry h2\npaths = 2000\ngrid_steps = 16\n\n"
+        f"[h2]\ncases = brownian-equality brownian-strict {extra_case}\n"
+    )
+    rc = main(["--config", str(ini), "--workers", str(workers), "--out-dir", str(out_dir)])
+    return rc, _read_reports(out_dir)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_task_reports_its_first_integrands_error(tmp_path, workers):
+    # both h2 integrands of Y = E(1+45j) + E(45+1j) overflow from q = 0.75
+    # on: the first on exponent 1+45j, the second, through G, on 1-45j
+    rc, (_, doc) = _h2_run(tmp_path / "with", workers, TWO_TERM_CASE)
+    assert rc == 3
+    _, (_, doc_clean) = _h2_run(tmp_path / "without", workers)
+    label = "h2/template[1@1+45j + 1@45+1j]"
+    [failed] = [c for c in doc["cases"] if c["case"] == label]
+    assert failed["passed"] is False
+    assert failed["note"].startswith("overflow: exp overflow: term with exponent (1+45j)")
+    assert [c for c in doc["cases"] if c["case"] != label] == doc_clean["cases"]
 
 
 def test_main_ensemble_is_never_materialized(tmp_path, monkeypatch):

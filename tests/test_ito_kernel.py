@@ -339,8 +339,8 @@ def test_sweep_is_bitwise_the_complex_loop(h_label, n_paths, order):
     grid = TimeGrid.uniform(1.0, 8)
     zs = [*integrands(h).values(), ProcessElement.from_template(h, COMPLEX_PRODUCT)]
     ens = generate(h, grid, n_paths, 21)
-    for z, sums in zip(zs, swept(zs, h, grid, n_paths, 21, order)):
-        got = sums()
+    for z, (got, error) in zip(zs, swept(zs, h, grid, n_paths, 21, order)):
+        assert error is None
         assert got.dtype == complex
         assert np.array_equal(got, ito_integral(z, ens))
         assert_matches_reference(got, z, ens)
@@ -375,9 +375,8 @@ def test_sweep_raises_what_ito_integral_raises(order, t_fail, error):
     good, bad = ProcessElement.coordinate(h), _CutOff(h, ((1 + 45j, (1 + 0j,)),), t_fail=t_fail)
     with pytest.raises(error) as expected:
         ito_integral(bad, ens)
-    swept_good, swept_bad = swept([good, bad], h, grid, n_paths, 3, order)
-    with pytest.raises(error) as got:
-        swept_bad()
-    assert str(got.value) == str(expected.value)
-    assert getattr(got.value, "max_real", None) == getattr(expected.value, "max_real", None)
-    assert np.array_equal(swept_good(), ito_integral(good, ens))
+    (good_sums, good_error), (_, got) = swept([good, bad], h, grid, n_paths, 3, order)
+    assert type(got) is error
+    assert str(got) == str(expected.value)
+    assert getattr(got, "max_real", None) == getattr(expected.value, "max_real", None)
+    assert good_error is None and np.array_equal(good_sums, ito_integral(good, ens))

@@ -15,7 +15,10 @@ evaluation, the column kernel and the sweep catch none.  Each suite is one
 entry of one table in ``cli.py``, and a task names the integrands whose
 sums it reads, so no code in ``cli.py`` branches on a suite's name.
 ``algebra.inner_product`` is the one scalar reduction: only it sums moments
-and escalates, and the expectations are inner products with 1.
+and escalates, and the expectations are inner products with 1.  The sampled
+checks take their Ito sums as arrays and the sweep's merge gives each
+integrand its sums and its error, so no ``verify_*`` parameter is a
+callable and no function in ``verify.py`` returns a function it defines.
 """
 
 import argparse
@@ -197,3 +200,24 @@ def test_inner_product_is_the_algebras_one_reduction():
         assert {n for n in used[name] if n == "_reduce" or n.startswith("_mp_")} == set()
     # D and D* write the lowering q (p' + c p) once
     assert users("_lowered") == {"apply_D", "apply_D_star"}
+
+
+def test_verify_takes_and_returns_values_not_functions():
+    functions = [n for n in ast.walk(_tree("verify.py")) if isinstance(n, ast.FunctionDef)]
+    callable_parameters = [
+        (fn.name, arg.arg)
+        for fn in functions if fn.name.startswith("verify_")
+        for arg in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)
+        if arg.annotation is not None and "Callable" in ast.unparse(arg.annotation)
+    ]
+    assert callable_parameters == []
+    returning_a_function = []
+    for fn in functions:
+        inner = {n.name for n in ast.walk(fn) if isinstance(n, ast.FunctionDef) and n is not fn}
+        returning_a_function += [
+            fn.name
+            for node in ast.walk(fn) if isinstance(node, ast.Return)
+            if isinstance(node.value, ast.Lambda)
+            or (isinstance(node.value, ast.Name) and node.value.id in inner)
+        ]
+    assert returning_a_function == []

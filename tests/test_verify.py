@@ -156,6 +156,20 @@ def test_estimate_flags_sample_overflow():
         Estimate.from_samples(vals)  # variance of these overflows float64
 
 
+@pytest.mark.parametrize(
+    "error",
+    [EvaluationOverflowError(1 + 0j, 1.0, 800.0), EvaluationOverflowError(message="moments")],
+    ids=["exponent", "message"],
+)
+def test_overflow_error_survives_pickling(error):
+    # a forked job that raises it hands it to its parent pickled
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is EvaluationOverflowError
+    assert (str(copy), copy.exponent, copy.q, copy.max_real) == (
+        str(error), error.exponent, error.q, error.max_real
+    )
+
+
 # ---------------------------------------------------------------------------
 # sampled vs exact expectations
 
@@ -223,7 +237,7 @@ def test_zero_integrand_integrates_to_zero(big_ens):
 
 
 def _isometry(z, ens):
-    return verify_isometry(z, ens.grid, lambda: ito_integral(z, ens))
+    return verify_isometry(z, ens.grid, ito_integral(z, ens))
 
 
 def test_isometry_constant_case(big_ens):
@@ -356,9 +370,7 @@ def test_h1_holds_on_randomized_family():
 
 def _h2(y, g, g_tilde, ens):
     z1, z2 = h2_integrands(y, g, g_tilde)
-    return verify_h2(
-        y, ens.grid, lambda: ito_integral(z1, ens), lambda: ito_integral(z2, ens)
-    )
+    return verify_h2(y, ens.grid, ito_integral(z1, ens), ito_integral(z2, ens))
 
 
 def _h2_budget(chk):
@@ -504,26 +516,13 @@ def test_h2_grid_chain_equality_cases(h, a):
     assert rhs > 0.0 and abs(lhs - rhs) <= tol
 
 
-def test_h2_forms_factor1_before_calling_integral2():
+def test_h2_sums_that_overflow_when_squared_raise_the_sample_moment_error():
+    # factor 1's sums are finite but overflow when squared: its Estimate
+    # raises a typed overflow instead of forming an infinite factor
     grid = TimeGrid.uniform(1.0, 4)
     y = ProcessElement.constant_one(H_ID)
-
-    def integral2():
-        raise RuntimeError("integral2 ran")
-
-    # factor 1's sums are finite but overflow when squared: its Estimate
-    # raises before integral2 is called
     with pytest.raises(EvaluationOverflowError, match="sample moments"):
-        verify_h2(y, grid, lambda: np.full(8, 1e200, dtype=complex), integral2)
-
-    calls = []
-
-    def failing1():
-        raise ValueError("integral1 failed")
-
-    with pytest.raises(ValueError, match="integral1 failed"):
-        verify_h2(y, grid, failing1, lambda: calls.append(2) or np.ones(8))
-    assert calls == []
+        verify_h2(y, grid, np.full(8, 1e200, dtype=complex), np.ones(8))
 
 
 # ---------------------------------------------------------------------------

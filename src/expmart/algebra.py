@@ -386,8 +386,10 @@ def conjugate(f: PolyExpElement) -> PolyExpElement:
 _ESCALATE_DIGITS = 2
 _MAX_DPS = 70
 
-# mpmath's working precision is process-global state; every escalated block
-# holds this lock so concurrent evaluations cannot observe each other's dps.
+# Nothing contends for this lock: the program starts no thread, and each
+# worker process has its own precision.  It stays for perfbench/tracer.py,
+# which swaps in a timed lock and wraps ``mpmath.workdps``, and for
+# tests/test_api.py, which pins the name; it goes with the tracer.
 _MP_LOCK = threading.Lock()
 
 # [escalated reductions, highest dps used], process-wide like the precision

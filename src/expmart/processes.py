@@ -190,15 +190,6 @@ class TimeGrid:
     def steps(self) -> int:
         return len(self.points) - 1
 
-    def refined(self) -> "TimeGrid":
-        """Grid with midpoints inserted (2M steps), for refinement studies."""
-        pts = np.asarray(self.points)
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        out = np.empty(2 * len(pts) - 1)
-        out[0::2] = pts
-        out[1::2] = mids
-        return TimeGrid(tuple(out))
-
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:

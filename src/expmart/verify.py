@@ -528,7 +528,7 @@ class Check:
 
     ``factor1``/``factor2`` are the estimates behind ``lhs`` (sampled, or
     exact with n = 0); ``extra`` carries auxiliary diagnostics, such as the
-    h2 refinement study.  ``slack`` and ``passed`` are derived.
+    two parts of the h2 allowance.  ``slack`` and ``passed`` are derived.
     """
 
     case: str
@@ -708,11 +708,9 @@ def verify_isometry(z: ProcessElement, grid: TimeGrid, sums: np.ndarray) -> Chec
 
 
 def _sqrt_estimate(e: Estimate) -> Estimate:
-    """Delta-method square root of a nonnegative-mean estimate."""
+    """Delta-method square root of a nonnegative-mean sampled estimate."""
     m = max(e.mean.real, 0.0)
     f = math.sqrt(m)
-    if e.n == 0:
-        return Estimate.exact(f)
     stderr = e.stderr / (2.0 * f) if f > 0 else math.sqrt(e.stderr)
     return Estimate(mean=f, stderr=stderr, n=e.n)
 
@@ -800,29 +798,20 @@ def verify_h2(
     propagated standard error of the factor product (delta method through
     each square root, then the conservative f2*s1 + f1*s2 for the product);
     the discretization allowance is disc_factor * (T/M) for the
-    left-endpoint sums.  The bound check's ``extra`` holds the right side on
-    the refined grid, the two parts of the allowance and the raw sampled
-    energies.
+    left-endpoint sums.  The right side is ``weighted_energy_integral`` on
+    the grid; the bound check's ``extra`` holds the two parts of the
+    allowance.
     """
-    e1 = Estimate.from_samples(_abs_squared(sums1))
-    e2 = Estimate.from_samples(_abs_squared(sums2))
-    f1 = _sqrt_estimate(e1)
-    f2 = _sqrt_estimate(e2)
+    f1 = _sqrt_estimate(Estimate.from_samples(_abs_squared(sums1)))
+    f2 = _sqrt_estimate(Estimate.from_samples(_abs_squared(sums2)))
     stderr = f1.mean.real * f2.stderr + f2.mean.real * f1.stderr
     disc = disc_factor * (grid.horizon / grid.steps)
-    rhs = weighted_energy_integral(y, grid)
-    rhs_refined = weighted_energy_integral(y, grid.refined())
     return Check(
-        f"h2[{y.label}]", "bound", f1.mean.real * f2.mean.real, rhs,
+        f"h2[{y.label}]", "bound", f1.mean.real * f2.mean.real,
+        weighted_energy_integral(y, grid),
         _sampled_allowance(stderr, k_sigma, disc), f1, f2,
-        note="RHS by trapezoid in t; refinement study in extra",
-        extra=(
-            ("rhs_refined", rhs_refined),
-            ("stat_allowance", k_sigma * stderr),
-            ("disc_allowance", disc),
-            ("raw_energy1", e1.mean.real),
-            ("raw_energy2", e2.mean.real),
-        ),
+        note="RHS by trapezoid in t",
+        extra=(("stat_allowance", k_sigma * stderr), ("disc_allowance", disc)),
     )
 
 

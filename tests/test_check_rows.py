@@ -8,15 +8,17 @@ the h1, l2limit and lemma2 suites have a table of such mutants: each entry
 names the rows it must fail, and a row that it cannot fail is recorded with
 the reason.  The sampled rows (isometry, h2, h2-target and lemma2-mc) have
 one too, whose mutants are the sampler's paths, and so its increments,
-scaled by a constant.
+scaled by a constant.  The pde rows have one mutant, a scaled ``np.cosh``,
+and the h2 rows one more, a right side weighted by t in place of h(t).
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from expmart import PolyExpElement, cli, make_element, one_element, scale, verify
+from expmart import PolyExpElement, cli, inner_product, make_element, one_element, scale, verify
 from expmart.cli import ALGEBRA_QS, random_element
 from expmart.config import (
     RunConfig,
@@ -314,4 +316,82 @@ def test_scaled_sampler_fails_its_sampled_rows(ensembles, factor, fails, gaps):
     for passing, reason in gaps:
         assert passing <= set(rows) - fails, reason
     # every row is either failed or recorded as a gap
+    assert fails | set().union(*(passing for passing, _ in gaps)) == set(rows)
+
+
+# ---------------------------------------------------------------------------
+# the pde rows at the default exponents 0 1 1j 1+1j and step.  np.cosh
+# appears only in b's c cosh(c^2 d / 2) term, so scaling it perturbs b alone.
+# The sign of u_y inside a and b has no binding to patch: the 30-digit
+# stencils of tests/test_pde_kernel.py hold it instead.
+
+PDE_ROWS = {f"pde[c={c}]" for c in ("0", "1", "0+1j", "1+1j")}
+
+
+def _pde_rows() -> dict[str, Check]:
+    rows, _, _ = cli.run(CFG, ("pde",))
+    return {chk.case: chk for _, chk in rows}
+
+
+def test_pde_rows_pass_on_the_exact_stencils():
+    rows = _pde_rows()
+    assert set(rows) == PDE_ROWS
+    assert _failing(rows) == set()
+
+
+def test_scaled_cosh_fails_the_pde_rows(monkeypatch):
+    # measured residuals 5.75e-6, 2.73e-6 and 1.04e-5 against PDE_TOL = 1e-6
+    monkeypatch.setattr(np, "cosh", _scaled(np.cosh))
+    rows = _pde_rows()
+    assert _failing(rows) == PDE_ROWS - {"pde[c=0]"}
+    assert rows["pde[c=0]"].passed, "gap: at c = 0, u = 1, so b = 0 at any scale"
+
+
+# ---------------------------------------------------------------------------
+# the h2 rows at the default config under three time changes, with the right
+# side's weight h(t) replaced by t
+
+def _t_weighted_energy_integral(y: ProcessElement, grid: TimeGrid) -> float:
+    """``weighted_energy_integral`` with the weight t in place of q = h(t)."""
+    els = [y.at(t) for t in grid.points]
+    u = [inner_product(el, el).real * t for el, t in zip(els, grid.points)]
+    return math.fsum(
+        0.5 * (u[k] + u[k + 1]) * (els[k + 1].q - els[k].q) for k in range(len(u) - 1)
+    )
+
+
+H2_TARGET = {"h2-target[brownian-equality]", "h2-target[brownian-strict]"}
+TARGET_REASON = "gap: an h2-target row compares only the left side"
+
+# (time change, the rows that must fail, the rows that must pass with the
+# reason they cannot fail), as observed at the default config
+H2_WEIGHT_MUTANTS = [
+    ("identity", set(), [
+        (H2_BOUND | H2_TARGET, "gap: at the identity h(t) = t, so the mutant changes nothing"),
+    ]),
+    # h <= t: the right side grows; brownian-equality reads slack -0.181
+    # against an allowance of 0.090
+    ("power:2", {"h2[brownian-equality]"}, [
+        ({"h2[brownian-strict]"}, "gap: the strict case reads slack 0.557 against 0.278"),
+        (H2_TARGET, TARGET_REASON),
+    ]),
+    ("power:0.5", set(), [
+        (H2_BOUND, "gap: h >= t, so the right side only falls, and a lower bound "
+                   "cannot see it; brownian-equality's slack rises to 0.140"),
+        (H2_TARGET, TARGET_REASON),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "time_change, fails, gaps", H2_WEIGHT_MUTANTS,
+    ids=[tc for tc, _, _ in H2_WEIGHT_MUTANTS],
+)
+def test_t_weighted_right_side_fails_its_h2_rows(monkeypatch, time_change, fails, gaps):
+    monkeypatch.setattr(verify, "weighted_energy_integral", _t_weighted_energy_integral)
+    rows, _, _ = cli.run(dataclasses.replace(CFG, time_change=time_change), ("h2",))
+    rows = {chk.case: chk for _, chk in rows}
+    assert _failing(rows) == fails
+    for passing, reason in gaps:
+        assert passing <= set(rows) - fails, reason
     assert fails | set().union(*(passing for passing, _ in gaps)) == set(rows)

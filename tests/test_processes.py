@@ -69,12 +69,6 @@ def test_uniform_grid_shape():
     assert all(type(p) is float for p in g.points)
 
 
-def test_grid_refinement_doubles_steps():
-    g = TimeGrid.uniform(1.0, 4).refined()
-    assert g.steps == 8
-    assert g.points[::2] == TimeGrid.uniform(1.0, 4).points
-
-
 def test_grid_rejects_bad_points():
     for pts in [(0.0,), (0.5, 1.0), (0.0, 1.0, 1.0), (0.0, float("inf"))]:
         with pytest.raises(ValueError):

@@ -48,6 +48,7 @@ import logging
 import math
 import sys
 import time
+from concurrent.futures import Future
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -311,27 +312,36 @@ def _rows(meta: _Meta, label: str, fn: Callable[..., Iterable[Check]], *swept) -
 
 
 # The jobs of the running ``_execute``: the sweep's block jobs, then one
-# ``_rows`` job per task (the job of a task that reads sums is given their
-# (sums, error) pairs once they are merged).  Forked worker processes
-# inherit this list, so a worker is sent only a job's index: the closures and
-# the data they hold (ensembles, built integrand columns) are never pickled.
-_JOBS: list[Callable[[], object]] = []
+# ``_rows`` job per task, which takes the (sums, error) pairs of the
+# integrands the task reads.  Forked worker processes inherit this list, so a
+# worker is sent only a job's index: the closures and the data they hold
+# (ensembles, built integrand columns) are never pickled.
+_JOBS: list[Callable[..., object]] = []
 
 Outcome = tuple[object, dict[str, int], float]
 
 
-def _run(i: int) -> Outcome:
-    """Run job ``i`` of ``_JOBS`` in the calling process; return its result,
-    the mpmath escalations it made (as ``take_mp_stats`` reports them) and
-    its wall time in seconds."""
+def _run(i: int, *swept) -> Outcome:
+    """Run job ``i`` of ``_JOBS`` on ``swept`` in the calling process; return
+    its result, the mpmath escalations it made (as ``take_mp_stats`` reports
+    them) and its wall time in seconds."""
     take_mp_stats()  # a forked worker starts with its parent's counts
     start = time.perf_counter()
-    result = _JOBS[i]()
+    result = _JOBS[i](*swept)
     return result, take_mp_stats(), time.perf_counter() - start
 
 
-def _raise(error: BaseException) -> None:
-    raise error
+def _start(pool, i: int, *swept) -> Future:
+    """Job ``i``'s outcome: submitted to ``pool``, or without one run here on
+    ``swept``.  What the job raised, or the pool's refusal, is its error."""
+    future = Future()
+    try:
+        if pool is not None:
+            return pool.submit(_run, i)
+        future.set_result(_run(i, *swept))
+    except Exception as e:
+        future.set_exception(e)
+    return future
 
 
 def _execute(
@@ -344,12 +354,13 @@ def _execute(
     wall time per task label and the sweep's blocks, seconds, columns and
     points.
 
-    ``start`` submits a job to the pool of forked workers (at most one per
-    pooled job), or runs it on the spot without one (one worker or one
-    job).  A job that raised, whose worker died, or that the pool refused is
-    lost: its task, or for a block every task that reads sums, becomes a
-    failing ``error:`` row with no escalations and a NaN wall time.  A task
-    that reads sums starts once they and their errors are merged.
+    The blocks and the tasks that read no sums go to the pool of forked
+    workers (at most one per pooled job), or run on the spot without one
+    (one worker or one job); the tasks that read sums run here, on their
+    merged (sums, error) pairs.  A lost block is the error of every sum, so
+    each task that reads sums raises it in ``_rows``.  A pooled job whose
+    worker died, or that the pool refused, is lost: its task becomes a
+    failing ``error:`` row with no escalations and a NaN wall time.
     """
     n_blocks = len(blocks)
     reads = [len(integrands) for _, (_, integrands, _) in tasks]
@@ -368,31 +379,18 @@ def _execute(
     _JOBS[:] = [
         *blocks, *(functools.partial(_rows, meta, label, fn) for meta, (label, _, fn) in tasks)
     ]
-
-    def start(i: int, here: bool = False) -> Callable[[], Outcome]:
-        """Submit job ``i``, or run it here without a pool or if ``here``;
-        return a getter of its outcome that raises whatever lost the job."""
-        try:
-            if pool is None or here:
-                outcome = _run(i)
-                return lambda: outcome
-            return pool.submit(_run, i).result
-        except Exception as e:
-            return functools.partial(_raise, e)
-
     try:
-        got = [start(i) for i in range(n_blocks)]
-        got += [None if n else start(i) for i, n in enumerate(reads, n_blocks)]
+        got = [_start(pool, i) for i in range(n_blocks)]
+        got += [None if n else _start(pool, i) for i, n in enumerate(reads, n_blocks)]
         done, lost = [], None
         for i in range(n_blocks):
             try:
-                done.append(got[i]())
+                done.append(got[i].result())
             except Exception as e:
                 _LOG.error("a path block of the sweep was lost", exc_info=True)
                 lost = lost or e
             got[i] = None  # a future holds its result
-        if lost is None:
-            sums = iter(merge([block for block, _, _ in done]))
+        sums = itertools.repeat((None, lost)) if lost else iter(merge([b for b, _, _ in done]))
         swept = {
             "blocks": n_blocks,
             "seconds": sum(seconds for _, _, seconds in done),
@@ -402,15 +400,12 @@ def _execute(
         stats += [st for _, st, _ in done]
         del done  # merged and counted
         for i, n in enumerate(reads, n_blocks):
-            if n and lost:
-                got[i] = functools.partial(_raise, lost)
-            elif n:
-                _JOBS[i] = functools.partial(_JOBS[i], *itertools.islice(sums, n))
-                got[i] = start(i, here=True)
+            if n:
+                got[i] = _start(None, i, *itertools.islice(sums, n))
         outcomes = []
-        for (meta, (label, _, _)), get in zip(tasks, got[n_blocks:]):
+        for (meta, (label, _, _)), future in zip(tasks, got[n_blocks:]):
             try:
-                outcomes.append(get())
+                outcomes.append(future.result())
             except Exception as e:
                 _LOG.error("task %s was lost: %s", label, e)
                 rows = _failed(meta, label, f"error: {type(e).__name__}: {e}")

@@ -887,7 +887,8 @@ def verify_l2_limit(c: complex, q: float, k_max: int = L2_K_MAX_DEFAULT) -> list
     give three match rows: the last norm within ``L2_FINAL_TOL`` of 0, the
     last ratio within ``L2_RATIO_TOL`` of 1/2 (the quotient's second
     derivative at r = 0 is (X^2 - q) E(c)), and no step that fails to
-    decrease.  At q = 0, where X is identically 0, one skip row instead.
+    decrease.  A ratio whose last-but-one norm underflowed to 0 reads inf and
+    fails.  At q = 0, where X is identically 0, one skip row instead.
     """
     label = f"c={format_complex(c)}"
     if q == 0.0:
@@ -910,7 +911,8 @@ def verify_l2_limit(c: complex, q: float, k_max: int = L2_K_MAX_DEFAULT) -> list
             note=f"norm at r = 2^-{k_max}",
         ),
         Check(
-            f"l2limit-ratio[{label}]", "match", norms[-1] / norms[-2], 0.5,
+            f"l2limit-ratio[{label}]", "match",
+            norms[-1] / norms[-2] if norms[-2] else math.inf, 0.5,
             L2_RATIO_TOL, note="successive-norm ratio, first-order convergence",
         ),
         Check(

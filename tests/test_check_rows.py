@@ -7,8 +7,9 @@ a million; the golden reports pin only passing values.  The exact rows of
 the h1, l2limit and lemma2 suites have a table of such mutants: each entry
 names the rows it must fail, and a row that it cannot fail is recorded with
 the reason.  The sampled rows (isometry, h2, h2-target and lemma2-mc) have
-one too, whose mutants are the sampler's paths, and so its increments,
-scaled by a constant.  The pde rows have one mutant, a scaled ``np.cosh``,
+one too, run through ``cli.run``: its mutants are the sampler's paths, and
+so its increments, scaled by a constant, and the Ito sum taken at the right
+end of each step.  The pde rows have one mutant, a scaled ``np.cosh``,
 and the h2 rows one more, a right side weighted by t in place of h(t).
 """
 
@@ -24,28 +25,22 @@ from expmart.config import (
     RunConfig,
     parse_complex,
     parse_h1_case,
-    parse_h2_case,
-    parse_isometry_case,
     parse_time_change,
 )
-from expmart.processes import TimeGrid, generate, quadratic_variation_at
+from expmart.processes import TimeGrid, column_ranges, quadratic_variation_at
 from expmart.verify import (
     Check,
     Estimate,
     ProcessElement,
-    h2_integrands,
-    ito_integral,
     verify_adjointness,
     verify_commutators,
     verify_g_fourth,
     verify_h1,
     verify_h1_case,
     verify_h1_randomized,
-    verify_h2,
     verify_h2_target,
     verify_hermite_diagonal,
     verify_hermite_roundtrip,
-    verify_isometry,
     verify_lemma2,
     verify_unitarity,
 )
@@ -230,50 +225,43 @@ def test_scaled_operator_fails_its_exact_rows(monkeypatch, name, factor, fails, 
 
 
 # ---------------------------------------------------------------------------
-# the sampled rows at N = 1e5 paths on M = 128 steps, with the default
-# isometry and h2 cases and lemma2's default 1e6 one-step paths and
-# exponents 1 -1 1j, all at q = 1; each mutant scales both ensembles' paths
+# the sampled rows that ``cli.run`` writes at N = 1e5 paths on M = 128 steps,
+# with the default isometry and h2 cases and lemma2's default 1e6 one-step
+# paths and exponents 1 -1 1j, all at q = 1; each mutant scales both
+# ensembles' paths: every block the sweep fills, and lemma2's ensemble
 
 SAMPLED_CFG = dataclasses.replace(RunConfig(), paths=100_000, grid_steps=128)
 
 
-@pytest.fixture(scope="module")
-def ensembles():
-    cfg = SAMPLED_CFG
-    h = parse_time_change(cfg.time_change)
-    grid = TimeGrid.uniform(cfg.horizon, cfg.grid_steps)
-    one_step = TimeGrid.uniform(cfg.horizon, 1)
-    return (
-        generate(h, grid, cfg.paths, cfg.seed),
-        generate(h, one_step, cfg.lemma2_paths, cfg.seed + 1),
-    )
+def _sampled_rows(monkeypatch, factor: float = 1.0) -> dict[str, Check]:
+    """The rows of lemma2, isometry and h2, as the CLI runs them, on paths
+    scaled by ``factor``."""
+    fill_block, generate = verify.fill_block, cli.generate
 
+    def scaled_block(h, grid, n_paths, seed, block, out) -> tuple[np.ndarray, np.ndarray]:
+        fill_block(h, grid, n_paths, seed, block, out)
+        out *= factor
+        return column_ranges(out)
 
-def _sampled_rows(ensembles, factor: float) -> dict[str, Check]:
-    """The sampled rows, as the CLI builds them, on paths scaled by ``factor``."""
-    main, one_step = (dataclasses.replace(ens, paths=ens.paths * factor) for ens in ensembles)
-    h, grid = main.time_change, main.grid
-    q = quadratic_variation_at(h, grid.horizon)
-    rows = []
-    for label, template in map(parse_isometry_case, SAMPLED_CFG.isometry_cases):
-        z = ProcessElement.from_template(h, template, label)
-        rows.append(verify_isometry(z, grid, ito_integral(z, main)))
-    for case in map(parse_h2_case, SAMPLED_CFG.h2_cases):
-        y = ProcessElement.from_template(h, case["template"], case["name"])
-        z1, z2 = h2_integrands(y, case["g"], case["g_tilde"])
-        bound = verify_h2(y, grid, ito_integral(z1, main), ito_integral(z2, main))
-        rows += [bound, verify_h2_target(case["name"], bound, case["target_lhs"](q))]
-    exps = [parse_complex(s) for s in SAMPLED_CFG.lemma2_exponents]
-    rows += [verify_lemma2(c, d, q, one_step)[1] for c in exps for d in exps]
-    return {chk.case: chk for chk in rows}
+    def scaled_ensemble(*args):
+        ensemble = generate(*args)
+        return dataclasses.replace(ensemble, paths=ensemble.paths * factor)
+
+    monkeypatch.setattr(verify, "fill_block", scaled_block)
+    monkeypatch.setattr(cli, "generate", scaled_ensemble)
+    rows, _, _ = cli.run(SAMPLED_CFG, ("lemma2", "isometry", "h2"))
+    return {chk.case: chk for _, chk in rows}
 
 
 ISOMETRY = {"isometry[one]", "isometry[x]"}
 H2_BOUND = {"h2[brownian-equality]", "h2[brownian-strict]"}
+H2_TARGET = {"h2-target[brownian-equality]", "h2-target[brownian-strict]"}
 LEMMA2_MC = {f"lemma2-mc[c={c},d={d}]" for c in LEMMA2_EXPONENTS for d in LEMMA2_EXPONENTS}
 # c + conj(d) = 0: E(c) conj(E(d)) is a constant, so its sample is one value
 LEMMA2_CONSTANT = {"lemma2-mc[c=1,d=-1]", "lemma2-mc[c=-1,d=1]", "lemma2-mc[c=0+1j,d=0+1j]"}
 LEMMA2_POWERED = LEMMA2_MC - LEMMA2_CONSTANT
+SAMPLED_ROWS = ISOMETRY | H2_BOUND | H2_TARGET | LEMMA2_MC | LEMMA2_EXACT
+EXACT_REASON = "gap: an exact row reads no paths"
 CONSTANT_REASON = "gap: c + conj(d) = 0 samples a constant, which no path scaling moves"
 DISC_REASON = (
     "the discretization allowance 10 T/M = 0.078 is most of the h2 allowance "
@@ -298,25 +286,51 @@ SAMPLED_MUTANTS = [
 ]
 
 
-def test_sampled_rows_pass_on_the_sampler(ensembles):
-    rows = _sampled_rows(ensembles, 1.0)
-    assert set(rows) == ISOMETRY | H2_BOUND | LEMMA2_MC | {
-        "h2-target[brownian-equality]", "h2-target[brownian-strict]"
-    }
+def test_sampled_rows_pass_on_the_sampler(monkeypatch):
+    rows = _sampled_rows(monkeypatch)
+    assert set(rows) == SAMPLED_ROWS
     assert _failing(rows) == set()
+
+
+def _assert_failed_or_gap(rows: dict[str, Check], fails: set[str], gaps) -> None:
+    assert _failing(rows) == fails
+    for passing, reason in gaps:
+        assert passing <= set(rows) - fails, reason
+    # every row is either failed or recorded as a gap
+    assert fails | set().union(*(passing for passing, _ in gaps)) == set(rows)
 
 
 @pytest.mark.parametrize(
     "factor, fails, gaps", SAMPLED_MUTANTS,
     ids=[f"paths*{factor:g}" for factor, _, _ in SAMPLED_MUTANTS],
 )
-def test_scaled_sampler_fails_its_sampled_rows(ensembles, factor, fails, gaps):
-    rows = _sampled_rows(ensembles, factor)
-    assert _failing(rows) == fails
-    for passing, reason in gaps:
-        assert passing <= set(rows) - fails, reason
-    # every row is either failed or recorded as a gap
-    assert fails | set().union(*(passing for passing, _ in gaps)) == set(rows)
+def test_scaled_sampler_fails_its_sampled_rows(monkeypatch, factor, fails, gaps):
+    rows = _sampled_rows(monkeypatch, factor)
+    _assert_failed_or_gap(rows, fails, gaps + [(LEMMA2_EXACT, EXACT_REASON)])
+
+
+def _right_endpoint_columns(elements, x: np.ndarray) -> np.ndarray:
+    """``_ito_columns`` with each integrand evaluated at the right end of its
+    step, x[:, k + 1], in place of the left."""
+    acc = np.zeros(x.shape[0], dtype=complex)
+    for k, el in enumerate(elements):
+        acc += verify._evaluate(el, x[:, k + 1]) * (x[:, k + 1] - x[:, k])
+    return acc
+
+
+def test_right_endpoint_sum_fails_its_sampled_rows(monkeypatch):
+    # measured slacks: isometry[x] 1.01 against an allowance of 0.040,
+    # h2-target[brownian-equality] 1.01 against 0.118 and
+    # h2-target[brownian-strict] 2.08 against 0.267
+    monkeypatch.setattr(verify, "_ito_columns", _right_endpoint_columns)
+    rows = _sampled_rows(monkeypatch)
+    _assert_failed_or_gap(rows, {"isometry[x]"} | H2_TARGET, [
+        ({"isometry[one]"}, "gap: the sum of the increments does not depend on the "
+                            "endpoint (slack -0.0023 against 0.018)"),
+        (H2_BOUND, "gap: the mutant raises the left side of a lower bound "
+                   "(slack 1.01 and 2.74)"),
+        (LEMMA2_MC | LEMMA2_EXACT, "gap: lemma2 reads no Ito sum"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +374,6 @@ def _t_weighted_energy_integral(y: ProcessElement, grid: TimeGrid) -> float:
     )
 
 
-H2_TARGET = {"h2-target[brownian-equality]", "h2-target[brownian-strict]"}
 TARGET_REASON = "gap: an h2-target row compares only the left side"
 
 # (time change, the rows that must fail, the rows that must pass with the
@@ -390,8 +403,4 @@ H2_WEIGHT_MUTANTS = [
 def test_t_weighted_right_side_fails_its_h2_rows(monkeypatch, time_change, fails, gaps):
     monkeypatch.setattr(verify, "weighted_energy_integral", _t_weighted_energy_integral)
     rows, _, _ = cli.run(dataclasses.replace(CFG, time_change=time_change), ("h2",))
-    rows = {chk.case: chk for _, chk in rows}
-    assert _failing(rows) == fails
-    for passing, reason in gaps:
-        assert passing <= set(rows) - fails, reason
-    assert fails | set().union(*(passing for passing, _ in gaps)) == set(rows)
+    _assert_failed_or_gap({chk.case: chk for _, chk in rows}, fails, gaps)

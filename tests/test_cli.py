@@ -249,6 +249,22 @@ def test_single_suite_run_passes(tmp_path, capsys):
     assert all(c["passed"] for c in doc["cases"])
 
 
+def test_l2limit_at_a_vanishing_variance_fails_its_ratio_rows(tmp_path):
+    # at q = 1e-30 the norms underflow to 0: the ratio has no denominator,
+    # so its row fails, and the run neither crashes nor writes an error row
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nsuites = l2limit\nhorizon = 1e-30\n")
+    rc = main(["--config", str(ini), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    csv_text, doc = _read_reports(tmp_path / "out")
+    assert "error:" not in csv_text
+    failed = [c["case"] for c in doc["cases"] if not c["passed"]]
+    assert failed and all(case.startswith("l2limit-") for case in failed)
+    ratios = [c for c in doc["cases"] if c["case"].startswith("l2limit-ratio[")]
+    assert len(ratios) == len(RunConfig().l2_exponents)
+    assert all(c["passed"] is False and c["lhs_product"] == math.inf for c in ratios)
+
+
 def test_no_suite_selected_prints_usage(tmp_path, capsys):
     rc = main(["--out-dir", str(tmp_path)])
     assert rc == 2
@@ -550,7 +566,9 @@ def _assert_sums_lost(doc, note):
         "isometry/one", "h2/brownian-equality", "h2/brownian-strict",
     ]
     assert all(c["passed"] is False and c["note"].startswith(note) for c in readers)
-    assert all(math.isnan(doc["header"]["task_wall_s"][c["case"]]) for c in readers)
+    # each reader ran, and raised the block's error, in the main process
+    wall = doc["header"]["task_wall_s"]
+    assert all(math.isfinite(wall[c["case"]]) and wall[c["case"]] >= 0.0 for c in readers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

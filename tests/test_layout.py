@@ -8,7 +8,8 @@ float64), so it touches neither mpmath's global precision (``workdps``) nor
 the algebra's lock for it.  One list of jobs in ``cli.py`` holds the sweep's
 path blocks and the tasks, and one process pool runs them, so
 ``verify.py`` imports no concurrency and no
-other module creates an executor.  ``verify.ProcessElement`` is a record
+other module creates an executor; a job takes the sums it reads as
+arguments, so no statement rewrites an entry of that list.  ``verify.ProcessElement`` is a record
 of values, so none of its fields holds a function.  One rule in
 ``verify.py`` decides an exponent's overflow from column ranges, so the
 evaluation, the column kernel and the sweep catch none.  Each suite is one
@@ -102,6 +103,29 @@ def test_cli_binds_one_job_list():
     lists = [name for name, value in bound.items() if isinstance(value, ast.List)]
     assert [name for name in lists if name != "__all__"] == ["_JOBS"]
     assert defined & {"_BLOCKS", "_TASKS", "_run_task", "_run_block", "_lost", "_sweep"} == set()
+
+
+def test_cli_assigns_no_element_of_the_job_list():
+    # a job takes the sums it reads as arguments: the list is set whole, once
+    # per run, before the workers fork, and no entry is rewritten after
+    def elements(target: ast.expr) -> list[ast.Subscript]:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return [node for elt in target.elts for node in elements(elt)]
+        return [target] if isinstance(target, ast.Subscript) else []
+
+    rewritten = [
+        node.lineno
+        for node in ast.walk(_tree("cli.py"))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for sub in elements(target)
+        if isinstance(sub.value, ast.Name) and sub.value.id == "_JOBS"
+        and not (
+            isinstance(sub.slice, ast.Slice)
+            and sub.slice.lower is sub.slice.upper is sub.slice.step is None
+        )
+    ]
+    assert rewritten == []
 
 
 def test_verify_uses_no_mpmath_global_precision():

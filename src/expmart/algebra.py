@@ -534,7 +534,7 @@ def _mp_inner_product(f: PolyExpElement, g: PolyExpElement, prec: int, rnd: str)
 
 def norm(f: PolyExpElement) -> float:
     v = inner_product(f, f).real
-    return math.sqrt(v) if v > 0.0 else 0.0
+    return 0.0 if v <= 0.0 else math.sqrt(v)
 
 
 # ---------------------------------------------------------------------------

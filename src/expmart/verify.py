@@ -587,6 +587,12 @@ def _abs_squared(values: np.ndarray) -> np.ndarray:
         return np.abs(values) ** 2
 
 
+def _worst_row(case: str, residuals: Sequence[float], tol: float, note: str) -> Check:
+    """A match of the largest residual against 0 within ``tol``: 0 when there
+    are none, and NaN, which ``np.max`` propagates, when any is NaN."""
+    return Check(case, "match", float(np.max(residuals, initial=0.0)), 0.0, tol, note=note)
+
+
 # ---------------------------------------------------------------------------
 # operator identities of the exact algebra (check-algebra)
 
@@ -594,9 +600,9 @@ def verify_commutators(fs: Sequence[PolyExpElement]) -> list[Check]:
     """[D, X], [D, D*], [D, G] and [D*, G] on each element: four match rows
     of the worst residual coefficient against 0, exactly."""
     return [
-        Check(
-            f"commutator[{which}]", "match",
-            max(commutator_residual(which, f).max_abs_coeff() for f in fs), 0.0, 0.0,
+        _worst_row(
+            f"commutator[{which}]",
+            [commutator_residual(which, f).max_abs_coeff() for f in fs], 0.0,
             note=f"{len(fs)} randomized elements; residual must canonicalize to zero",
         )
         for which in ("DX", "DDstar", "DG", "DstarG")
@@ -605,30 +611,27 @@ def verify_commutators(fs: Sequence[PolyExpElement]) -> list[Check]:
 
 def verify_unitarity(fs: Sequence[PolyExpElement], gs: Sequence[PolyExpElement]) -> Check:
     """<Gf, Gg> = <f, g> on each pair, relative to ||f|| ||g||."""
-    worst = 0.0
+    residuals = []
     for f, g in zip(fs, gs):
         ref = inner_product(f, g)
         img = inner_product(apply_G(f), apply_G(g))
-        cs = max(norm(f) * norm(g), 1e-300)
-        worst = max(worst, abs(img - ref) / cs)
-    return Check(
-        "unitarity", "match", worst, 0.0, UNITARITY_TOL,
+        residuals.append(abs(img - ref) / max(norm(f) * norm(g), 1e-300))
+    return _worst_row(
+        "unitarity", residuals, UNITARITY_TOL,
         note=f"worst |<Gf,Gg> - <f,g>| over {len(fs)} pairs, relative to ||f||*||g||",
     )
 
 
 def verify_adjointness(fs: Sequence[PolyExpElement], gs: Sequence[PolyExpElement]) -> Check:
     """<Df, g> = <f, D*g> on each pair, relative to the larger norm product."""
-    worst = 0.0
+    residuals = []
     for f, g in zip(fs, gs):
         df = apply_D(f)
         dsg = apply_D_star(g)
-        left = inner_product(df, g)
-        right = inner_product(f, dsg)
         cs = max(norm(df) * norm(g), norm(f) * norm(dsg), 1e-300)
-        worst = max(worst, abs(left - right) / cs)
-    return Check(
-        "adjointness", "match", worst, 0.0, ADJOINT_TOL,
+        residuals.append(abs(inner_product(df, g) - inner_product(f, dsg)) / cs)
+    return _worst_row(
+        "adjointness", residuals, ADJOINT_TOL,
         note=f"worst |<Df,g> - <f,D*g>| over {len(fs)} pairs, relative scale",
     )
 
@@ -638,7 +641,7 @@ def verify_g_fourth(fs: Sequence[PolyExpElement]) -> Check:
     residual is taken relative to the largest intermediate image coefficient.
     A broken exponent cycle makes the row inf."""
     n = len(fs)
-    worst = 0.0
+    residuals = []
     cycle_breaks = 0
     for f in fs:
         imgs = [f]
@@ -650,9 +653,9 @@ def verify_g_fourth(fs: Sequence[PolyExpElement]) -> Check:
             continue
         inter_scale = max(el.max_abs_coeff() for el in imgs)
         if inter_scale > 0.0:
-            worst = max(worst, sub(back, f).max_abs_coeff() / inter_scale)
-    return Check(
-        "g-fourth-power", "match", math.inf if cycle_breaks else worst, 0.0, G_FOURTH_TOL,
+            residuals.append(sub(back, f).max_abs_coeff() / inter_scale)
+    return _worst_row(
+        "g-fourth-power", [math.inf] if cycle_breaks else residuals, G_FOURTH_TOL,
         note=(
             f"exponent cycle exact on all {n} elements; residual relative to "
             "the largest intermediate image coefficient"
@@ -664,26 +667,24 @@ def verify_g_fourth(fs: Sequence[PolyExpElement]) -> Check:
 
 def verify_hermite_diagonal(qs: Sequence[float]) -> Check:
     """G H_n = (-i)^n H_n for n <= 10 at each variance, relative to H_n."""
-    worst = 0.0
+    residuals = []
     for q in qs:
         for order in range(11):
             h_el = hermite_element(order, q)
             dev = sub(apply_G(h_el), scale(h_el, _MINUS_I_POW[order % 4]))
-            worst = max(worst, dev.max_abs_coeff() / h_el.max_abs_coeff())
-    return Check(
-        "hermite-diagonal", "match", worst, 0.0, HERMITE_TOL,
+            residuals.append(dev.max_abs_coeff() / h_el.max_abs_coeff())
+    return _worst_row(
+        "hermite-diagonal", residuals, HERMITE_TOL,
         note=f"G H_n = (-i)^n H_n for n <= 10, q in {{{', '.join(f'{q:g}' for q in qs)}}}",
     )
 
 
 def verify_hermite_roundtrip(polys: Sequence[PolyExpElement]) -> Check:
     """from_hermite(to_hermite(p)) = p on each polynomial element."""
-    worst = 0.0
-    for el in polys:
-        back = from_hermite(to_hermite(el))
-        worst = max(worst, sub(back, el).max_abs_coeff() / el.max_abs_coeff())
-    return Check(
-        "hermite-roundtrip", "match", worst, 0.0, HERMITE_ROUNDTRIP_TOL,
+    return _worst_row(
+        "hermite-roundtrip",
+        [sub(from_hermite(to_hermite(p)), p).max_abs_coeff() / p.max_abs_coeff() for p in polys],
+        HERMITE_ROUNDTRIP_TOL,
         note=f"from_hermite(to_hermite(p)) on {len(polys)} random polynomials",
     )
 
@@ -763,11 +764,11 @@ def verify_h1_case(
 def verify_h1_randomized(
     cases: Sequence[tuple[PolyExpElement, float, float]], tol: float = H1_TOL
 ) -> Check:
-    """``verify_h1`` on each (Y, c, ct): the row of the smallest slack, as
-    ``h1-random-worst[n=...]``, with the failure count in its note."""
+    """``verify_h1`` on each (Y, c, ct): the row of the smallest slack, or of
+    the first NaN, as ``h1-random-worst[n=...]``; its note counts failures."""
     n = len(cases)
     checks = [verify_h1(y, c, ct, tol=tol) for y, c, ct in cases]
-    worst = min(checks, key=lambda chk: chk.slack)
+    worst = checks[int(np.argmin([chk.slack for chk in checks]))]
     failures = sum(not chk.passed for chk in checks)
     return replace(
         worst,
@@ -869,10 +870,8 @@ def verify_pde(
         b = np.sinh(cc * d) / d - cc * np.cosh(cc2 * d / 2)
         u = np.exp(cc * x - cc2 * y / 2)
         r = np.abs(np.concatenate((u * a, u * ((x - cc * y) * a + b))))
-    # np.max propagates NaN, so a NaN residual is the worst
-    worst = float(np.max(r, initial=0.0))
-    return Check(
-        f"pde[c={format_complex(complex(c))}]", "match", worst, 0.0, PDE_TOL,
+    return _worst_row(
+        f"pde[c={format_complex(complex(c))}]", r, PDE_TOL,
         note=(
             "max |u_xx/2 + u_y| for both element shapes, central "
             f"differences at step {step:g}"
@@ -887,8 +886,8 @@ def verify_l2_limit(c: complex, q: float, k_max: int = L2_K_MAX_DEFAULT) -> list
     give three match rows: the last norm within ``L2_FINAL_TOL`` of 0, the
     last ratio within ``L2_RATIO_TOL`` of 1/2 (the quotient's second
     derivative at r = 0 is (X^2 - q) E(c)), and no step that fails to
-    decrease.  A ratio whose last-but-one norm underflowed to 0 reads inf and
-    fails.  At q = 0, where X is identically 0, one skip row instead.
+    decrease, a NaN norm among them.  A ratio whose last-but-one norm
+    underflowed to 0 reads inf and fails.  At q = 0, one skip row instead.
     """
     label = f"c={format_complex(c)}"
     if q == 0.0:
@@ -904,7 +903,7 @@ def verify_l2_limit(c: complex, q: float, k_max: int = L2_K_MAX_DEFAULT) -> list
         r = 2.0 ** (-k)
         quotient = scale(sub(mul(make_exponential(r, q), e_c), e_c), 1.0 / r)
         norms.append(norm(sub(quotient, target)))
-    bad = sum(b >= a for a, b in zip(norms, norms[1:]))
+    bad = sum(not b < a for a, b in zip(norms, norms[1:]))
     return [
         Check(
             f"l2limit-final[{label}]", "match", norms[-1], 0.0, L2_FINAL_TOL,

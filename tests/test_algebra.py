@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from expmart import algebra
 from expmart import (
     CANONICAL_TOL,
     NonPolynomialElementError,
@@ -186,6 +187,17 @@ def test_normalization_and_low_moments():
     assert expectation(monomial(1, q)) == 0.0
     assert expectation(monomial(2, q)) == pytest.approx(q, rel=1e-14)
     assert expectation(monomial(4, q)) == pytest.approx(3 * q * q, rel=1e-14)
+
+
+def test_norm_keeps_nan_and_clips_a_rounded_negative_square(monkeypatch):
+    def norm_of(squared: float) -> float:
+        monkeypatch.setattr(algebra, "inner_product", lambda f, g: complex(squared))
+        return norm(one_element(1.0))
+
+    assert norm_of(4.0) == 2.0
+    assert math.isnan(norm_of(math.nan))
+    # repr tells -0.0 from 0.0
+    assert repr(norm_of(-0.0)) == repr(norm_of(-1e-300)) == "0.0"
 
 
 def test_ladder_action_on_exponentials():

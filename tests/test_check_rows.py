@@ -6,10 +6,12 @@ Each check-algebra row passes on the exact operators and fails when
 a million; the golden reports pin only passing values.  The exact rows of
 the h1, l2limit and lemma2 suites have a table of such mutants: each entry
 names the rows it must fail, and a row that it cannot fail is recorded with
-the reason.  The sampled rows (isometry, h2, h2-target and lemma2-mc) have
-one too, run through ``cli.run``: its mutants are the sampler's paths, and
-so its increments, scaled by a constant, and the Ito sum taken at the right
-end of each step.  The pde rows have one mutant, a scaled ``np.cosh``,
+the reason.  Two mutants that scale nothing, an inner product that returns
+NaN and G replaced by its inverse, run over both the check-algebra rows and
+these exact rows.  The sampled rows (isometry, h2, h2-target and lemma2-mc)
+have a table too, run through ``cli.run``: its mutants are the sampler's
+paths, and so its increments, scaled by a constant, and the Ito sum taken
+at the right end of each step.  The pde rows have one mutant, a scaled ``np.cosh``,
 and the h2 rows one more, a right side weighted by t in place of h(t).
 """
 
@@ -19,7 +21,9 @@ import math
 import numpy as np
 import pytest
 
-from expmart import PolyExpElement, cli, inner_product, make_element, one_element, scale, verify
+from expmart import (
+    PolyExpElement, cli, conjugate, inner_product, make_element, one_element, scale, sub, verify,
+)
 from expmart.cli import ALGEBRA_QS, random_element
 from expmart.config import (
     RunConfig,
@@ -83,6 +87,14 @@ def _failing(rows: dict[str, Check]) -> set[str]:
     return {case for case, chk in rows.items() if not chk.passed}
 
 
+def _assert_failed_or_gap(rows: dict[str, Check], fails: set[str], gaps) -> None:
+    assert _failing(rows) == fails
+    for passing, reason in gaps:
+        assert passing <= set(rows) - fails, reason
+    # every row is either failed or recorded as a gap
+    assert fails | set().union(*(passing for passing, _ in gaps)) == set(rows)
+
+
 def test_algebra_rows_pass_on_the_exact_operators():
     rows = _algebra_rows()
     assert list(rows) == [
@@ -132,7 +144,7 @@ def test_h1_case_rows():
     assert [chk.case for chk in verify_h1_case("c", y, 0.5, 0.0)] == ["h1[c]"]
 
 
-def test_h1_randomized_row_is_the_smallest_slack():
+def test_h1_randomized_row_is_the_smallest_slack(monkeypatch):
     y = one_element(1.0)
     cases = [(y, 0.5, 0.0), (y, 0.0, 0.0), (y, 1.0, 1.0)]
     worst = verify_h1_randomized(cases)
@@ -141,6 +153,17 @@ def test_h1_randomized_row_is_the_smallest_slack():
     assert worst.slack == min(slacks)
     assert worst.note == (
         "minimum slack over 3 randomized cases at h1[c=0,ct=0,q=1]; 0 failed"
+    )
+    # a NaN slack is the smallest wherever it stands, not only when first
+    y_nan = one_element(2.0)
+    real = verify.inner_product
+    monkeypatch.setattr(
+        verify, "inner_product", lambda f, g: math.nan if f is y_nan else real(f, g)
+    )
+    worst = verify_h1_randomized([*cases, (y_nan, 0.0, 0.0), (y, 0.0, 0.0)])
+    assert math.isnan(worst.slack) and not worst.passed
+    assert worst.note == (
+        "minimum slack over 5 randomized cases at h1[c=0,ct=0,q=2]; 1 failed"
     )
 
 
@@ -175,6 +198,7 @@ def _exact_rows() -> dict[str, Check]:
 
 H1_EQUALITY = {"h1-equality[one-equality]", "h1-equality[exp-equality]"}
 H1_EQUALITY_CASES = H1_EQUALITY | {"h1[one-equality]", "h1[exp-equality]"}
+H1_ROWS = H1_EQUALITY_CASES | {"h1[coordinate]", "h1[exp-energy]", "h1-random-worst[n=500]"}
 L2_EXPONENTS = ("0", "1", "0+1j")
 LEMMA2_EXPONENTS = ("1", "-1", "0+1j")
 LEMMA2_EXACT = {f"lemma2-exact[c={c},d={d}]" for c in LEMMA2_EXPONENTS for d in LEMMA2_EXPONENTS}
@@ -204,10 +228,7 @@ EXACT_MUTANTS = [
 
 def test_exact_rows_pass_on_the_exact_operators():
     rows = _exact_rows()
-    assert set(rows) == (
-        H1_EQUALITY_CASES | LEMMA2_EXACT | L2LIMIT
-        | {"h1[coordinate]", "h1[exp-energy]", "h1-random-worst[n=500]"}
-    )
+    assert set(rows) == H1_ROWS | LEMMA2_EXACT | L2LIMIT
     assert _failing(rows) == set()
 
 
@@ -222,6 +243,59 @@ def test_scaled_operator_fails_its_exact_rows(monkeypatch, name, factor, fails, 
     if gap is not None:
         passing, reason = gap
         assert passing <= set(rows) - fails, reason
+
+
+def _nan_valued(op):
+    """``op`` returning NaN on every call."""
+    return _scaled(op, math.nan)
+
+
+def _inverted(op):
+    """G^3 = G^-1 in place of G.  On this span G^-1 = conj G conj too, since
+    both send E(c) to E(ic), so the entry covers that mutant as well."""
+    return lambda f: op(op(op(f)))
+
+
+COMMUTATORS = {f"commutator[{which}]" for which in ("DX", "DDstar", "DG", "DstarG")}
+
+# (binding in verify, its mutant, the check-algebra and exact rows that must
+# fail, the rows that must pass with the reason they cannot fail)
+ALGEBRA_AND_EXACT_MUTANTS = [
+    ("inner_product", _nan_valued, {"unitarity", "adjointness"} | H1_ROWS | LEMMA2_EXACT, [
+        (COMMUTATORS | {"g-fourth-power", "hermite-diagonal", "hermite-roundtrip"},
+         "gap: these rows compare coefficients, not inner products"),
+        (L2LIMIT, "gap: l2limit's norms take the algebra's own inner_product, "
+                  "which the patch does not reach"),
+    ]),
+    ("apply_G", _inverted, {"hermite-diagonal"}, [
+        ({"unitarity"}, "gap: G^-1 is unitary"),
+        ({"g-fourth-power"}, "gap: G^-1 has order 4"),
+        ({"commutator[DG]", "commutator[DstarG]"},
+         "gap: commutator_residual uses the algebra's own apply_G"),
+        ({"commutator[DX]", "commutator[DDstar]", "adjointness", "hermite-roundtrip"},
+         "gap: these rows do not use G"),
+        (H1_ROWS, "gap: the smallest random slack stays 7.8e-3, and the equality "
+                  "cases have real exponents, where G^-1 Y and G Y have equal norms"),
+        (L2LIMIT | LEMMA2_EXACT, "gap: the l2limit and lemma2-exact rows do not use G"),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, mutant, fails, gaps", ALGEBRA_AND_EXACT_MUTANTS,
+    ids=[f"{name}={mutant.__name__.strip('_')}" for name, mutant, _, _ in ALGEBRA_AND_EXACT_MUTANTS],
+)
+def test_mutant_fails_its_algebra_and_exact_rows(monkeypatch, name, mutant, fails, gaps):
+    monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
+    _assert_failed_or_gap({**_algebra_rows(), **_exact_rows()}, fails, gaps)
+
+
+def test_inverse_gauss_transform_is_its_conjugate():
+    for f in FS:
+        inverse = _inverted(verify.apply_G)(f)
+        conjugated = conjugate(verify.apply_G(conjugate(f)))
+        assert [c for c, _ in inverse.terms] == [c for c, _ in conjugated.terms]
+        assert sub(inverse, conjugated).max_abs_coeff() <= 1e-12 * inverse.max_abs_coeff()
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +364,6 @@ def test_sampled_rows_pass_on_the_sampler(monkeypatch):
     rows = _sampled_rows(monkeypatch)
     assert set(rows) == SAMPLED_ROWS
     assert _failing(rows) == set()
-
-
-def _assert_failed_or_gap(rows: dict[str, Check], fails: set[str], gaps) -> None:
-    assert _failing(rows) == fails
-    for passing, reason in gaps:
-        assert passing <= set(rows) - fails, reason
-    # every row is either failed or recorded as a gap
-    assert fails | set().union(*(passing for passing, _ in gaps)) == set(rows)
 
 
 @pytest.mark.parametrize(

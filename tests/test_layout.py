@@ -20,6 +20,10 @@ and escalates, and the expectations are inner products with 1.  The sampled
 checks take their Ito sums as arrays and the sweep's merge gives each
 integrand its sums and its error, so no ``verify_*`` parameter is a
 callable and no function in ``verify.py`` returns a function it defines.
+A row over many values takes the largest through ``verify._worst_row``,
+where a NaN is the largest, so no ``min`` or ``max`` in ``verify.py`` takes
+a ``key=`` or keeps a running extreme (``worst = max(worst, r)``): both
+drop a NaN.
 """
 
 import argparse
@@ -245,3 +249,21 @@ def test_verify_takes_and_returns_values_not_functions():
             or (isinstance(node.value, ast.Name) and node.value.id in inner)
         ]
     assert returning_a_function == []
+
+
+def test_verify_keeps_no_running_extreme():
+    tree = _tree("verify.py")
+    extremes = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("min", "max")
+    ]
+    keyed = [node.lineno for node in extremes if any(k.arg == "key" for k in node.keywords)]
+    running = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and node.value in extremes
+        for target in node.targets
+        if isinstance(target, ast.Name)
+        and any(isinstance(arg, ast.Name) and arg.id == target.id for arg in node.value.args)
+    ]
+    assert (keyed, running) == ([], [])

@@ -29,6 +29,7 @@ from expmart import (
     one_element,
     zero_element,
 )
+from expmart import verify
 from expmart.cli import random_element
 from expmart.verify import (
     Check,
@@ -588,6 +589,21 @@ def test_l2_limit_converges_first_order(c):
     assert ratio.lhs == pytest.approx(0.5, abs=0.05)
     assert final.passed and ratio.passed and decreasing.passed
     assert final.note == "norm at r = 2^-13"
+
+
+def test_l2_limit_counts_a_nan_norm_as_a_step_that_fails_to_decrease(monkeypatch):
+    # a NaN norm at r = 2^-5 is neither below the norm before it nor above
+    # the one after it: both steps count
+    real, calls = verify.norm, []
+
+    def norm(f):
+        calls.append(f)
+        return math.nan if len(calls) == 5 else real(f)
+
+    monkeypatch.setattr(verify, "norm", norm)
+    final, ratio, decreasing = verify_l2_limit(1.0, 1.0)
+    assert final.passed and ratio.passed
+    assert decreasing.lhs == 2.0 and not decreasing.passed
 
 
 def test_l2_limit_asymptote_matches_taylor():

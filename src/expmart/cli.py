@@ -171,13 +171,17 @@ def _check_algebra_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built
 def _lemma2_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     exps = [parse_complex(s) for s in cfg.lemma2_exponents]
     one_step = TimeGrid.uniform(cfg.horizon, 1)
-    # the ensemble is drawn only if there is a pair to check on it
-    ensemble = generate(h, one_step, cfg.lemma2_paths, cfg.seed + 1) if exps else None
+    # the paths are drawn only if there is a pair to check on them, and the
+    # tasks keep a copy of X_T alone, not the N x 2 matrix
+    x_t = (
+        generate(h, one_step, cfg.lemma2_paths, cfg.seed + 1).paths[:, -1].copy()
+        if exps else None
+    )
     q = quadratic_variation_at(h, one_step.horizon)
     meta = _Meta("lemma2", cfg.seed, cfg.lemma2_paths, one_step.steps, one_step.horizon, h.kind)
     return meta, [
         (f"lemma2/c={format_complex(c)},d={format_complex(d)}", (),
-         lambda c=c, d=d: verify_lemma2(c, d, q, ensemble))
+         lambda c=c, d=d: verify_lemma2(c, d, q, x_t))
         for c in exps
         for d in exps
     ]
@@ -315,7 +319,7 @@ def _rows(meta: _Meta, label: str, fn: Callable[..., Iterable[Check]], *swept) -
 # ``_rows`` job per task, which takes the (sums, error) pairs of the
 # integrands the task reads.  Forked worker processes inherit this list, so a
 # worker is sent only a job's index: the closures and the data they hold
-# (ensembles, built integrand columns) are never pickled.
+# (lemma2's X_T, built integrand columns) are never pickled.
 _JOBS: list[Callable[..., object]] = []
 
 Outcome = tuple[object, dict[str, int], float]

@@ -10,9 +10,12 @@ the reason.  Two mutants that scale nothing, an inner product that returns
 NaN and G replaced by its inverse, run over both the check-algebra rows and
 these exact rows.  The sampled rows (isometry, h2, h2-target and lemma2-mc)
 have a table too, run through ``cli.run``: its mutants are the sampler's
-paths, and so its increments, scaled by a constant, and the Ito sum taken
-at the right end of each step.  The pde rows have one mutant, a scaled ``np.cosh``,
-and the h2 rows one more, a right side weighted by t in place of h(t).
+paths, and so its increments, scaled by a constant, the Ito sum taken at
+the right end of each step, and lemma2's sampled product without its
+conjugate.  h1's right side with q scaled has no binding of its own: the
+inner-product entry is that mutant on the h1 rows.  The pde rows have one
+mutant, a scaled ``np.cosh``, and the h2 rows one more, a right side
+weighted by t in place of h(t).
 """
 
 import dataclasses
@@ -245,6 +248,20 @@ def test_scaled_operator_fails_its_exact_rows(monkeypatch, name, factor, fails, 
         assert passing <= set(rows) - fails, reason
 
 
+def test_scaled_inner_product_scales_only_the_h1_right_side(monkeypatch):
+    # h1's right side with q scaled has no seam: q is the element's own
+    # attribute.  The right side q <Y, Y> is verify_h1's one call of
+    # verify's inner_product, and the norms take the algebra's own, so the
+    # inner_product entries above are that mutant on the h1 rows
+    cases = [parse_h1_case(name) for name in CFG.h1_cases]
+    args = [(make_element(c["q"], c["template"]), c["c"], c["ct"]) for c in cases]
+    plain = [verify_h1(*a) for a in args]
+    monkeypatch.setattr(verify, "inner_product", _scaled(verify.inner_product))
+    for before, after in zip(plain, (verify_h1(*a) for a in args)):
+        assert after.lhs == before.lhs
+        assert after.rhs == pytest.approx(before.rhs * (1 + 1e-6), rel=1e-15)
+
+
 def _nan_valued(op):
     """``op`` returning NaN on every call."""
     return _scaled(op, math.nan)
@@ -396,6 +413,20 @@ def test_right_endpoint_sum_fails_its_sampled_rows(monkeypatch):
         (H2_BOUND, "gap: the mutant raises the left side of a lower bound "
                    "(slack 1.01 and 2.74)"),
         (LEMMA2_MC | LEMMA2_EXACT, "gap: lemma2 reads no Ito sum"),
+    ])
+
+
+def test_unconjugated_lemma2_fails_its_sampled_rows(monkeypatch):
+    # E(c) E(d) in place of E(c) conj(E(d)); measured slacks 1.683 against
+    # an allowance of 0.0101 (c = 1), 1.686 against 0.0102 (c = -1) and
+    # 2.354 against 0.0108 (c = 1j).  Only lemma2 calls verify.conjugate.
+    monkeypatch.setattr(verify, "conjugate", lambda f: f)
+    rows, _, _ = cli.run(SAMPLED_CFG, ("lemma2",))
+    fails = {f"lemma2-mc[c={c},d=0+1j]" for c in LEMMA2_EXPONENTS}
+    _assert_failed_or_gap({chk.case: chk for _, chk in rows}, fails, [
+        (LEMMA2_MC - fails, "gap: conjugation fixes E(d) for a real d"),
+        (LEMMA2_EXACT, "gap: inner_product conjugates inside the algebra, "
+                       "which the patch does not reach"),
     ])
 
 

@@ -752,24 +752,41 @@ def test_l2limit_rows_carry_the_time_change_kind(tmp_path):
     assert {c["h_kind"] for c in doc["cases"]} == {"power"}
 
 
-def test_lemma2_sample_overflow_is_a_skip_row(tmp_path):
-    # E(1) conj(E(1+30j)) reaches about exp(460) on the samples: finite, but
-    # its square is not, so the sampled entry of both mixed pairs is skipped
-    # and their exact entries stay.  For c = d = 1+30j the closed form
-    # exp(901) itself overflows, which fails that pair's task.
+def _lemma2_rows(tmp_path, exponents: str) -> tuple[int, dict]:
     ini = tmp_path / "run.ini"
-    ini.write_text("[run]\nsuites = lemma2\n\n[lemma2]\npaths = 10000\nexponents = 1 1+30j\n")
-    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 3
+    ini.write_text(f"[run]\nsuites = lemma2\n\n[lemma2]\npaths = 10000\nexponents = {exponents}\n")
+    rc = main(["--config", str(ini), "--out-dir", str(tmp_path)])
     _, doc = _read_reports(tmp_path)
-    cases = {c["case"]: c for c in doc["cases"]}
+    return rc, {c["case"]: c for c in doc["cases"]}
+
+
+SAMPLE_MOMENTS = "overflow: sample moments exceed the float64 range"
+
+
+def test_lemma2_sample_overflow_fails_its_pair(tmp_path):
+    # E(1) conj(E(1+30j)) reaches about exp(460) on the samples: finite, but
+    # its square is not, so each mixed pair's task fails, exact entry and
+    # all.  For c = d = 1+30j the closed form exp(901) itself overflows.
+    rc, cases = _lemma2_rows(tmp_path, "1 1+30j")
+    assert rc == 3
+    assert {case for case, c in cases.items() if c["passed"]} == {
+        "lemma2-exact[c=1,d=1]", "lemma2-mc[c=1,d=1]"
+    }
     for pair in ("c=1,d=1+30j", "c=1+30j,d=1"):
-        assert cases[f"lemma2-exact[{pair}]"]["passed"] is True
-        skip = cases[f"lemma2-mc[{pair}]"]
-        assert skip["passed"] is True and skip["note"].startswith("skipped: evaluation overflow")
-        assert skip["lhs_product"] == skip["rhs_exact"] == skip["allowance"] == 0.0
-    failed = cases["lemma2/c=1+30j,d=1+30j"]
-    assert failed["passed"] is False and failed["note"].startswith("overflow:")
-    assert not any(c["note"].startswith("error:") for c in doc["cases"])
+        assert cases[f"lemma2/{pair}"]["note"].startswith(SAMPLE_MOMENTS)
+    assert cases["lemma2/c=1+30j,d=1+30j"]["note"] == "overflow: math range error"
+
+
+def test_lemma2_squared_sample_overflow_exits_3(tmp_path):
+    # |E(1+20j)|^2 = exp(2 X_T + 399) is finite on the samples, and so is
+    # the closed form exp(401), but its square is not: the one overflow of
+    # the run is in the sample moments of c = d = 1+20j
+    rc, cases = _lemma2_rows(tmp_path, "1 1+20j")
+    assert rc == 3
+    [failed] = [c for c in cases.values() if not c["passed"]]
+    assert failed["case"] == "lemma2/c=1+20j,d=1+20j"
+    assert failed["note"].startswith(SAMPLE_MOMENTS)
+    assert len(cases) == 7
 
 
 def _strip_json_header(doc):

@@ -12,14 +12,17 @@ other module creates an executor; a job takes the sums it reads as
 arguments, so no statement rewrites an entry of that list.  ``verify.ProcessElement`` is a record
 of values, so none of its fields holds a function.  One rule in
 ``verify.py`` decides an exponent's overflow from column ranges, so the
-evaluation, the column kernel and the sweep catch none.  Each suite is one
-entry of one table in ``cli.py``, and a task names the integrands whose
-sums it reads, so no code in ``cli.py`` branches on a suite's name.
+evaluation, the column kernel and the sweep catch none; ``cli._rows`` turns
+every overflow into a row, so no ``except`` in ``verify.py`` names one.
+Each suite is one entry of one table in ``cli.py``, and a task names the
+integrands whose sums it reads, so no code in ``cli.py`` branches on a
+suite's name.
 ``algebra.inner_product`` is the one scalar reduction: only it sums moments
 and escalates, and the expectations are inner products with 1.  The sampled
-checks take their Ito sums as arrays and the sweep's merge gives each
-integrand its sums and its error, so no ``verify_*`` parameter is a
-callable and no function in ``verify.py`` returns a function it defines.
+checks take their X_T values and Ito sums as arrays and the sweep's merge
+gives each integrand its sums and its error, so no ``verify_*`` parameter is
+a callable or a ``PathEnsemble`` and no function in ``verify.py`` returns a
+function it defines.
 A row over many values takes the largest through ``verify._worst_row``,
 where a NaN is the largest, so no ``min`` or ``max`` in ``verify.py`` takes
 a ``key=`` or keeps a running extreme (``worst = max(worst, r)``): both
@@ -185,6 +188,15 @@ def test_verify_decides_exponent_overflow_in_one_function():
         if any(isinstance(node, (ast.Try, ast.TryStar)) for node in ast.walk(fn))
     ]
     assert len(kernel) == 3 and catching == []
+    # sweep_columns's ``except Exception`` hands a build error to its consumer
+    named = [
+        handler.lineno
+        for handler in ast.walk(_tree("verify.py")) if isinstance(handler, ast.ExceptHandler)
+        if handler.type is not None
+        for leaf in ast.walk(handler.type)
+        if getattr(leaf, "id", None) in ("EvaluationOverflowError", "OverflowError")
+    ]
+    assert named == []
 
 
 def test_each_suite_is_declared_once_in_cli():
@@ -232,13 +244,14 @@ def test_inner_product_is_the_algebras_one_reduction():
 
 def test_verify_takes_and_returns_values_not_functions():
     functions = [n for n in ast.walk(_tree("verify.py")) if isinstance(n, ast.FunctionDef)]
-    callable_parameters = [
+    not_values = [
         (fn.name, arg.arg)
         for fn in functions if fn.name.startswith("verify_")
         for arg in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)
-        if arg.annotation is not None and "Callable" in ast.unparse(arg.annotation)
+        if arg.annotation is not None
+        and any(name in ast.unparse(arg.annotation) for name in ("Callable", "PathEnsemble"))
     ]
-    assert callable_parameters == []
+    assert not_values == []
     returning_a_function = []
     for fn in functions:
         inner = {n.name for n in ast.walk(fn) if isinstance(n, ast.FunctionDef) and n is not fn}

@@ -3,9 +3,9 @@ stored reference byte for byte, and report.json must match outside its
 ``header`` (which holds the timestamp, worker count and resource use).
 
 ``all --seed 7`` is the default battery.  ``shapes.ini`` reaches every row
-shape the CLI writes: bound and match rows, exact and sampled factors, skip
-rows, and failing overflow rows.  ``degenerate.ini`` runs under a time change
-that stays at 0, where the l2limit rows are skip rows.  ``piecewise.ini``
+shape the CLI writes but the skip row: bound and match rows, exact and
+sampled factors, and failing overflow rows.  ``degenerate.ini`` runs under a
+time change that stays at 0, where the l2limit rows are skip rows.  ``piecewise.ini``
 runs the isometry and h2 suites under a piecewise-linear time change with a
 flat piece, with piecewise-linear and constant h2 centerings.  The
 references in ``tests/data/`` change only with a change that alters the

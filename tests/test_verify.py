@@ -19,7 +19,6 @@ from expmart import (
     PiecewiseLinear,
     TimeChange,
     TimeGrid,
-    VarianceMismatchError,
     expectation,
     generate,
     inner_product,
@@ -41,7 +40,6 @@ from expmart.verify import (
     MC_FLOOR,
     h2_integrands,
     ito_integral,
-    mc_expectation,
     pde_grid,
     verify_h1,
     verify_h2,
@@ -62,9 +60,9 @@ def big_ens():
 
 
 @pytest.fixture(scope="module")
-def flat_ens():
+def flat_x():
     """1e6 draws of X_1 (single-step grid) for fixed-time expectations."""
-    return generate(H_ID, TimeGrid.uniform(1.0, 1), 1_000_000, seed=7)
+    return generate(H_ID, TimeGrid.uniform(1.0, 1), 1_000_000, seed=7).paths[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -174,33 +172,28 @@ def test_overflow_error_survives_pickling(error):
 # ---------------------------------------------------------------------------
 # sampled vs exact expectations
 
-def test_mc_expectation_of_martingale_is_one(flat_ens):
-    est = mc_expectation(make_exponential(1.0, 1.0), flat_ens)
+def test_mc_expectation_of_martingale_is_one(flat_x):
+    est = Estimate.from_samples(evaluate_element(make_exponential(1.0, 1.0), flat_x))
     assert est.z_against(1.0) <= 4.0
 
 
-def test_mc_expectation_of_squared_martingale(flat_ens):
+def test_mc_expectation_of_squared_martingale(flat_x):
     f = mul(make_exponential(1.0, 1.0), make_exponential(1.0, 1.0))
-    assert mc_expectation(f, flat_ens).z_against(math.e) <= 4.0
+    assert Estimate.from_samples(evaluate_element(f, flat_x)).z_against(math.e) <= 4.0
 
 
-def test_mc_expectation_of_zero_element(flat_ens):
-    est = mc_expectation(zero_element(1.0), flat_ens)
-    assert est.mean == 0.0 and est.stderr == 0.0 and est.n == flat_ens.n_paths
+def test_mc_expectation_of_zero_element(flat_x):
+    est = Estimate.from_samples(evaluate_element(zero_element(1.0), flat_x))
+    assert est.mean == 0.0 and est.stderr == 0.0 and est.n == flat_x.size
 
 
-def test_mc_expectation_checks_variance(flat_ens):
-    with pytest.raises(VarianceMismatchError):
-        mc_expectation(make_exponential(1.0, 2.0), flat_ens)
-
-
-def test_mc_matches_exact_expectation_on_random_elements(flat_ens):
+def test_mc_matches_exact_expectation_on_random_elements(flat_x):
     # the central double-entry property, on a tame family (small exponents
     # so the sample estimator has finite-looking tails at this N)
     rng = np.random.default_rng(515)
     for _ in range(12):
         f = random_element(rng, 1.0, max_degree=4, max_terms=2, c_bound=1.0)
-        est = mc_expectation(f, flat_ens)
+        est = Estimate.from_samples(evaluate_element(f, flat_x))
         dev = abs(est.mean - expectation(f))
         assert dev <= 4.0 * est.stderr + 1e-12
 
@@ -637,6 +630,6 @@ def test_lemma2_algebra_entry(c, d):
 
 
 @pytest.mark.parametrize("c, d", EXPONENT_PAIRS)
-def test_lemma2_mc_entry(c, d, flat_ens):
-    _, chk = verify_lemma2(c, d, 1.0, ensemble=flat_ens)
+def test_lemma2_mc_entry(c, d, flat_x):
+    _, chk = verify_lemma2(c, d, 1.0, flat_x)
     assert chk.lhs <= 4.0 * chk.factor1.stderr + 1e-12

@@ -22,7 +22,7 @@ process merges their sums and runs the tasks that read them.  With
 ``--workers K > 1`` starting a job submits it to a pool of up to K forked
 worker processes, which inherit the job list (the built tasks and the
 integrands' columns) instead of receiving it pickled, and each holds one
-path block at a time; at one worker it runs the job on the spot.
+chunk of a path block at a time; at one worker it runs the job on the spot.
 A task whose worker process dies, any task lost with the pool, and every
 task whose sums were lost with a block, becomes an ``error:`` row like a
 task that raises.

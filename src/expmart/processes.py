@@ -15,11 +15,11 @@ Storage: blocks are column-major (Fortran order), so the grid column
 X_{t_k} of a block's paths is one contiguous vector.  Every sampled
 consumer reads whole columns (expectations at one time, the Ito sum column
 by column), so this is the layout they stream through; row access still
-works, only strided.  :func:`generate` stacks every block into one
-N x (M+1) ``PathEnsemble``.  A consumer that only needs per-path results
-(the Ito sums of ``verify.sweep_block``) fills one block at a time instead,
-so each process that runs one holds ``BLOCK_PATHS`` x (M+1) floats, not
-N x (M+1).  :func:`column_ranges` checks a block or an ensemble and returns
+works, only strided.  :func:`block_chunks` yields a block in chunks of
+``_CHUNK_ROWS`` paths, each a view of one buffer, which :func:`generate`
+stacks into one N x (M+1) ``PathEnsemble``, and ``verify.sweep_block`` sums
+as it reads them, so a process that runs it holds ``_CHUNK_ROWS`` x (M+1)
+floats.  :func:`column_ranges` checks a chunk or an ensemble and returns
 each column's range, from which ``verify`` decides overflow.
 """
 
@@ -38,15 +38,17 @@ __all__ = [
     "TimeChange",
     "TimeGrid",
     "PathEnsemble",
+    "block_chunks",
     "block_count",
     "column_ranges",
-    "fill_block",
     "generate",
     "quadratic_variation_at",
 ]
 
 BLOCK_PATHS = 16384
-# rows drawn at a time within a block: bounds the draw buffer to a few MB
+# rows per chunk of a block (the buffer its consumers read), and rows drawn
+# at a time within a chunk (the draw buffer)
+_CHUNK_ROWS = 4096
 _DRAW_ROWS = 1024
 
 
@@ -246,17 +248,17 @@ def block_count(n_paths: int) -> int:
     return -(-n_paths // BLOCK_PATHS)
 
 
-def fill_block(
-    h: TimeChange, grid: TimeGrid, n_paths: int, seed: int, block: int, out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Write block ``block`` of an n_paths ensemble into ``out``; return its :func:`column_ranges`.
+def block_chunks(
+    h: TimeChange, grid: TimeGrid, n_paths: int, seed: int, block: int
+) -> Iterable[np.ndarray]:
+    """Yield block ``block`` of an n_paths ensemble as successive chunks.
 
     The block is paths block * BLOCK_PATHS onward, at most BLOCK_PATHS of
-    them: the same rows as ``generate(h, grid, n_paths, seed)``.  ``out`` is
-    rows x (M+1), a slice of a larger matrix or a buffer reused across
-    blocks; column-major keeps each of its columns contiguous.  Block b
-    draws from Philox keyed by seed * 2**64 + b, so any path index maps to
-    the same numbers regardless of n_paths or scheduling.
+    them: the same rows as ``generate(h, grid, n_paths, seed)``.  Each chunk
+    is its next at most ``_CHUNK_ROWS`` rows, a rows x (M+1) column-major
+    view of one buffer, valid until the next chunk is drawn.  Block b draws
+    from Philox keyed by seed * 2**64 + b, so any path index maps to the same
+    numbers regardless of n_paths, chunking or scheduling.
     """
     seed = _check_size(n_paths, seed)
     start = block * BLOCK_PATHS
@@ -265,30 +267,33 @@ def fill_block(
     rows = min(BLOCK_PATHS, n_paths - start)
     stds = np.sqrt(_grid_variances(h, grid))
     m = len(stds)
-    if out.shape != (rows, m + 1):
-        raise ValueError(f"out has shape {out.shape}, block needs {(rows, m + 1)}")
-    out[:, 0] = 0.0
+    buffer = np.empty((min(_CHUNK_ROWS, rows), m + 1), order="F")
+    buffer[:, 0] = 0.0
     rng = np.random.Generator(np.random.Philox(key=seed * 2**64 + block))
     # The stream fills a (BLOCK_PATHS, M) draw row by row, so drawing the
     # rows in chunks reads the same numbers, without a block-sized buffer.
-    for lo in range(0, rows, _DRAW_ROWS):
-        hi = min(lo + _DRAW_ROWS, rows)
-        draws = rng.standard_normal((hi - lo, m))
-        draws *= stds
-        # per-row running sums in k order, whatever the layout of the output
-        np.cumsum(draws, axis=1, out=out[lo:hi, 1:])
-    return column_ranges(out)
+    for first in range(0, rows, _CHUNK_ROWS):
+        chunk = buffer[: rows - first]
+        for lo in range(0, len(chunk), _DRAW_ROWS):
+            hi = min(lo + _DRAW_ROWS, len(chunk))
+            draws = rng.standard_normal((hi - lo, m))
+            draws *= stds
+            # per-row running sums in k order, whatever the layout of the output
+            np.cumsum(draws, axis=1, out=chunk[lo:hi, 1:])
+        yield chunk
 
 
 def generate(h: TimeChange, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Sample n_paths independent paths of X_t = B_{h(t)} on the grid.
 
-    The N x (M+1) matrix is the stack of :func:`fill_block` blocks, stored
+    The N x (M+1) matrix is the stack of :func:`block_chunks` chunks, stored
     column-major (see the module docstring).
     """
     seed = _check_size(n_paths, seed)
     paths = np.empty((n_paths, len(grid.points)), dtype=float, order="F")
+    start = 0
     for block in range(block_count(n_paths)):
-        start = block * BLOCK_PATHS
-        fill_block(h, grid, n_paths, seed, block, paths[start : start + BLOCK_PATHS])
+        for chunk in block_chunks(h, grid, n_paths, seed, block):
+            paths[start : start + len(chunk)] = chunk
+            start += len(chunk)
     return PathEnsemble(grid=grid, time_change=h, paths=paths, seed=seed)

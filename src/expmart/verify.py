@@ -42,12 +42,13 @@ before the one centering.
 Sampled memory: ``verify_lemma2`` takes terminal values X_T, and
 ``verify_isometry`` and ``verify_h2`` per-path Ito sums, as arrays.
 ``ito_integral`` reads a materialized ``PathEnsemble`` (N x (M+1) floats).
-The sweep holds one block, ``BLOCK_PATHS`` x (M+1) floats, at a time
-instead: ``sweep_columns`` builds each integrand's column
-elements once, ``sweep_block`` generates a block and sums every integrand on
-it, and ``merge_sweep`` turns the blocks' results, in any order, into one
-(sums, error) pair per integrand: the sums ``ito_integral`` would return, or
-the error it would raise, bitwise: both run one column kernel.
+The sweep holds one chunk of a block, ``_CHUNK_ROWS`` x (M+1) floats, at a
+time instead: ``sweep_columns`` builds each integrand's column elements
+once, ``sweep_block`` generates a block chunk by chunk and sums every
+integrand on each chunk, and ``merge_sweep`` turns the blocks' results, in
+any order, into one (sums, error) pair per integrand: the sums
+``ito_integral`` would return, or the error it would raise, bitwise: both
+run one column kernel.
 
 Sampled evaluation has one rule for every input and path count: a real
 exponent is formed and exponentiated in float64, and a complex exponent's
@@ -89,8 +90,8 @@ from .processes import (
     PiecewiseLinear,
     TimeChange,
     TimeGrid,
+    block_chunks,
     column_ranges,
-    fill_block,
     quadratic_variation_at,
 )
 
@@ -437,8 +438,9 @@ def sweep_columns(
 @dataclass(frozen=True)
 class SweepBlock:
     """One path block's share of the sweep: per integrand, its Ito sums on the
-    block's rows up to its first overflowing column there; each column's range
-    (lo, hi) on the block; and the columns summed and points evaluated."""
+    block's rows, each chunk's up to its first overflowing column there; each
+    column's range (lo, hi) on the block; and the columns and points up to
+    each integrand's first overflowing column on the block."""
 
     block: int
     sums: list[np.ndarray]
@@ -456,14 +458,20 @@ def sweep_block(
     seed: int,
     block: int,
 ) -> SweepBlock:
-    """Block ``block`` of an n_paths ensemble, generated, and every
-    integrand of ``sweep_columns`` summed on it.  The block's paths live only
-    for this call: BLOCK_PATHS x (M+1) floats."""
+    """Block ``block`` of an n_paths ensemble, generated chunk by chunk, and
+    every integrand of ``sweep_columns`` summed on each chunk as it comes.  A
+    chunk's stop is never before the block's; sums past the block's stop are
+    an overflow's, whose error ``merge_sweep`` returns in their place."""
     rows = min(BLOCK_PATHS, n_paths - block * BLOCK_PATHS)
-    x = np.empty((rows, len(grid.points)), order="F")
-    lo, hi = fill_block(h, grid, n_paths, seed, block, x)
+    ranges, parts = [], []
+    for x in block_chunks(h, grid, n_paths, seed, block):
+        ranges.append(column_ranges(x))
+        ends = [_first_overflow(elements, *ranges[-1])[0] for elements, _ in columns]
+        parts.append([_ito_columns(e[:end], x) for (e, _), end in zip(columns, ends)])
+    los, his = zip(*ranges)
+    lo, hi = np.min(los, axis=0), np.max(his, axis=0)
     stops = [_first_overflow(elements, lo, hi)[0] for elements, _ in columns]
-    sums = [_ito_columns(elements[:stop], x) for (elements, _), stop in zip(columns, stops)]
+    sums = [np.concatenate(chunks) for chunks in zip(*parts)]
     return SweepBlock(block, sums, lo, hi, sum(stops), sum(stops) * rows)
 
 

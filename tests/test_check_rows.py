@@ -34,7 +34,7 @@ from expmart.config import (
     parse_h1_case,
     parse_time_change,
 )
-from expmart.processes import TimeGrid, column_ranges, quadratic_variation_at
+from expmart.processes import TimeGrid, quadratic_variation_at
 from expmart.verify import (
     Check,
     Estimate,
@@ -319,7 +319,7 @@ def test_inverse_gauss_transform_is_its_conjugate():
 # the sampled rows that ``cli.run`` writes at N = 1e5 paths on M = 128 steps,
 # with the default isometry and h2 cases and lemma2's default 1e6 one-step
 # paths and exponents 1 -1 1j, all at q = 1; each mutant scales both
-# ensembles' paths: every block the sweep fills, and lemma2's ensemble
+# ensembles' paths: every chunk the sweep draws, and lemma2's ensemble
 
 SAMPLED_CFG = dataclasses.replace(RunConfig(), paths=100_000, grid_steps=128)
 
@@ -327,18 +327,18 @@ SAMPLED_CFG = dataclasses.replace(RunConfig(), paths=100_000, grid_steps=128)
 def _sampled_rows(monkeypatch, factor: float = 1.0) -> dict[str, Check]:
     """The rows of lemma2, isometry and h2, as the CLI runs them, on paths
     scaled by ``factor``."""
-    fill_block, generate = verify.fill_block, cli.generate
+    block_chunks, generate = verify.block_chunks, cli.generate
 
-    def scaled_block(h, grid, n_paths, seed, block, out) -> tuple[np.ndarray, np.ndarray]:
-        fill_block(h, grid, n_paths, seed, block, out)
-        out *= factor
-        return column_ranges(out)
+    def scaled_chunks(*args):
+        for chunk in block_chunks(*args):
+            chunk *= factor
+            yield chunk
 
     def scaled_ensemble(*args):
         ensemble = generate(*args)
         return dataclasses.replace(ensemble, paths=ensemble.paths * factor)
 
-    monkeypatch.setattr(verify, "fill_block", scaled_block)
+    monkeypatch.setattr(verify, "block_chunks", scaled_chunks)
     monkeypatch.setattr(cli, "generate", scaled_ensemble)
     rows, _, _ = cli.run(SAMPLED_CFG, ("lemma2", "isometry", "h2"))
     return {chk.case: chk for _, chk in rows}

@@ -27,6 +27,7 @@ point, which must give bitwise the maximum exponent the evaluation forms.
 """
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
 
@@ -39,7 +40,15 @@ from hypothesis import strategies as st
 from expmart import TimeChange, TimeGrid, generate, make_element, make_exponential
 from expmart import verify
 from expmart.algebra import PolyExpElement
-from expmart.processes import BLOCK_PATHS, PathEnsemble, PiecewiseLinear, block_count
+from expmart.processes import (
+    _CHUNK_ROWS,
+    BLOCK_PATHS,
+    PathEnsemble,
+    PiecewiseLinear,
+    block_chunks,
+    block_count,
+    column_ranges,
+)
 from expmart.verify import (
     OVERFLOW_LIMIT,
     Estimate,
@@ -312,8 +321,9 @@ def test_generate_columns_are_contiguous_and_values_unchanged(label, n_paths):
 
 
 # ---------------------------------------------------------------------------
-# the path-blocked sweep: blocks of BLOCK_PATHS and a short tail, summed into
-# slices of one N-vector, must give the materialized kernel's bits
+# the path-blocked sweep: blocks of BLOCK_PATHS and a short tail, each read
+# in chunks of _CHUNK_ROWS, summed into slices of one N-vector, must give the
+# materialized kernel's bits
 
 # complex polynomial times complex exponent
 COMPLEX_PRODUCT = [(0.5 + 0.5j, (1j, 1 + 0.5j)), (-0.3j, (0.2, 1j))]
@@ -331,7 +341,9 @@ ORDERS = [pytest.param("forward", id="1"), pytest.param("reverse", id="2")]
 
 
 @pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("n_paths", [2, 1000, BLOCK_PATHS, BLOCK_PATHS + 1234, 40_000])
+@pytest.mark.parametrize(
+    "n_paths", [2, 1000, BLOCK_PATHS, BLOCK_PATHS + 1234, 40_000, BLOCK_PATHS + _CHUNK_ROWS + 7]
+)
 @pytest.mark.parametrize("h_label", sorted(TIME_CHANGES))
 def test_sweep_is_bitwise_the_complex_loop(h_label, n_paths, order):
     # bitwise ito_integral; against the complex loop as ito_integral is
@@ -380,3 +392,56 @@ def test_sweep_raises_what_ito_integral_raises(order, t_fail, error):
     assert str(got) == str(expected.value)
     assert getattr(got, "max_real", None) == getattr(expected.value, "max_real", None)
     assert good_error is None and np.array_equal(good_sums, ito_integral(good, ens))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_sweep_overflow_in_one_chunk_is_what_ito_integral_raises(order):
+    # Re(c x - c^2 q/2) = a x for c = a + ai, so the integrand overflows
+    # exactly where a path passes 700 / a before t = T: put that level
+    # between the highest chunk's maximum and every other chunk's, so only
+    # one chunk of one block stops early
+    h = TimeChange.identity()
+    grid = TimeGrid.uniform(1.0, 8)
+    n_paths = BLOCK_PATHS + _CHUNK_ROWS + 7
+    ens = generate(h, grid, n_paths, 5)
+    chunks = [
+        chunk.copy() for b in range(block_count(n_paths))
+        for chunk in block_chunks(h, grid, n_paths, 5, b)
+    ]
+    tops = sorted(chunk[:, :-1].max() for chunk in chunks)
+    a = OVERFLOW_LIMIT / (0.5 * (tops[-1] + tops[-2]))
+    good, bad = ProcessElement.coordinate(h), ProcessElement.from_template(h, [(a + a * 1j, (1.0,))])
+    columns = sweep_columns([good, bad], grid)
+    elements = columns[1][0]
+    stops = [verify._first_overflow(elements, *column_ranges(chunk))[0] for chunk in chunks]
+    assert len(chunks) == 6 and sorted(stops)[1:] == [len(elements)] * 5
+    assert min(stops) < len(elements)
+    with pytest.raises(EvaluationOverflowError) as expected:
+        ito_integral(bad, ens)
+    (good_sums, good_error), (_, got) = swept([good, bad], h, grid, n_paths, 5, order)
+    assert type(got) is EvaluationOverflowError
+    assert str(got) == str(expected.value) and got.max_real == expected.value.max_real
+    assert good_error is None and np.array_equal(good_sums, ito_integral(good, ens))
+    # each block counts the columns its own range allows, overflow included
+    for b in range(block_count(n_paths)):
+        lo, hi = column_ranges(ens.paths[b * BLOCK_PATHS : (b + 1) * BLOCK_PATHS])
+        done = sweep_block(columns, h, grid, n_paths, 5, b)
+        assert np.array_equal(done.lo, lo) and np.array_equal(done.hi, hi)
+        stops = [verify._first_overflow(els, lo, hi)[0] for els, _ in columns]
+        assert (done.columns, done.points) == (sum(stops), sum(stops) * len(done.sums[0]))
+
+
+def test_sweep_block_holds_one_chunk_not_the_block():
+    # numpy reports its buffers to tracemalloc; the whole block would be
+    # BLOCK_PATHS x (M+1) floats
+    h = TimeChange.identity()
+    grid = TimeGrid.uniform(1.0, 128)
+    zs = [ProcessElement.coordinate(h), ProcessElement.from_template(h, COMPLEX_PRODUCT)]
+    columns = sweep_columns(zs, grid)
+    tracemalloc.start()
+    try:
+        sweep_block(columns, h, grid, BLOCK_PATHS, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < BLOCK_PATHS * (grid.steps + 1) * 8 / 2

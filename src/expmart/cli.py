@@ -77,7 +77,6 @@ from .processes import (
 from .report import Result, _Meta, make_out_dir, print_summary, write_reports
 from .verify import (
     Check,
-    EvaluationOverflowError,
     ProcessElement,
     SweepBlock,
     format_complex,
@@ -270,8 +269,8 @@ def _build_tasks(
     cfg: RunConfig, suites: Sequence[str]
 ) -> tuple[list[tuple[_Meta, Task]], list[Callable[[], SweepBlock]], Callable]:
     """The tasks of the suites, each with its suite's run metadata; the
-    sweep's block jobs; and the merge that turns the finished blocks into
-    one (sums, error) pair per integrand the tasks read, in task order.
+    sweep's block jobs; and the merge of the finished blocks, in block order,
+    into one (sums, error) pair per integrand the tasks read, in task order.
 
     The main ensemble is never materialized: each integrand's column
     elements are built here, once, and each block job generates one path
@@ -290,7 +289,7 @@ def _build_tasks(
         functools.partial(sweep_block, columns, h, grid, cfg.paths, cfg.seed, block)
         for block in range(block_count(cfg.paths) if columns else 0)
     ]
-    return tasks, blocks, functools.partial(merge_sweep, columns, cfg.paths)
+    return tasks, blocks, functools.partial(merge_sweep, columns)
 
 
 def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
@@ -307,7 +306,7 @@ def _rows(meta: _Meta, label: str, fn: Callable[..., Iterable[Check]], *swept) -
             if error is not None:
                 raise error
         return [(meta, chk) for chk in fn(*(sums for sums, _ in swept))]
-    except (EvaluationOverflowError, OverflowError) as e:
+    except OverflowError as e:
         return _failed(meta, label, f"overflow: {e}")
     except Exception as e:
         # one broken task must not lose the run: record it and go on

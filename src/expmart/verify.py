@@ -46,7 +46,7 @@ The sweep holds one chunk of a block, ``_CHUNK_ROWS`` x (M+1) floats, at a
 time instead: ``sweep_columns`` builds each integrand's column elements
 once, ``sweep_block`` generates a block chunk by chunk and sums every
 integrand on each chunk, and ``merge_sweep`` turns the blocks' results, in
-any order, into one (sums, error) pair per integrand: the sums
+block order, into one (sums, error) pair per integrand: the sums
 ``ito_integral`` would return, or the error it would raise, bitwise: both
 run one column kernel.
 
@@ -85,7 +85,6 @@ from .algebra import (
     to_hermite,
 )
 from .processes import (
-    BLOCK_PATHS,
     PathEnsemble,
     PiecewiseLinear,
     TimeChange,
@@ -160,29 +159,20 @@ DISC_FACTOR = 10.0
 _MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 
 
-class EvaluationOverflowError(ArithmeticError):
-    """An evaluation or sample moment exceeds the float64 range."""
+class EvaluationOverflowError(OverflowError):
+    """A term's exponent c at variance q reaches Re(c x - c^2 q/2) = max_real
+    past OVERFLOW_LIMIT.  Its args are these three, so a pickled copy is
+    rebuilt by the default rule."""
 
-    def __init__(
-        self,
-        exponent: complex | None = None,
-        q: float | None = None,
-        max_real: float | None = None,
-        message: str | None = None,
-    ):
-        self.exponent = exponent
-        self.q = q
-        self.max_real = max_real
-        if message is None:
-            message = (
-                f"exp overflow: term with exponent {exponent!r} at q={q!r} reaches "
-                f"Re(c*x - c^2 q/2) = {max_real:.3g} > {OVERFLOW_LIMIT}"
-            )
-        super().__init__(message)
+    def __init__(self, exponent: complex, q: float, max_real: float):
+        super().__init__(exponent, q, max_real)
+        self.exponent, self.q, self.max_real = exponent, q, max_real
 
-    def __reduce__(self):
-        # the default re-calls __init__ with the message as the exponent
-        return type(self), (self.exponent, self.q, self.max_real, str(self))
+    def __str__(self) -> str:
+        return (
+            f"exp overflow: term with exponent {self.exponent!r} at q={self.q!r} reaches "
+            f"Re(c*x - c^2 q/2) = {self.max_real:.3g} > {OVERFLOW_LIMIT}"
+        )
 
 
 def _horner(p: Sequence[complex], xs: np.ndarray) -> np.ndarray:
@@ -306,9 +296,8 @@ class Estimate:
             if np.iscomplexobj(values):
                 var += float(np.var(values.imag, ddof=1))
         if not (math.isfinite(mean.real) and math.isfinite(mean.imag) and math.isfinite(var)):
-            raise EvaluationOverflowError(
-                message="sample moments exceed the float64 range "
-                "(values overflow when squared)"
+            raise OverflowError(
+                "sample moments exceed the float64 range (values overflow when squared)"
             )
         return cls(mean=mean, stderr=math.sqrt(var / n), n=n)
 
@@ -442,7 +431,6 @@ class SweepBlock:
     column's range (lo, hi) on the block; and the columns and points up to
     each integrand's first overflowing column on the block."""
 
-    block: int
     sums: list[np.ndarray]
     lo: np.ndarray
     hi: np.ndarray
@@ -462,9 +450,9 @@ def sweep_block(
     every integrand of ``sweep_columns`` summed on each chunk as it comes.  A
     chunk's stop is never before the block's; sums past the block's stop are
     an overflow's, whose error ``merge_sweep`` returns in their place."""
-    rows = min(BLOCK_PATHS, n_paths - block * BLOCK_PATHS)
-    ranges, parts = [], []
+    rows, ranges, parts = 0, [], []
     for x in block_chunks(h, grid, n_paths, seed, block):
+        rows += len(x)
         ranges.append(column_ranges(x))
         ends = [_first_overflow(elements, *ranges[-1])[0] for elements, _ in columns]
         parts.append([_ito_columns(e[:end], x) for (e, _), end in zip(columns, ends)])
@@ -472,29 +460,24 @@ def sweep_block(
     lo, hi = np.min(los, axis=0), np.max(his, axis=0)
     stops = [_first_overflow(elements, lo, hi)[0] for elements, _ in columns]
     sums = [np.concatenate(chunks) for chunks in zip(*parts)]
-    return SweepBlock(block, sums, lo, hi, sum(stops), sum(stops) * rows)
+    return SweepBlock(sums, lo, hi, sum(stops), sum(stops) * rows)
 
 
 def merge_sweep(
     columns: Sequence[tuple[list[PolyExpElement], BaseException | None]],
-    n_paths: int,
-    blocks: Iterable[SweepBlock],
+    blocks: Sequence[SweepBlock],
 ) -> list[tuple[np.ndarray, BaseException | None]]:
     """One (sums, error) pair per integrand from the ``sweep_block`` results of
-    every block, in any order: its N-vector of sums, and what ``ito_integral``
-    would raise (or None), by the same rule on the ensemble's column ranges,
-    the element-wise extremes of the blocks' ranges."""
-    sums = [np.empty(n_paths, dtype=complex) for _ in columns]
-    lo = hi = None
-    for done in blocks:
-        start = done.block * BLOCK_PATHS
-        for values, result in zip(sums, done.sums):
-            values[start : start + len(result)] = result
-        lo = done.lo if lo is None else np.minimum(lo, done.lo)
-        hi = done.hi if hi is None else np.maximum(hi, done.hi)
+    every block, in block order: its N-vector of sums, and what
+    ``ito_integral`` would raise (or None), by the same rule on the
+    ensemble's column ranges, the element-wise extremes of the blocks' ranges."""
+    if not blocks:
+        return []
+    lo = np.min([done.lo for done in blocks], axis=0)
+    hi = np.max([done.hi for done in blocks], axis=0)
     return [
-        (values, _first_overflow(elements, lo, hi)[1] or error)
-        for (elements, error), values in zip(columns, sums)
+        (np.concatenate(parts, dtype=complex), _first_overflow(elements, lo, hi)[1] or error)
+        for (elements, error), *parts in zip(columns, *(done.sums for done in blocks))
     ]
 
 
@@ -930,7 +913,7 @@ def verify_lemma2(
     The first check compares the algebra's inner product with the closed
     form.  Given samples ``x_t`` of X_T, where h(T) = q, a second compares
     the sample mean of E(c) conj(E(d)) on them with it; where the samples
-    or their squares overflow float64, it raises ``EvaluationOverflowError``.
+    or their squares overflow float64, it raises an ``OverflowError``.
     """
     c = complex(c)
     d = complex(d)

@@ -21,12 +21,14 @@ the same kind of bound.  Both bounds fail a kernel whose ``exp`` is off by
 
 The sweep (``sweep_columns``, ``sweep_block``, ``merge_sweep``) and
 ``ito_integral`` run one kernel, so their sums stay bitwise equal at every
-path count, and in whatever order the sweep's block results are merged.
+path count, whether the block results come from this process or pickled
+from a worker's.
 Both decide overflow by one rule from each column's smallest and largest
 point, which must give bitwise the maximum exponent the evaluation forms.
 """
 
 import math
+import pickle
 import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
@@ -329,29 +331,31 @@ def test_generate_columns_are_contiguous_and_values_unchanged(label, n_paths):
 COMPLEX_PRODUCT = [(0.5 + 0.5j, (1j, 1 + 0.5j)), (-0.3j, (0.2, 1j))]
 
 
-def swept(zs, h, grid, n_paths, seed, order):
-    """The sweep's three pieces, with the block results merged in ``order``."""
+def swept(zs, h, grid, n_paths, seed, workers):
+    """The sweep's three pieces, the block results merged in block order; at
+    2 workers each comes through a pickle, as a worker process returns it."""
     columns = sweep_columns(zs, grid)
     blocks = [sweep_block(columns, h, grid, n_paths, seed, b) for b in range(block_count(n_paths))]
-    return merge_sweep(columns, n_paths, blocks if order == "forward" else reversed(blocks))
+    if workers > 1:
+        blocks = [pickle.loads(pickle.dumps(done)) for done in blocks]
+    return merge_sweep(columns, blocks)
 
 
-# the ids keep these tests' names from when they ran the sweep at 1 and 2 threads
-ORDERS = [pytest.param("forward", id="1"), pytest.param("reverse", id="2")]
+WORKERS = [pytest.param(1, id="1"), pytest.param(2, id="2")]
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize(
     "n_paths", [2, 1000, BLOCK_PATHS, BLOCK_PATHS + 1234, 40_000, BLOCK_PATHS + _CHUNK_ROWS + 7]
 )
 @pytest.mark.parametrize("h_label", sorted(TIME_CHANGES))
-def test_sweep_is_bitwise_the_complex_loop(h_label, n_paths, order):
+def test_sweep_is_bitwise_the_complex_loop(h_label, n_paths, workers):
     # bitwise ito_integral; against the complex loop as ito_integral is
     h = TIME_CHANGES[h_label]
     grid = TimeGrid.uniform(1.0, 8)
     zs = [*integrands(h).values(), ProcessElement.from_template(h, COMPLEX_PRODUCT)]
     ens = generate(h, grid, n_paths, 21)
-    for z, (got, error) in zip(zs, swept(zs, h, grid, n_paths, 21, order)):
+    for z, (got, error) in zip(zs, swept(zs, h, grid, n_paths, 21, workers)):
         assert error is None
         assert got.dtype == complex
         assert np.array_equal(got, ito_integral(z, ens))
@@ -370,13 +374,13 @@ class _CutOff(ProcessElement):
         return super().at(t)
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize(
     "t_fail, error", [(2.0, EvaluationOverflowError), (0.875, EvaluationOverflowError),
                       (0.5, ValueError)],
     ids=["overflow", "overflow-before-build-error", "build-error-first"],
 )
-def test_sweep_raises_what_ito_integral_raises(order, t_fail, error):
+def test_sweep_raises_what_ito_integral_raises(workers, t_fail, error):
     # Re(c x - c^2 q/2) = x + 1012 t: every block overflows at t = 0.75 with
     # its own maximum, and the message must carry the whole column's
     h = TimeChange.identity()
@@ -387,15 +391,15 @@ def test_sweep_raises_what_ito_integral_raises(order, t_fail, error):
     good, bad = ProcessElement.coordinate(h), _CutOff(h, ((1 + 45j, (1 + 0j,)),), t_fail=t_fail)
     with pytest.raises(error) as expected:
         ito_integral(bad, ens)
-    (good_sums, good_error), (_, got) = swept([good, bad], h, grid, n_paths, 3, order)
+    (good_sums, good_error), (_, got) = swept([good, bad], h, grid, n_paths, 3, workers)
     assert type(got) is error
     assert str(got) == str(expected.value)
     assert getattr(got, "max_real", None) == getattr(expected.value, "max_real", None)
     assert good_error is None and np.array_equal(good_sums, ito_integral(good, ens))
 
 
-@pytest.mark.parametrize("order", ORDERS)
-def test_sweep_overflow_in_one_chunk_is_what_ito_integral_raises(order):
+@pytest.mark.parametrize("workers", WORKERS)
+def test_sweep_overflow_in_one_chunk_is_what_ito_integral_raises(workers):
     # Re(c x - c^2 q/2) = a x for c = a + ai, so the integrand overflows
     # exactly where a path passes 700 / a before t = T: put that level
     # between the highest chunk's maximum and every other chunk's, so only
@@ -418,7 +422,7 @@ def test_sweep_overflow_in_one_chunk_is_what_ito_integral_raises(order):
     assert min(stops) < len(elements)
     with pytest.raises(EvaluationOverflowError) as expected:
         ito_integral(bad, ens)
-    (good_sums, good_error), (_, got) = swept([good, bad], h, grid, n_paths, 5, order)
+    (good_sums, good_error), (_, got) = swept([good, bad], h, grid, n_paths, 5, workers)
     assert type(got) is EvaluationOverflowError
     assert str(got) == str(expected.value) and got.max_real == expected.value.max_real
     assert good_error is None and np.array_equal(good_sums, ito_integral(good, ens))
@@ -445,3 +449,36 @@ def test_sweep_block_holds_one_chunk_not_the_block():
     finally:
         tracemalloc.stop()
     assert peak < BLOCK_PATHS * (grid.steps + 1) * 8 / 2
+
+
+# ---------------------------------------------------------------------------
+# X_T is the sweep's sum of 1: per path, ((0 + d_0) + d_1) + ... with each
+# d_k = X_{t_k+1} - X_{t_k} rounded, since the integrand's value is 1.0
+
+@pytest.mark.parametrize("h_label", sorted(TIME_CHANGES))
+def test_sweep_of_one_is_bitwise_the_terminal_value_on_one_step(h_label):
+    # X_0 = 0, so the one sum 0 + 1.0 (X_T - 0) is X_T exactly
+    h, grid = TIME_CHANGES[h_label], TimeGrid.uniform(1.0, 1)
+    [(sums, error)] = swept([ProcessElement.constant_one(h)], h, grid, 40_000, 13, 1)
+    assert error is None and not sums.imag.any()
+    assert np.array_equal(sums.real, generate(h, grid, 40_000, 13).paths[:, -1])
+
+
+@pytest.mark.parametrize("steps", [64, 512])
+@pytest.mark.parametrize("h_label", sorted(TIME_CHANGES))
+def test_sweep_of_one_is_the_terminal_value_within_rounding(h_label, steps):
+    # each subtraction and each addition rounds once, by at most eps/2 of its
+    # result, so |sum - X_T| <= eps/2 sum_k (|d_k| + |partial sum k+1|) to
+    # first order; the bound below takes eps, which leaves a factor 2 for the
+    # partial sums' own error.  The paths come chunk by chunk, as the sweep
+    # draws them, so no N x (M+1) matrix is held.
+    h, grid = TIME_CHANGES[h_label], TimeGrid.uniform(1.0, steps)
+    n_paths = BLOCK_PATHS + _CHUNK_ROWS + 7
+    [(sums, error)] = swept([ProcessElement.constant_one(h)], h, grid, n_paths, 13, 1)
+    chunks = [
+        (chunk[:, -1].copy(), (np.abs(np.diff(chunk, axis=1)) + np.abs(chunk[:, 1:])).sum(axis=1))
+        for b in range(block_count(n_paths)) for chunk in block_chunks(h, grid, n_paths, 13, b)
+    ]
+    x_t, scale = (np.concatenate(parts) for parts in zip(*chunks))
+    assert error is None and not sums.imag.any()
+    assert np.all(np.abs(sums.real - x_t) <= EPS * scale)

@@ -13,7 +13,12 @@ arguments, so no statement rewrites an entry of that list.  ``verify.ProcessElem
 of values, so none of its fields holds a function.  One rule in
 ``verify.py`` decides an exponent's overflow from column ranges, so the
 evaluation, the column kernel and the sweep catch none; ``cli._rows`` turns
-every overflow into a row, so no ``except`` in ``verify.py`` names one.
+every overflow into a row, so no ``except`` in ``verify.py`` names one.  An
+overflow is an ``OverflowError`` (an exponent's is its subclass
+``EvaluationOverflowError``), so ``_rows`` names that type alone.  The
+sweep's merge takes the blocks in job order, so ``verify.py`` leaves the
+block layout to ``processes`` (no ``BLOCK_PATHS``) and a block's result does
+not carry its index.
 Each suite is one entry of one table in ``cli.py``, and a task names the
 integrands whose sums it reads, so no code in ``cli.py`` branches on a
 suite's name.
@@ -35,6 +40,7 @@ from pathlib import Path
 
 from expmart import cli
 from expmart.config import SUITES
+from expmart.verify import EvaluationOverflowError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "expmart"
 
@@ -169,17 +175,16 @@ def test_process_element_has_no_callable_field():
 
 
 def test_verify_decides_exponent_overflow_in_one_function():
-    # Estimate.from_samples builds the other overflow error, the sample
-    # moments', with its own message
+    # Estimate.from_samples raises a plain OverflowError for the sample moments
     functions = [n for n in ast.walk(_tree("verify.py")) if isinstance(n, ast.FunctionDef)]
     builds = [
-        (fn.name, any(k.arg == "message" for k in node.keywords))
+        fn.name
         for fn in functions
         for node in ast.walk(fn)
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", None) == "EvaluationOverflowError"
     ]
-    assert sorted(builds) == [("_first_overflow", False), ("from_samples", True)]
+    assert builds == ["_first_overflow"]
     kernel = {
         fn.name: fn for fn in functions if fn.name in ("_evaluate", "_ito_columns", "sweep_block")
     }
@@ -197,6 +202,24 @@ def test_verify_decides_exponent_overflow_in_one_function():
         if getattr(leaf, "id", None) in ("EvaluationOverflowError", "OverflowError")
     ]
     assert named == []
+
+
+def test_sweep_merges_in_job_order_and_an_overflow_is_one_type():
+    tree = _tree("verify.py")
+    assert "BLOCK_PATHS" not in {name for _, name in _names(tree)}
+    [block] = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == "SweepBlock"]
+    fields = [n.target.id for n in block.body if isinstance(n, ast.AnnAssign)]
+    assert fields and "block" not in fields
+    [rows] = [
+        n for n in ast.walk(_tree("cli.py")) if isinstance(n, ast.FunctionDef) and n.name == "_rows"
+    ]
+    caught = [
+        ast.unparse(handler.type)
+        for handler in ast.walk(rows) if isinstance(handler, ast.ExceptHandler)
+    ]
+    assert [t for t in caught if "Overflow" in t] == ["OverflowError"]
+    assert issubclass(EvaluationOverflowError, OverflowError)
+    assert "__reduce__" not in vars(EvaluationOverflowError)
 
 
 def test_each_suite_is_declared_once_in_cli():

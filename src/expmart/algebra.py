@@ -253,13 +253,14 @@ class PolyExpElement:
         _require_variance(self.q)
         keys: list[tuple[float, float]] = []
         for c, p in self.terms:
+            # make_element and make_exponential reject non-finite input, so
+            # here an operation has computed a value outside float64
             if not cmath.isfinite(c):
-                _require_finite_complex(c, "exponent")
+                raise OverflowError(f"exponent {c!r} is not finite")
             if not p or p[-1] == 0:
                 raise ValueError("canonical terms must have trimmed, nonzero polynomials")
             if not all(map(cmath.isfinite, p)):
-                for v in p:
-                    _require_finite_complex(v, "coefficient")
+                raise OverflowError(f"a coefficient at exponent {c!r} is not finite")
             key = (c.real, c.imag)
             if keys and key <= keys[-1]:
                 raise ValueError("canonical terms must be strictly ordered by exponent")

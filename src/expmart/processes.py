@@ -47,7 +47,9 @@ __all__ = [
 
 BLOCK_PATHS = 16384
 # rows per chunk of a block (the buffer its consumers read), and rows drawn
-# at a time within a chunk (the draw buffer)
+# at a time within a chunk (the draw buffer).  1,024-row chunks made the
+# sweep 40-45 % slower, from the extra evaluation calls per column; a
+# chunk-sized draw would hold 16 MB beside the chunk at M = 512, against 4 MB.
 _CHUNK_ROWS = 4096
 _DRAW_ROWS = 1024
 

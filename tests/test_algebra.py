@@ -181,6 +181,19 @@ def test_pair_factor_with_infinite_exponent_product_raises(op):
         op(f, f)
 
 
+def test_computed_value_outside_float64_is_an_overflow():
+    # G(X^10 E(1e150)) has coefficients of order (1e150)^10; input that is
+    # not finite stays a ValueError
+    with pytest.raises(OverflowError, match=r"at exponent -1e\+150j"):
+        apply_G(make_element(1.0, [(1e150, (0,) * 10 + (1,))]))
+    with pytest.raises(OverflowError, match=r"exponent \(inf\+0j\)"):
+        PolyExpElement(1.0, ((complex(math.inf, 0.0), (1 + 0j,)),))
+    with pytest.raises(ValueError, match="exponent must be finite"):
+        make_exponential(math.inf, 1.0)
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        make_element(1.0, [(1.0, (math.nan,))])
+
+
 def test_normalization_and_low_moments():
     q = 1.7
     assert expectation(make_exponential(0.8 - 0.3j, q)) == pytest.approx(1.0, abs=1e-13)

@@ -714,6 +714,23 @@ def test_overflowing_case_exits_3_with_report(tmp_path):
     assert any(c["note"].startswith("overflow:") for c in doc["cases"])
 
 
+def test_h2_image_whose_coefficients_overflow_exits_3(tmp_path, caplog):
+    # G(X^10 E(1e150)) has coefficients of order (1e150)^10: they leave
+    # float64 while the sweep builds the second integrand's columns, which
+    # is the task's overflow, as in h1 and isometry, and no crash
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nsuites = h2\npaths = 2000\ngrid_steps = 8\n\n"
+        "[h2]\ncases = template:0,0,0,0,0,0,0,0,0,0,1@1e150\n"
+    )
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 3
+    _, doc = _read_reports(tmp_path)
+    [row] = doc["cases"]
+    assert row["passed"] is False and row["note"].startswith("overflow:")
+    assert "1e+150j" in row["note"]
+    assert not [r for r in caplog.records if r.exc_info]
+
+
 def test_lemma2_overflowing_exponent_product_exits_3(tmp_path):
     # c*d*q = 1e400 is not finite; cmath.exp would return inf+nanj for it
     ini = tmp_path / "run.ini"

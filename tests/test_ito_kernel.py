@@ -5,11 +5,12 @@ real terms in float64.  The reference below is the plain loop it replaced:
 a row-major copy of the paths, every term in complex128 (complex Horner,
 complex exponent, complex ``np.exp``) and a complex accumulator.
 
-Polynomial integrands and path generation do the same rounded operations
-as the reference, so they must match it bitwise, up to the signs of zero
-parts.  An exponent term takes a real exponential from float64 ``np.exp``
-and forms a complex one as exp(w) * val, so it agrees with the reference
-within rounding.  The stated bound is, per path,
+A polynomial factor is one Horner recurrence in its coefficients' dtype,
+bitwise the complex loop, and path generation does the same rounded
+operations as the reference, so polynomial integrands, real or complex,
+must match it bitwise.  An exponent term takes a real exponential from
+float64 ``np.exp`` and forms a complex one as exp(w) * val, so it agrees
+with the reference within rounding.  The stated bound is, per path,
 
     |new - ref| <= 4 eps sum_k |z_k(X_{t_k})| |X_{t_{k+1}} - X_{t_k}|,
 
@@ -17,7 +18,8 @@ the forward-error form of two evaluations of one sum in one order whose
 summands differ by a few ulps.  The largest ratio seen on these integrands
 is below 2 eps.  ``evaluate_element`` is held to a 30-digit mpmath value by
 the same kind of bound.  Both bounds fail a kernel whose ``exp`` is off by
-1e-13 relative or that drops a term (``test_bounds_reject_mutants``).
+1e-13 relative, that drops a term or that conjugates the coefficients of
+its Horner recurrence (``test_bounds_reject_mutants``).
 
 The sweep (``sweep_columns``, ``sweep_block``, ``merge_sweep``) and
 ``ito_integral`` run one kernel, so their sums stay bitwise equal at every
@@ -153,10 +155,13 @@ PW_CENTERING = PiecewiseLinear.piecewise_linear([(0.0, 0.3), (0.5, -0.4), (1.0, 
 
 
 def integrands(h):
-    """label -> integrand: polynomial, real/imaginary exponent, mixed, transform."""
+    """label -> integrand: real/complex polynomial, real/imaginary exponent,
+    mixed, transform."""
     y_complex = ProcessElement.from_template(h, [(0.5j, (0.0, 1.0))])
     return {
         "polynomial": ProcessElement.from_template(h, [(0.0, (1.0, -0.3, 0.7))]),
+        # the shape of h2's G(X) = -iX: the complex branch of the recurrence
+        "complex-polynomial": ProcessElement.from_template(h, [(0.0, (1j, 0.5 - 2j, 0.25j))]),
         "real-exponent": ProcessElement.from_template(h, [(0.4, (1.0, 0.5))]),
         "imaginary-exponent": ProcessElement.from_template(h, [(0.7j, (1.0,))]),
         "mixed-complex": ProcessElement.from_template(
@@ -222,16 +227,32 @@ def _drop_last_term(evaluate):
     return lambda f, xs: evaluate(PolyExpElement(f.q, f.terms[:-1]), xs)
 
 
-@pytest.mark.parametrize("mutant", ["perturbed-exp", "dropped-term"])
+def _conjugated(horner):
+    return lambda p, xs: horner([v.conjugate() for v in p], xs)
+
+
+# mutant -> the integrands whose bounds it must fail
+EXPONENT_LABELS = sorted(
+    set(integrands(TimeChange.identity())) - {"polynomial", "complex-polynomial"}
+)
+MUTANTS = {
+    "perturbed-exp": EXPONENT_LABELS,
+    "dropped-term": EXPONENT_LABELS,
+    "conjugated-horner": ["complex-polynomial", "mixed-complex"],
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_bounds_reject_mutants(monkeypatch, mutant):
     if mutant == "perturbed-exp":
         monkeypatch.setattr(verify, "np", _PerturbedExp())
-    else:
+    elif mutant == "dropped-term":
         monkeypatch.setattr(verify, "_evaluate", _drop_last_term(verify._evaluate))
+    else:
+        monkeypatch.setattr(verify, "_horner", _conjugated(verify._horner))
     ens = generate(TimeChange.identity(), TimeGrid.uniform(1.0, 16), 1000, 5)
-    for label, z in integrands(ens.time_change).items():
-        if label == "polynomial":
-            continue
+    zs = integrands(ens.time_change)
+    for z in (zs[label] for label in MUTANTS[mutant]):
         with pytest.raises(AssertionError):
             assert_matches_reference(ito_integral(z, ens), z, ens)
         f = z.at(0.6)
@@ -285,13 +306,12 @@ def overflow_bound_property(rule):
     @example(-2.0, 0.0, 1.0, [-3.0, 5.0])  # Re c < 0, real branch
     @example(-2.0, 1.5, 1.0, [-3.0, 5.0])  # Re c < 0, complex branch
     @example(0.0, 3.0, 0.5, [-1.0, 2.0])  # Re c = 0
+    @example(0.0, 0.0, 1.0, [-1.0, 2.0])  # c = 0: the bound is 0
     @example(1.5, 0.0, 0.0, [-1.0, 2.0])  # q = 0, real branch
     @example(1.5, -0.5, 0.0, [-1.0, 2.0])  # q = 0, complex branch
     @settings(max_examples=300, deadline=None, database=None)
     def check(re, im, q, points):
         c = complex(re, im)
-        if c == 0:
-            return
         xs = np.array(points)
         f = make_element(q, [(c, (1.0,))])
         # every exponent "overflows", so the rule reports each bound it forms

@@ -15,10 +15,13 @@ of values, so none of its fields holds a function.  One rule in
 evaluation, the column kernel and the sweep catch none; ``cli._rows`` turns
 every overflow into a row, so no ``except`` in ``verify.py`` names one.  An
 overflow is an ``OverflowError`` (an exponent's is its subclass
-``EvaluationOverflowError``), so ``_rows`` names that type alone.  The
-sweep's merge takes the blocks in job order, so ``verify.py`` leaves the
-block layout to ``processes`` (no ``BLOCK_PATHS``) and a block's result does
-not carry its index.
+``EvaluationOverflowError``), so ``_rows`` names that type alone.  A zero
+exponent's bound is 0, so that rule skips no exponent.  A polynomial factor
+is one Horner recurrence in its coefficients' dtype, so ``verify._horner``
+defines no function and assembles no array from ``.real`` and ``.imag``.
+The sweep's merge takes the blocks in job order, so ``verify.py`` leaves
+the block layout to ``processes`` (no ``BLOCK_PATHS``) and a block's result
+does not carry its index.
 Each suite is one entry of one table in ``cli.py``, and a task names the
 integrands whose sums it reads, so no code in ``cli.py`` branches on a
 suite's name.
@@ -202,6 +205,28 @@ def test_verify_decides_exponent_overflow_in_one_function():
         if getattr(leaf, "id", None) in ("EvaluationOverflowError", "OverflowError")
     ]
     assert named == []
+
+
+def test_horner_is_one_recurrence_and_every_exponent_is_bounded():
+    functions = {
+        n.name: n for n in ast.walk(_tree("verify.py")) if isinstance(n, ast.FunctionDef)
+    }
+    horner = functions["_horner"]
+    nested = [
+        n.lineno for n in ast.walk(horner)
+        if n is not horner and isinstance(n, (ast.FunctionDef, ast.Lambda))
+    ]
+    parts = [
+        node.lineno
+        for node in ast.walk(horner) if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute) and target.attr in ("real", "imag")
+    ]
+    loops = [n.lineno for n in ast.walk(horner) if isinstance(n, ast.For)]
+    assert (nested, parts, len(loops)) == ([], [], 1)
+    # no exponent is skipped: a zero one's bound is 0
+    overflow = functions["_first_overflow"]
+    assert not [n.lineno for n in ast.walk(overflow) if isinstance(n, ast.Continue)]
 
 
 def test_sweep_merges_in_job_order_and_an_overflow_is_one_type():

@@ -446,14 +446,17 @@ def _needs_escalation(addends: Sequence[complex], total: complex) -> tuple[bool,
 def _reduce(addends: list[complex], exact: Callable[[int, str], tuple]) -> complex:
     """The compensated float sum of the addends, or, when it cancels more
     than ``_ESCALATE_DIGITS`` digits, ``exact(prec, rnd)`` (an mpc value
-    tuple) at the escalated precision, counted in the escalation stats.
+    tuple) at the escalated precision, counted in the escalation stats; an
+    addend or sum that is not finite, at the highest precision (inf beyond float64).
 
     ``_MP_LOCK`` and ``mp.workdps`` are looked up when called, not bound.
     """
     if not addends:
         return 0j
-    total = _csum(addends)
-    escalate, dps = _needs_escalation(addends, total)
+    # fsum raises on inf - inf, and a NaN hides from the scale test
+    finite = all(map(cmath.isfinite, addends))
+    total = _csum(addends) if finite else 0j
+    escalate, dps = _needs_escalation(addends, total) if finite else (True, _MAX_DPS)
     if not escalate:
         return total
     with _MP_LOCK, mp.workdps(dps):

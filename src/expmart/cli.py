@@ -7,8 +7,8 @@ directory plus one PASS/FAIL console line per check (``report``).
 Each report row is one ``verify.Check`` next to its suite's run metadata
 (seed, path count, grid steps, horizon, time change).  Each suite is one
 entry of ``_SUITES``, whose builder only draws inputs and builds
-``(label, integrands, fn)`` tasks: ``fn`` takes the sampled sums of each
-integrand the task reads (most read none) and returns the finished rows of
+``(label, statistics, fn)`` tasks: ``fn`` takes the moments of each
+statistic the task reads (most read none) and returns the finished rows of
 ``verify_*`` functions, which own every row's shape, pass rule and
 tolerance.  One function, ``_rows``, gives every task's rows, in this
 process or in a worker, and is the one place where an error of the sweep is
@@ -16,16 +16,16 @@ raised: a task that raises becomes one failing row (``Check.failed``, with
 no sampled metadata) whose note starts with ``overflow:`` or ``error:``.
 
 Every job, a path block of the sampled sweep or a task, is one entry of one
-list and runs through one runner and one schedule: the blocks start first,
-then the tasks that read no sampled sums; once every block is in, this
-process merges their sums and runs the tasks that read them.  With
-``--workers K > 1`` starting a job submits it to a pool of up to K forked
-worker processes, which inherit the job list (the built tasks and the
-integrands' columns) instead of receiving it pickled, and each holds one
-chunk of a path block at a time; at one worker it runs the job on the spot.
-A task whose worker process dies, any task lost with the pool, and every
-task whose sums were lost with a block, becomes an ``error:`` row like a
-task that raises.
+list and runs through one runner and one schedule: the blocks, which draw
+every path of the run, start first, then the tasks that read no statistic;
+once every block is in, this process merges their moments and runs the
+tasks that read them.  With ``--workers K > 1`` starting a job submits it
+to a pool of up to K forked worker processes, which inherit the job list
+(the built tasks and the statistics' elements) instead of receiving it
+pickled, and each holds one chunk of a path block at a time; at one worker
+it runs the job on the spot.  A task whose worker process dies, any task
+lost with the pool, and every task whose moments were lost with a block,
+becomes an ``error:`` row like a task that raises.
 
 Reproducibility contract: with a fixed config and seed, report.csv is
 byte-identical across runs and across ``--workers`` values; report.json is
@@ -67,13 +67,7 @@ from .config import (
     parse_isometry_case,
     parse_time_change,
 )
-from .processes import (
-    TimeChange,
-    TimeGrid,
-    block_count,
-    generate,
-    quadratic_variation_at,
-)
+from .processes import TimeChange, TimeGrid, block_count, quadratic_variation_at
 from .report import Result, _Meta, make_out_dir, print_summary, write_reports
 from .verify import (
     Check,
@@ -81,6 +75,7 @@ from .verify import (
     SweepBlock,
     format_complex,
     h2_integrands,
+    lemma2_element,
     merge_sweep,
     sweep_block,
     sweep_columns,
@@ -139,9 +134,9 @@ def random_element(
 # ---------------------------------------------------------------------------
 # suites: each builder takes the config, the run's time change h and the main
 # ensemble's grid, and returns its suite's run metadata and its tasks.  A task
-# is its label, the integrands whose sweep sums it reads, and a function that
-# takes the sums of each of those integrands and returns the checks.
-Task = tuple[str, tuple[ProcessElement, ...], Callable[..., Iterable[Check]]]
+# is its label, its statistics (an ensemble, "main" or "lemma2", with an Ito
+# integrand or an X_T element's builder), and a function of their moments.
+Task = tuple[str, tuple[tuple[str, object], ...], Callable[..., Iterable[Check]]]
 Built = tuple[_Meta, list[Task]]
 
 
@@ -169,18 +164,12 @@ def _check_algebra_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built
 
 def _lemma2_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     exps = [parse_complex(s) for s in cfg.lemma2_exponents]
-    one_step = TimeGrid.uniform(cfg.horizon, 1)
-    # the paths are drawn only if there is a pair to check on them, and the
-    # tasks keep a copy of X_T alone, not the N x 2 matrix
-    x_t = (
-        generate(h, one_step, cfg.lemma2_paths, cfg.seed + 1).paths[:, -1].copy()
-        if exps else None
-    )
-    q = quadratic_variation_at(h, one_step.horizon)
-    meta = _Meta("lemma2", cfg.seed, cfg.lemma2_paths, one_step.steps, one_step.horizon, h.kind)
+    q = quadratic_variation_at(h, grid.horizon)
+    meta = _Meta("lemma2", cfg.seed, cfg.lemma2_paths, 1, grid.horizon, h.kind)
     return meta, [
-        (f"lemma2/c={format_complex(c)},d={format_complex(d)}", (),
-         lambda c=c, d=d: verify_lemma2(c, d, q, x_t))
+        (f"lemma2/c={format_complex(c)},d={format_complex(d)}",
+         (("lemma2", functools.partial(lemma2_element, c, d, q)),),
+         lambda moments, c=c, d=d: verify_lemma2(c, d, q, moments))
         for c in exps
         for d in exps
     ]
@@ -190,7 +179,9 @@ def _isometry_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     tasks: list[Task] = []
     for label, template in map(parse_isometry_case, cfg.isometry_cases):
         z = ProcessElement.from_template(h, template, label)
-        tasks.append((f"isometry/{label}", (z,), lambda s, z=z: [verify_isometry(z, grid, s)]))
+        tasks.append(
+            (f"isometry/{label}", (("main", z),), lambda m, z=z: [verify_isometry(z, grid, m)])
+        )
     return _Meta("isometry", cfg.seed, cfg.paths, grid.steps, grid.horizon, h.kind), tasks
 
 
@@ -221,15 +212,14 @@ def _h2_tasks(cfg: RunConfig, h: TimeChange, grid: TimeGrid) -> Built:
     for case in map(parse_h2_case, cfg.h2_cases):
         y = ProcessElement.from_template(h, case["template"], case["name"])
 
-        def task(sums1, sums2, case=case, y=y) -> list[Check]:
-            bound = verify_h2(
-                y, grid, sums1, sums2, k_sigma=cfg.h2_k_sigma, disc_factor=cfg.h2_disc_factor
-            )
+        def task(moments1, moments2, case=case, y=y) -> list[Check]:
+            bound = verify_h2(y, grid, moments1, moments2, cfg.h2_k_sigma, cfg.h2_disc_factor)
             if case["target_lhs"] is None:
                 return [bound]
             return [bound, verify_h2_target(case["name"], bound, case["target_lhs"](q))]
 
-        tasks.append((f"h2/{case['name']}", h2_integrands(y, case["g"], case["g_tilde"]), task))
+        zs = h2_integrands(y, case["g"], case["g_tilde"])
+        tasks.append((f"h2/{case['name']}", tuple(("main", z) for z in zs), task))
     return _Meta("h2", cfg.seed, cfg.paths, grid.steps, grid.horizon, h.kind), tasks
 
 
@@ -267,14 +257,15 @@ _SUITES = {
 
 def _build_tasks(
     cfg: RunConfig, suites: Sequence[str]
-) -> tuple[list[tuple[_Meta, Task]], list[Callable[[], SweepBlock]], Callable]:
-    """The tasks of the suites, each with its suite's run metadata; the
-    sweep's block jobs; and the merge of the finished blocks, in block order,
-    into one (sums, error) pair per integrand the tasks read, in task order.
+) -> tuple[list[tuple[_Meta, Task]], dict[str, tuple[int, list, list]], Callable]:
+    """The tasks of the suites, each with its suite's run metadata; each
+    ensemble's path count, statistics' columns and block jobs, by name; and
+    the merge of the finished blocks, in job order, into one (moments, error)
+    pair per statistic the tasks read, in task order.
 
-    The main ensemble is never materialized: each integrand's column
-    elements are built here, once, and each block job generates one path
-    block and sums every integrand on it.
+    No ensemble is materialized: each statistic's elements are built here,
+    once, and each block job draws one path block of its ensemble and
+    reduces that ensemble's statistics on it.
     """
     h = parse_time_change(cfg.time_change)
     grid = TimeGrid.uniform(cfg.horizon, cfg.grid_steps)
@@ -284,12 +275,26 @@ def _build_tasks(
             raise ConfigError(f"unknown suite {suite!r}")
         meta, built = _SUITES[suite][0](cfg, h, grid)
         tasks += [(meta, task) for task in built]
-    columns = sweep_columns([z for _, (_, zs, _) in tasks for z in zs], grid)
-    blocks = [
-        functools.partial(sweep_block, columns, h, grid, cfg.paths, cfg.seed, block)
-        for block in range(block_count(cfg.paths) if columns else 0)
-    ]
-    return tasks, blocks, functools.partial(merge_sweep, columns)
+    statistics = [stat for _, (_, stats, _) in tasks for stat in stats]
+    ensembles = {}
+    for name, (g, n_paths, seed) in {
+        "main": (grid, cfg.paths, cfg.seed),
+        "lemma2": (TimeGrid.uniform(cfg.horizon, 1), cfg.lemma2_paths, cfg.seed + 1),
+    }.items():
+        columns = sweep_columns([what for ens, what in statistics if ens == name], g)
+        ensembles[name] = n_paths, columns, [
+            functools.partial(sweep_block, columns, h, g, n_paths, seed, block)
+            for block in range(block_count(n_paths) if columns else 0)
+        ]
+    return tasks, ensembles, functools.partial(_merge, ensembles, [ens for ens, _ in statistics])
+
+
+def _merge(ensembles: dict, order: list[str], blocks: list[SweepBlock]) -> list:
+    """Each statistic's (moments, error), in task ``order``, from the ``blocks`` in job order."""
+    merged = {}
+    for name, (_, columns, jobs) in ensembles.items():
+        merged[name], blocks = iter(merge_sweep(columns, blocks[: len(jobs)])), blocks[len(jobs) :]
+    return [next(merged[ens]) for ens in order]
 
 
 def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
@@ -298,14 +303,14 @@ def _failed(meta: _Meta, label: str, note: str) -> list[Result]:
 
 
 def _rows(meta: _Meta, label: str, fn: Callable[..., Iterable[Check]], *swept) -> list[Result]:
-    """A task's rows, with its suite's metadata: ``fn``'s checks on the sums of
-    ``swept``, its (sums, error) pairs.  The pairs' first error, in integrand
-    order, an overflow or any other exception becomes one failing row."""
+    """A task's rows, with its suite's metadata: ``fn``'s checks on ``swept``,
+    its (moments, error) pairs.  The pairs' first error, in statistic order,
+    an overflow or any other exception becomes one failing row."""
     try:
         for _, error in swept:
             if error is not None:
                 raise error
-        return [(meta, chk) for chk in fn(*(sums for sums, _ in swept))]
+        return [(meta, chk) for chk in fn(*(moments for moments, _ in swept))]
     except OverflowError as e:
         return _failed(meta, label, f"overflow: {e}")
     except Exception as e:
@@ -315,10 +320,10 @@ def _rows(meta: _Meta, label: str, fn: Callable[..., Iterable[Check]], *swept) -
 
 
 # The jobs of the running ``_execute``: the sweep's block jobs, then one
-# ``_rows`` job per task, which takes the (sums, error) pairs of the
-# integrands the task reads.  Forked worker processes inherit this list, so a
+# ``_rows`` job per task, which takes the (moments, error) pairs of the
+# statistics the task reads.  Forked worker processes inherit this list, so a
 # worker is sent only a job's index: the closures and the data they hold
-# (lemma2's X_T, built integrand columns) are never pickled.
+# (the statistics' built elements) are never pickled.
 _JOBS: list[Callable[..., object]] = []
 
 Outcome = tuple[object, dict[str, int], float]
@@ -357,16 +362,16 @@ def _execute(
     wall time per task label and the sweep's blocks, seconds, columns and
     points.
 
-    The blocks and the tasks that read no sums go to the pool of forked
+    The blocks and the tasks that read no statistic go to the pool of forked
     workers (at most one per pooled job), or run on the spot without one
-    (one worker or one job); the tasks that read sums run here, on their
-    merged (sums, error) pairs.  A lost block is the error of every sum, so
-    each task that reads sums raises it in ``_rows``.  A pooled job whose
-    worker died, or that the pool refused, is lost: its task becomes a
-    failing ``error:`` row with no escalations and a NaN wall time.
+    (one worker or one job); the tasks that read statistics run here, on
+    their merged (moments, error) pairs.  A lost block is the error of every
+    statistic, so each task that reads one raises it in ``_rows``.  A pooled
+    job whose worker died, or that the pool refused, is lost: its task
+    becomes a failing ``error:`` row with no escalations and a NaN wall time.
     """
     n_blocks = len(blocks)
-    reads = [len(integrands) for _, (_, integrands, _) in tasks]
+    reads = [len(statistics) for _, (_, statistics, _) in tasks]
     n_procs = min(cfg.workers, n_blocks + reads.count(0))
     pool = None
     if n_procs > 1:
@@ -393,7 +398,7 @@ def _execute(
                 _LOG.error("a path block of the sweep was lost", exc_info=True)
                 lost = lost or e
             got[i] = None  # a future holds its result
-        sums = itertools.repeat((None, lost)) if lost else iter(merge([b for b, _, _ in done]))
+        merged = itertools.repeat((None, lost)) if lost else iter(merge([b for b, _, _ in done]))
         swept = {
             "blocks": n_blocks,
             "seconds": sum(seconds for _, _, seconds in done),
@@ -404,7 +409,7 @@ def _execute(
         del done  # merged and counted
         for i, n in enumerate(reads, n_blocks):
             if n:
-                got[i] = _start(None, i, *itertools.islice(sums, n))
+                got[i] = _start(None, i, *itertools.islice(merged, n))
         outcomes = []
         for (meta, (label, _, _)), future in zip(tasks, got[n_blocks:]):
             try:
@@ -487,17 +492,14 @@ def run(cfg: RunConfig, suites: Sequence[str]) -> tuple[list[Result], int, dict]
     """Run the ``_selected`` suites; return the rows, the exit status (0/1/3/4)
     and the run's telemetry: paths drawn per ensemble, the count and highest
     dps of the algebra's mpmath escalations, the wall time per task, and the
-    sweep's blocks, seconds (summed over the block jobs), columns summed and
+    sweep's blocks, seconds (summed over the block jobs), columns read and
     points evaluated."""
     suites = _selected(suites)
     take_mp_stats()  # count this run's escalations only
-    tasks, blocks, merge = _build_tasks(cfg, suites)
+    tasks, ensembles, merge = _build_tasks(cfg, suites)
+    blocks = [job for _, _, jobs in ensembles.values() for job in jobs]
     rows, task_telemetry = _execute(tasks, blocks, merge, cfg)
-    paths_generated = {
-        "main": cfg.paths if blocks else 0,
-        # a task that reads no sums but has paths drew them: lemma2's ensemble
-        "lemma2": max((meta.n_paths for meta, (_, zs, _) in tasks if not zs), default=0),
-    }
+    paths_generated = {name: n if jobs else 0 for name, (n, _, jobs) in ensembles.items()}
     telemetry = {"paths_generated": paths_generated, **task_telemetry}
     checks = [chk for _, chk in rows]
     if any(chk.note.startswith("error:") for chk in checks):

@@ -17,10 +17,10 @@ consumer reads whole columns (expectations at one time, the Ito sum column
 by column), so this is the layout they stream through; row access still
 works, only strided.  :func:`block_chunks` yields a block in chunks of
 ``_CHUNK_ROWS`` paths, each a view of one buffer, which :func:`generate`
-stacks into one N x (M+1) ``PathEnsemble``, and ``verify.sweep_block`` sums
-as it reads them, so a process that runs it holds ``_CHUNK_ROWS`` x (M+1)
-floats.  :func:`column_ranges` checks a chunk or an ensemble and returns
-each column's range, from which ``verify`` decides overflow.
+stacks into one N x (M+1) ``PathEnsemble``, and ``verify.sweep_block``,
+where the CLI draws every path, reads as they come, so a process holds
+``_CHUNK_ROWS`` x (M+1) floats.  :func:`column_ranges` checks a chunk or an
+ensemble and returns each column's range, from which ``verify`` decides overflow.
 """
 
 from __future__ import annotations

@@ -39,16 +39,16 @@ builds the template at q = h(t), applies G if transformed, then forms
 ``gauss_transform().centered_position(gt)``.  G comes at most once, and
 before the one centering.
 
-Sampled memory: ``verify_lemma2`` takes terminal values X_T, and
-``verify_isometry`` and ``verify_h2`` per-path Ito sums, as arrays.
-``ito_integral`` reads a materialized ``PathEnsemble`` (N x (M+1) floats).
-The sweep holds one chunk of a block, ``_CHUNK_ROWS`` x (M+1) floats, at a
-time instead: ``sweep_columns`` builds each integrand's column elements
-once, ``sweep_block`` generates a block chunk by chunk and sums every
-integrand on each chunk, and ``merge_sweep`` turns the blocks' results, in
-block order, into one (sums, error) pair per integrand: the sums
-``ito_integral`` would return, or the error it would raise, bitwise: both
-run one column kernel.
+Sampled memory: the sampled checks take the ``Moments`` of a *statistic*, a
+per-path value on one ensemble: |I|^2 of an integrand's Ito sum, or an
+element at X_T.  ``ito_integral`` reads a materialized ``PathEnsemble``; the
+sweep holds one chunk of a block, ``_CHUNK_ROWS`` x (M+1) floats, at a time:
+``sweep_columns`` builds each statistic's elements once, ``sweep_block``
+reads every statistic on each chunk it draws and reduces it to its moments
+on the whole block, so they depend on the block layout alone, and
+``merge_sweep`` merges those in block order (Chan, Golub & LeVeque, Amer.
+Statist. 37(3), 1983) into one (moments, error) pair per statistic, an
+integrand's error being the one ``ito_integral`` raises: one kernel.
 
 Sampled evaluation has one rule for every input and path count: a
 polynomial factor is one Horner recurrence in its coefficients' dtype,
@@ -61,9 +61,10 @@ bitwise.  Overflow is decided by column ranges.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -105,10 +106,12 @@ __all__ = [
     "MC_FLOOR",
     "evaluate_element",
     "ito_integral",
+    "sample_moments",
     "sweep_columns",
     "sweep_block",
     "merge_sweep",
     "SweepBlock",
+    "lemma2_element",
     "energy_integral",
     "weighted_energy_integral",
     "verify_commutators",
@@ -254,6 +257,27 @@ def evaluate_element(f: PolyExpElement, x):
 # ---------------------------------------------------------------------------
 # estimates
 
+Moments = tuple[int, complex, float]  # a sample's n, mean and sum of |v - mean|^2
+
+
+def sample_moments(values: np.ndarray) -> Moments:
+    """A sample's moments by ufuncs, over the deviations' real and imaginary
+    parts side by side; an inf is kept quietly for ``Estimate.from_moments``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(values)
+        dev = (values - mean).view(float)
+        return len(values), mean, np.sum(dev * dev)
+
+
+def _merged(a: Moments, b: Moments) -> Moments:
+    """Two samples' moments together, by Chan, Golub & LeVeque's pairwise update."""
+    (na, ma, sa), (nb, mb, sb) = a, b
+    n = na + nb
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = mb - ma
+        return n, ma + delta * (nb / n), sa + sb + (delta.real**2 + delta.imag**2) * (na * nb / n)
+
+
 @dataclass(frozen=True)
 class Estimate:
     """A value with a standard error.
@@ -274,21 +298,20 @@ class Estimate:
             raise ValueError("stderr must be finite and >= 0")
 
     @classmethod
-    def from_samples(cls, values: np.ndarray) -> "Estimate":
-        values = np.asarray(values)
-        n = values.shape[0]
+    def from_moments(cls, n: int, mean: complex, m2: float) -> "Estimate":
+        """From a sample's count, mean and sum of |v - mean|^2."""
         if n < 2:
             raise ValueError("need at least 2 samples")
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = complex(np.mean(values))
-            var = float(np.var(values.real, ddof=1))
-            if np.iscomplexobj(values):
-                var += float(np.var(values.imag, ddof=1))
-        if not (math.isfinite(mean.real) and math.isfinite(mean.imag) and math.isfinite(var)):
+        mean, var = complex(mean), float(m2) / (n - 1)
+        if not (cmath.isfinite(mean) and math.isfinite(var)):
             raise OverflowError(
                 "sample moments exceed the float64 range (values overflow when squared)"
             )
         return cls(mean=mean, stderr=math.sqrt(var / n), n=n)
+
+    @classmethod
+    def from_samples(cls, values: np.ndarray) -> "Estimate":
+        return cls.from_moments(*sample_moments(np.asarray(values)))
 
     @classmethod
     def exact(cls, value: complex) -> "Estimate":
@@ -390,39 +413,57 @@ def ito_integral(z: ProcessElement, ensemble: PathEnsemble) -> np.ndarray:
     Raises, as the sweep does, an overflow before the first column whose
     element fails to build, else that build error.  The result is complex128.
     """
-    [(elements, error)] = sweep_columns([z], ensemble.grid)
+    [(elements, error, _)] = sweep_columns([z], ensemble.grid)
     error = _first_overflow(elements, *column_ranges(ensemble.paths))[1] or error
     if error:
         raise error
     return _ito_columns(elements, ensemble.paths).astype(complex, copy=False)
 
 
+# (elements, build error or None, grid column of the first: 0, or -1 at X_T)
+Column = tuple[list[PolyExpElement], BaseException | None, int]
+
+
 def sweep_columns(
-    integrands: Sequence[ProcessElement], grid: TimeGrid
-) -> list[tuple[list[PolyExpElement], BaseException | None]]:
-    """Each integrand's column elements for the sweep, built once: z at each
-    left grid point up to the first that fails, and that failure (or None)."""
+    statistics: Sequence[ProcessElement | Callable[[], PolyExpElement]], grid: TimeGrid
+) -> list[Column]:
+    """Each statistic's elements for the sweep, built once: an integrand z at
+    each left grid point up to the first that fails, or the element that a
+    function of no arguments builds, read at X_T; and that failure (or None)."""
     columns = []
-    for z in integrands:
+    for what in statistics:
+        first = 0 if isinstance(what, ProcessElement) else -1
+        builds = [what] if first else [functools.partial(what.at, t) for t in grid.points[:-1]]
         elements, error = [], None
-        for t in grid.points[:-1]:
+        for build in builds:
             try:
-                elements.append(z.at(t))
-            except Exception as e:  # handed to the integrand's consumer, in order
+                elements.append(build())
+            except Exception as e:  # handed to the statistic's reader, in order
                 error = e
                 break
-        columns.append((elements, error))
+        columns.append((elements, error, first))
     return columns
+
+
+def _values(column: Column, end: int, x: np.ndarray) -> np.ndarray:
+    """A statistic's values on the paths ``x`` from its first ``end`` elements:
+    |I|^2 of the Ito sum, or the element at X_T (0 past an overflow).  An
+    inf or NaN is kept quietly for ``Estimate.from_moments``."""
+    els, _, first = column
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not first:
+            return np.abs(_ito_columns(els[:end], x)) ** 2
+        return _evaluate(els[0], x[:, -1]) if end else np.zeros(len(x))
 
 
 @dataclass(frozen=True)
 class SweepBlock:
-    """One path block's share of the sweep: per integrand, its Ito sums on the
-    block's rows, each chunk's up to its first overflowing column there; each
-    column's range (lo, hi) on the block; and the columns and points up to
-    each integrand's first overflowing column on the block."""
+    """One path block's share of the sweep: per statistic, its moments on the
+    block's rows, each chunk read up to its first overflowing column there;
+    each column's range (lo, hi) on the block; and the columns and points up
+    to each statistic's first overflowing column on the block."""
 
-    sums: list[np.ndarray]
+    moments: list[Moments]
     lo: np.ndarray
     hi: np.ndarray
     columns: int
@@ -430,45 +471,45 @@ class SweepBlock:
 
 
 def sweep_block(
-    columns: Sequence[tuple[list[PolyExpElement], BaseException | None]],
+    columns: Sequence[Column],
     h: TimeChange,
     grid: TimeGrid,
     n_paths: int,
     seed: int,
     block: int,
 ) -> SweepBlock:
-    """Block ``block`` of an n_paths ensemble, generated chunk by chunk, and
-    every integrand of ``sweep_columns`` summed on each chunk as it comes.  A
-    chunk's stop is never before the block's; sums past the block's stop are
-    an overflow's, whose error ``merge_sweep`` returns in their place."""
+    """Block ``block`` of an n_paths ensemble, drawn chunk by chunk, and each
+    statistic of ``sweep_columns`` read on each chunk, then reduced to its
+    moments on the block.  A chunk's stop is never before the block's;
+    moments past it are an overflow's, whose error ``merge_sweep`` returns."""
     rows, ranges, parts = 0, [], []
     for x in block_chunks(h, grid, n_paths, seed, block):
         rows += len(x)
-        ranges.append(column_ranges(x))
-        ends = [_first_overflow(elements, *ranges[-1])[0] for elements, _ in columns]
-        parts.append([_ito_columns(e[:end], x) for (e, _), end in zip(columns, ends)])
+        lo, hi = column_ranges(x)
+        ranges.append((lo, hi))
+        ends = [_first_overflow(els, lo[first:], hi[first:])[0] for els, _, first in columns]
+        parts.append([_values(column, end, x) for column, end in zip(columns, ends)])
     los, his = zip(*ranges)
     lo, hi = np.min(los, axis=0), np.max(his, axis=0)
-    stops = [_first_overflow(elements, lo, hi)[0] for elements, _ in columns]
-    sums = [np.concatenate(chunks) for chunks in zip(*parts)]
-    return SweepBlock(sums, lo, hi, sum(stops), sum(stops) * rows)
+    stops = [_first_overflow(els, lo[first:], hi[first:])[0] for els, _, first in columns]
+    moments = [sample_moments(np.concatenate(values)) for values in zip(*parts)]
+    return SweepBlock(moments, lo, hi, sum(stops), sum(stops) * rows)
 
 
 def merge_sweep(
-    columns: Sequence[tuple[list[PolyExpElement], BaseException | None]],
-    blocks: Sequence[SweepBlock],
-) -> list[tuple[np.ndarray, BaseException | None]]:
-    """One (sums, error) pair per integrand from the ``sweep_block`` results of
-    every block, in block order: its N-vector of sums, and what
-    ``ito_integral`` would raise (or None), by the same rule on the
-    ensemble's column ranges, the element-wise extremes of the blocks' ranges."""
+    columns: Sequence[Column], blocks: Sequence[SweepBlock]
+) -> list[tuple[Moments, BaseException | None]]:
+    """One (moments, error) pair per statistic from the ``sweep_block``
+    results of every block, merged in block order, and the error its
+    elements raise on the ensemble's column ranges, the element-wise
+    extremes of the blocks' ranges, else the one that ended their build."""
     if not blocks:
         return []
     lo = np.min([done.lo for done in blocks], axis=0)
     hi = np.max([done.hi for done in blocks], axis=0)
     return [
-        (np.concatenate(parts, dtype=complex), _first_overflow(elements, lo, hi)[1] or error)
-        for (elements, error), *parts in zip(columns, *(done.sums for done in blocks))
+        (functools.reduce(_merged, ms), _first_overflow(els, lo[first:], hi[first:])[1] or error)
+        for (els, error, first), *ms in zip(columns, *(done.moments for done in blocks))
     ]
 
 
@@ -550,13 +591,6 @@ def _sampled_allowance(stderr: float, k_sigma: float = K_SIGMA, disc: float = 0.
     """The allowance of a sampled check: k_sigma standard errors, plus a
     discretization allowance, plus ``MC_FLOOR``."""
     return k_sigma * stderr + disc + MC_FLOOR
-
-
-def _abs_squared(values: np.ndarray) -> np.ndarray:
-    # inf is produced silently here; Estimate.from_samples turns it into a
-    # typed overflow error
-    with np.errstate(over="ignore"):
-        return np.abs(values) ** 2
 
 
 def _worst_row(case: str, residuals: Sequence[float], tol: float, note: str) -> Check:
@@ -664,14 +698,14 @@ def verify_hermite_roundtrip(polys: Sequence[PolyExpElement]) -> Check:
 # ---------------------------------------------------------------------------
 # the isometry and the two inequalities
 
-def verify_isometry(z: ProcessElement, grid: TimeGrid, sums: np.ndarray) -> Check:
+def verify_isometry(z: ProcessElement, grid: TimeGrid, moments: Moments) -> Check:
     """E[|int z dX|^2] from sampling vs the exact integral int E|z|^2 dh.
 
-    ``sums`` are z's per-path Ito sums, from ``ito_integral`` or the sweep.
-    A match check: factor1 is the sampled E|I|^2, factor2 the exact
-    integral, and the note gives the deviation in standard errors.
+    ``moments`` are those of |I|^2 over z's per-path Ito sums I.  A match
+    check: factor1 is the sampled E|I|^2, factor2 the exact integral, and
+    the note gives the deviation in standard errors.
     """
-    mc = Estimate.from_samples(_abs_squared(sums))
+    mc = Estimate.from_moments(*moments)
     exact = energy_integral(z, grid)
     return Check(
         f"isometry[{z.label}]", "match", mc.mean.real, exact,
@@ -759,24 +793,24 @@ def h2_integrands(
 def verify_h2(
     y: ProcessElement,
     grid: TimeGrid,
-    sums1: np.ndarray,
-    sums2: np.ndarray,
+    moments1: Moments,
+    moments2: Moments,
     k_sigma: float = K_SIGMA,
     disc_factor: float = DISC_FACTOR,
 ) -> Check:
     """Integrated inequality via sampled Ito integrals vs the exact RHS.
 
-    ``sums1``/``sums2`` are the per-path Ito sums of the two
-    ``h2_integrands``.  The statistical allowance is k_sigma times the
-    propagated standard error of the factor product (delta method through
-    each square root, then the conservative f2*s1 + f1*s2 for the product);
-    the discretization allowance is disc_factor * (T/M) for the
-    left-endpoint sums.  The right side is ``weighted_energy_integral`` on
-    the grid; the bound check's ``extra`` holds the two parts of the
-    allowance.
+    ``moments1``/``moments2`` are those of |I1|^2 and |I2|^2 over the
+    per-path Ito sums of the two ``h2_integrands``.  The statistical
+    allowance is k_sigma times the propagated standard error of the factor
+    product (delta method through each square root, then the conservative
+    f2*s1 + f1*s2 for the product); the discretization allowance is
+    disc_factor * (T/M) for the left-endpoint sums.  The right side is
+    ``weighted_energy_integral`` on the grid; the bound check's ``extra``
+    holds the two parts of the allowance.
     """
-    f1 = _sqrt_estimate(Estimate.from_samples(_abs_squared(sums1)))
-    f2 = _sqrt_estimate(Estimate.from_samples(_abs_squared(sums2)))
+    f1 = _sqrt_estimate(Estimate.from_moments(*moments1))
+    f2 = _sqrt_estimate(Estimate.from_moments(*moments2))
     stderr = f1.mean.real * f2.stderr + f2.mean.real * f1.stderr
     disc = disc_factor * (grid.horizon / grid.steps)
     return Check(
@@ -896,15 +930,18 @@ def verify_l2_limit(c: complex, q: float, k_max: int = L2_K_MAX_DEFAULT) -> list
 # ---------------------------------------------------------------------------
 # two-point exponential formula (double entry)
 
-def verify_lemma2(
-    c: complex, d: complex, q: float, x_t: np.ndarray | None = None
-) -> list[Check]:
+def lemma2_element(c: complex, d: complex, q: float) -> PolyExpElement:
+    """E(c) conj(E(d)) at variance q, which lemma2's sampled row reads at X_T."""
+    return mul(make_exponential(c, q), conjugate(make_exponential(d, q)))
+
+
+def verify_lemma2(c: complex, d: complex, q: float, moments: Moments | None = None) -> list[Check]:
     """The two-point formula <E(c), E(d)> = exp(c conj(d) q), double entry.
 
     The first check compares the algebra's inner product with the closed
-    form.  Given samples ``x_t`` of X_T, where h(T) = q, a second compares
-    the sample mean of E(c) conj(E(d)) on them with it; where the samples
-    or their squares overflow float64, it raises an ``OverflowError``.
+    form.  Given the ``moments`` of ``lemma2_element`` on samples of X_T,
+    where h(T) = q, a second compares their mean with it; where those
+    moments overflow float64, it raises an ``OverflowError``.
     """
     c = complex(c)
     d = complex(d)
@@ -918,10 +955,9 @@ def verify_lemma2(
             note="inner product vs exp(c*conj(d)*q)",
         )
     ]
-    if x_t is None:
+    if moments is None:
         return checks
-    element = mul(make_exponential(c, q), conjugate(make_exponential(d, q)))
-    est = Estimate.from_samples(evaluate_element(element, x_t))
+    est = Estimate.from_moments(*moments)
     checks.append(
         Check(
             f"lemma2-mc[{label}]", "match", abs(est.mean - reference.mean), 0.0,

@@ -319,7 +319,7 @@ def test_inverse_gauss_transform_is_its_conjugate():
 # the sampled rows that ``cli.run`` writes at N = 1e5 paths on M = 128 steps,
 # with the default isometry and h2 cases and lemma2's default 1e6 one-step
 # paths and exponents 1 -1 1j, all at q = 1; each mutant scales both
-# ensembles' paths: every chunk the sweep draws, and lemma2's ensemble
+# ensembles' paths: every chunk the sweep draws, lemma2's included
 
 SAMPLED_CFG = dataclasses.replace(RunConfig(), paths=100_000, grid_steps=128)
 
@@ -327,19 +327,14 @@ SAMPLED_CFG = dataclasses.replace(RunConfig(), paths=100_000, grid_steps=128)
 def _sampled_rows(monkeypatch, factor: float = 1.0) -> dict[str, Check]:
     """The rows of lemma2, isometry and h2, as the CLI runs them, on paths
     scaled by ``factor``."""
-    block_chunks, generate = verify.block_chunks, cli.generate
+    block_chunks = verify.block_chunks
 
     def scaled_chunks(*args):
         for chunk in block_chunks(*args):
             chunk *= factor
             yield chunk
 
-    def scaled_ensemble(*args):
-        ensemble = generate(*args)
-        return dataclasses.replace(ensemble, paths=ensemble.paths * factor)
-
     monkeypatch.setattr(verify, "block_chunks", scaled_chunks)
-    monkeypatch.setattr(cli, "generate", scaled_ensemble)
     rows, _, _ = cli.run(SAMPLED_CFG, ("lemma2", "isometry", "h2"))
     return {chk.case: chk for _, chk in rows}
 

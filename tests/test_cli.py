@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from expmart.cli import main
-from expmart import cli
+from expmart import cli, processes, verify
 from expmart.processes import TimeChange, TimeGrid, generate
 from expmart.verify import (
     H1_TOL, EvaluationOverflowError, ProcessElement, ito_integral, verify_isometry,
@@ -281,7 +281,7 @@ def test_run_selects_suites_as_main_does(monkeypatch):
 
     def no_tasks(cfg, suites):
         built.append(suites)
-        return [], [], lambda done: []
+        return [], {}, lambda done: []
 
     monkeypatch.setattr(cli, "_build_tasks", no_tasks)
     cli.run(RunConfig(), ("all",))
@@ -451,9 +451,23 @@ def test_out_dir_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatc
     assert blocker.read_text() == "kept"
 
 
+def _record_draws(monkeypatch, check=lambda *args: None) -> list:
+    """Every (steps, paths, seed, block) that ``block_chunks`` is asked to
+    draw, through either binding of it, after ``check`` on its arguments."""
+    drawn, real = [], processes.block_chunks
+
+    def recorded(h, grid, n_paths, seed, block):
+        check(h, grid, n_paths, seed, block)
+        drawn.append((grid.steps, n_paths, seed, block))
+        return real(h, grid, n_paths, seed, block)
+
+    monkeypatch.setattr(processes, "block_chunks", recorded)
+    monkeypatch.setattr(verify, "block_chunks", recorded)
+    return drawn
+
+
 def test_lemma2_without_exponents_draws_no_ensemble(tmp_path, monkeypatch):
-    drawn = []
-    monkeypatch.setattr(cli, "generate", lambda *args: drawn.append(args) or generate(*args))
+    drawn = _record_draws(monkeypatch)
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nsuites = lemma2 l2limit\n\n[lemma2]\nexponents =\n")
     assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 0
@@ -599,11 +613,11 @@ def test_dead_worker_in_a_block_becomes_failing_rows(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_any_task_that_names_an_integrand_reads_its_sums(tmp_path, monkeypatch, workers):
-    # the schedule reads which tasks wait for the sums from the tasks, not
+    # the schedule reads which tasks wait for the moments from the tasks, not
     # from their suites: a pde task that names X gets the isometry[x] row
     def isometry_of_x(h, grid):
         z = dataclasses.replace(ProcessElement.coordinate(h), label="x")
-        return "pde/x", (z,), lambda sums: [verify_isometry(z, grid, sums)]
+        return "pde/x", (("main", z),), lambda moments: [verify_isometry(z, grid, moments)]
 
     _add_pde_task(monkeypatch, isometry_of_x)
     out = tmp_path / "out"
@@ -663,8 +677,8 @@ def test_header_times_every_task(tmp_path, workers):
 
 
 def test_peak_rss_covers_worker_processes(tmp_path):
-    # lemma2's tasks form their 1e6-sample products in the workers, which
-    # peak well above the main process; wait4 gives the whole tree's peak
+    # lemma2's block jobs draw and read its 1e6 paths in the workers, which
+    # peak above the main process; wait4 gives the whole tree's peak
     proc = subprocess.Popen(
         [sys.executable, "-m", "expmart.cli", "lemma2", "--workers", "2",
          "--out-dir", str(tmp_path)],
@@ -712,6 +726,23 @@ def test_overflowing_case_exits_3_with_report(tmp_path):
     assert rc == 3
     _, doc = _read_reports(tmp_path)
     assert any(c["note"].startswith("overflow:") for c in doc["cases"])
+
+
+def test_h1_case_with_infinite_addends_fails_its_row(tmp_path, caplog):
+    # the case's norms reduce addends of both signs at inf: they take the
+    # exact sum, which leaves float64, so the row reads inf against inf and
+    # fails on its NaN slack, and no task crashes
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nsuites = h1\n\n[h1]\nn_random = 5\n"
+        "cases = template:1e200,0.5,1,0.5@-2 + -1,3,1e200,1j@25j\n"
+    )
+    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 1
+    _, doc = _read_reports(tmp_path)
+    [failed] = [c for c in doc["cases"] if not c["passed"]]
+    assert failed["case"].startswith("h1[template[1e200,0.5,1,0.5@-2")
+    assert math.isnan(failed["slack"]) and failed["note"] == ""
+    assert not [r for r in caplog.records if r.exc_info]
 
 
 def test_h2_image_whose_coefficients_overflow_exits_3(tmp_path, caplog):
@@ -910,27 +941,44 @@ def test_task_reports_its_first_integrands_error(tmp_path, workers):
     assert [c for c in doc["cases"] if c["case"] != label] == doc_clean["cases"]
 
 
-def test_main_ensemble_is_never_materialized(tmp_path, monkeypatch):
-    real_generate = cli.generate
-    steps = []
-
-    def single_step_only(h, grid, n_paths, seed):
-        steps.append(grid.steps)
-        if grid.steps > 1:
-            raise AssertionError("the main N x (M+1) path matrix was built")
-        return real_generate(h, grid, n_paths, seed)
-
-    monkeypatch.setattr(cli, "generate", single_step_only)
-    ini = tmp_path / "run.ini"
+def _one_engine_run(out_dir, workers):
+    out_dir.mkdir()
+    ini = out_dir / "run.ini"
     ini.write_text(
         "[run]\nsuites = lemma2 isometry h2\npaths = 20000\ngrid_steps = 32\n\n"
         "[lemma2]\npaths = 20000\n"
     )
-    assert main(["--config", str(ini), "--out-dir", str(tmp_path)]) == 0
-    assert steps == [1]
-    _, doc = _read_reports(tmp_path)
+    assert main(["--config", str(ini), "--workers", str(workers), "--out-dir", str(out_dir)]) == 0
+    _, doc = _read_reports(out_dir)
     assert doc["header"]["paths_generated"] == {"main": 20000, "lemma2": 20000}
     assert {c["suite"] for c in doc["cases"]} == {"lemma2", "isometry", "h2"}
+    # two blocks of each ensemble
+    assert doc["header"]["sweep"]["blocks"] == 4
+
+
+def test_main_ensemble_is_never_materialized(tmp_path, monkeypatch):
+    # no N x (M+1) matrix: each block of each ensemble is drawn once, chunk
+    # by chunk, in job order, and nothing calls generate
+    def materialized(*args):
+        raise AssertionError("an ensemble's path matrix was built")
+
+    monkeypatch.setattr(processes, "generate", materialized)
+    drawn = _record_draws(monkeypatch)
+    _one_engine_run(tmp_path / "out", 1)
+    assert drawn == [(32, 20000, 20260815, 0), (32, 20000, 20260815, 1),
+                     (1, 20000, 20260816, 0), (1, 20000, 20260816, 1)]
+
+
+def test_every_path_is_drawn_in_a_block_job(tmp_path, monkeypatch):
+    # at two workers the block jobs, lemma2's included, run in the workers,
+    # so the main process never draws a path
+    parent = os.getpid()
+
+    def in_a_worker(*args):
+        assert os.getpid() != parent, "the main process drew paths"
+
+    _record_draws(monkeypatch, in_a_worker)
+    _one_engine_run(tmp_path / "out", 2)
 
 
 def test_seed_changes_sampled_rows(tmp_path):

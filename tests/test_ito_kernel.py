@@ -22,13 +22,16 @@ the same kind of bound.  Both bounds fail a kernel whose ``exp`` is off by
 its Horner recurrence (``test_bounds_reject_mutants``).
 
 The sweep (``sweep_columns``, ``sweep_block``, ``merge_sweep``) and
-``ito_integral`` run one kernel, so their sums stay bitwise equal at every
-path count, whether the block results come from this process or pickled
-from a worker's.
+``ito_integral`` run one kernel, so the sweep's per-path sums, formed here
+from its kernel on its chunks, stay bitwise equal at every path count, and
+its merged moments are bitwise the blocks' ``sample_moments`` of |I|^2 from
+``ito_integral``, merged in block order, whether the block results come
+from this process or pickled from a worker's.
 Both decide overflow by one rule from each column's smallest and largest
 point, which must give bitwise the maximum exponent the evaluation forms.
 """
 
+import functools
 import math
 import pickle
 import tracemalloc
@@ -58,10 +61,11 @@ from expmart.verify import (
     Estimate,
     EvaluationOverflowError,
     ProcessElement,
-    _abs_squared,
+    _merged,
     evaluate_element,
     ito_integral,
     merge_sweep,
+    sample_moments,
     sweep_block,
     sweep_columns,
 )
@@ -141,7 +145,7 @@ def assert_matches_reference(got, z, ensemble):
         assert np.all(np.abs(got - ref) <= ROUNDING_ULPS * EPS * scale)
     else:
         assert np.array_equal(got, ref)
-        new_sq, old_sq = _abs_squared(got), _abs_squared(ref)
+        new_sq, old_sq = np.abs(got) ** 2, np.abs(ref) ** 2
         assert np.array_equal(new_sq, old_sq)
         assert Estimate.from_samples(new_sq) == Estimate.from_samples(old_sq)
 
@@ -344,7 +348,7 @@ def test_generate_columns_are_contiguous_and_values_unchanged(label, n_paths):
 
 # ---------------------------------------------------------------------------
 # the path-blocked sweep: blocks of BLOCK_PATHS and a short tail, each read
-# in chunks of _CHUNK_ROWS, summed into slices of one N-vector, must give the
+# in chunks of _CHUNK_ROWS and reduced to moments per block, must give the
 # materialized kernel's bits
 
 # complex polynomial times complex exponent
@@ -361,6 +365,24 @@ def swept(zs, h, grid, n_paths, seed, workers):
     return merge_sweep(columns, blocks)
 
 
+def kernel_sums(zs, h, grid, n_paths, seed):
+    """Each integrand's per-path Ito sums as the sweep forms them: its column
+    kernel on each chunk that ``block_chunks`` draws, in block order."""
+    columns = sweep_columns(zs, grid)
+    chunks = [
+        [verify._ito_columns(elements, x).astype(complex) for elements, _, _ in columns]
+        for b in range(block_count(n_paths)) for x in block_chunks(h, grid, n_paths, seed, b)
+    ]
+    return [np.concatenate(sums) for sums in zip(*chunks)]
+
+
+def block_moments(values):
+    """The sweep's reduction of per-path values: ``sample_moments`` on each
+    block of rows, merged in block order."""
+    blocks = [values[start : start + BLOCK_PATHS] for start in range(0, len(values), BLOCK_PATHS)]
+    return functools.reduce(_merged, map(sample_moments, blocks))
+
+
 WORKERS = [pytest.param(1, id="1"), pytest.param(2, id="2")]
 
 
@@ -370,16 +392,18 @@ WORKERS = [pytest.param(1, id="1"), pytest.param(2, id="2")]
 )
 @pytest.mark.parametrize("h_label", sorted(TIME_CHANGES))
 def test_sweep_is_bitwise_the_complex_loop(h_label, n_paths, workers):
-    # bitwise ito_integral; against the complex loop as ito_integral is
+    # the kernel's sums bitwise ito_integral's, and against the complex loop
+    # as ito_integral is; the moments bitwise those of ito_integral's |I|^2
     h = TIME_CHANGES[h_label]
     grid = TimeGrid.uniform(1.0, 8)
     zs = [*integrands(h).values(), ProcessElement.from_template(h, COMPLEX_PRODUCT)]
     ens = generate(h, grid, n_paths, 21)
-    for z, (got, error) in zip(zs, swept(zs, h, grid, n_paths, 21, workers)):
-        assert error is None
-        assert got.dtype == complex
-        assert np.array_equal(got, ito_integral(z, ens))
+    sums = kernel_sums(zs, h, grid, n_paths, 21)
+    for z, got, (moments, error) in zip(zs, sums, swept(zs, h, grid, n_paths, 21, workers)):
+        expected = ito_integral(z, ens)
+        assert np.array_equal(got, expected)
         assert_matches_reference(got, z, ens)
+        assert error is None and moments == block_moments(np.abs(expected) ** 2)
 
 
 @dataclass(frozen=True)
@@ -411,11 +435,12 @@ def test_sweep_raises_what_ito_integral_raises(workers, t_fail, error):
     good, bad = ProcessElement.coordinate(h), _CutOff(h, ((1 + 45j, (1 + 0j,)),), t_fail=t_fail)
     with pytest.raises(error) as expected:
         ito_integral(bad, ens)
-    (good_sums, good_error), (_, got) = swept([good, bad], h, grid, n_paths, 3, workers)
+    (good_moments, good_error), (_, got) = swept([good, bad], h, grid, n_paths, 3, workers)
     assert type(got) is error
     assert str(got) == str(expected.value)
     assert getattr(got, "max_real", None) == getattr(expected.value, "max_real", None)
-    assert good_error is None and np.array_equal(good_sums, ito_integral(good, ens))
+    assert good_error is None
+    assert good_moments == block_moments(np.abs(ito_integral(good, ens)) ** 2)
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -442,17 +467,19 @@ def test_sweep_overflow_in_one_chunk_is_what_ito_integral_raises(workers):
     assert min(stops) < len(elements)
     with pytest.raises(EvaluationOverflowError) as expected:
         ito_integral(bad, ens)
-    (good_sums, good_error), (_, got) = swept([good, bad], h, grid, n_paths, 5, workers)
+    (good_moments, good_error), (_, got) = swept([good, bad], h, grid, n_paths, 5, workers)
     assert type(got) is EvaluationOverflowError
     assert str(got) == str(expected.value) and got.max_real == expected.value.max_real
-    assert good_error is None and np.array_equal(good_sums, ito_integral(good, ens))
+    assert good_error is None
+    assert good_moments == block_moments(np.abs(ito_integral(good, ens)) ** 2)
     # each block counts the columns its own range allows, overflow included
     for b in range(block_count(n_paths)):
         lo, hi = column_ranges(ens.paths[b * BLOCK_PATHS : (b + 1) * BLOCK_PATHS])
         done = sweep_block(columns, h, grid, n_paths, 5, b)
         assert np.array_equal(done.lo, lo) and np.array_equal(done.hi, hi)
-        stops = [verify._first_overflow(els, lo, hi)[0] for els, _ in columns]
-        assert (done.columns, done.points) == (sum(stops), sum(stops) * len(done.sums[0]))
+        stops = [verify._first_overflow(els, lo, hi)[0] for els, _, _ in columns]
+        rows = done.moments[0][0]
+        assert (done.columns, done.points) == (sum(stops), sum(stops) * rows)
 
 
 def test_sweep_block_holds_one_chunk_not_the_block():
@@ -477,11 +504,15 @@ def test_sweep_block_holds_one_chunk_not_the_block():
 
 @pytest.mark.parametrize("h_label", sorted(TIME_CHANGES))
 def test_sweep_of_one_is_bitwise_the_terminal_value_on_one_step(h_label):
-    # X_0 = 0, so the one sum 0 + 1.0 (X_T - 0) is X_T exactly
+    # X_0 = 0, so the one sum 0 + 1.0 (X_T - 0) is X_T exactly; an element
+    # read at X_T, here X itself, reads the same values
     h, grid = TIME_CHANGES[h_label], TimeGrid.uniform(1.0, 1)
-    [(sums, error)] = swept([ProcessElement.constant_one(h)], h, grid, 40_000, 13, 1)
-    assert error is None and not sums.imag.any()
-    assert np.array_equal(sums.real, generate(h, grid, 40_000, 13).paths[:, -1])
+    [sums] = kernel_sums([ProcessElement.constant_one(h)], h, grid, 40_000, 13)
+    x_t = generate(h, grid, 40_000, 13).paths[:, -1]
+    assert not sums.imag.any() and np.array_equal(sums.real, x_t)
+    x = make_element(float(h(1.0)), [(0.0, (0.0, 1.0))])
+    [(moments, error)] = swept([lambda: x], h, grid, 40_000, 13, 1)
+    assert error is None and moments == block_moments(x_t)
 
 
 @pytest.mark.parametrize("steps", [64, 512])
@@ -494,11 +525,11 @@ def test_sweep_of_one_is_the_terminal_value_within_rounding(h_label, steps):
     # draws them, so no N x (M+1) matrix is held.
     h, grid = TIME_CHANGES[h_label], TimeGrid.uniform(1.0, steps)
     n_paths = BLOCK_PATHS + _CHUNK_ROWS + 7
-    [(sums, error)] = swept([ProcessElement.constant_one(h)], h, grid, n_paths, 13, 1)
+    [sums] = kernel_sums([ProcessElement.constant_one(h)], h, grid, n_paths, 13)
     chunks = [
         (chunk[:, -1].copy(), (np.abs(np.diff(chunk, axis=1)) + np.abs(chunk[:, 1:])).sum(axis=1))
         for b in range(block_count(n_paths)) for chunk in block_chunks(h, grid, n_paths, 13, b)
     ]
     x_t, scale = (np.concatenate(parts) for parts in zip(*chunks))
-    assert error is None and not sums.imag.any()
+    assert not sums.imag.any()
     assert np.all(np.abs(sums.real - x_t) <= EPS * scale)

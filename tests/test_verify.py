@@ -7,6 +7,7 @@ asserts bitwise equality — in binary round-to-nearest, fl(a+b) - a is always
 exactly representable, so sequential cumulative sums telescope without error.
 """
 
+import functools
 import math
 import multiprocessing
 import pickle
@@ -14,6 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expmart import (
     PiecewiseLinear,
@@ -40,7 +43,9 @@ from expmart.verify import (
     MC_FLOOR,
     h2_integrands,
     ito_integral,
+    lemma2_element,
     pde_grid,
+    sample_moments,
     verify_h1,
     verify_h2,
     verify_isometry,
@@ -48,6 +53,7 @@ from expmart.verify import (
     verify_lemma2,
     verify_pde,
     weighted_energy_integral,
+    _merged,
 )
 
 H_ID = TimeChange.identity()
@@ -156,6 +162,60 @@ def test_estimate_flags_sample_overflow():
     assert type(e.value) is OverflowError
 
 
+# ---------------------------------------------------------------------------
+# the sweep's merge: each block's sample_moments, merged in order by the
+# pairwise update, against the whole sample's.  Rounding bound, to first
+# order in eps, with n values of largest modulus s: each part's and the
+# whole's mean is off by at most about n eps s, so the merged mean is within
+# 8 n eps s of the whole's; the squared deviations then shift by
+# n (n eps s)^2, their sums round by n eps times at most 4 n s^2, and the
+# merge's own term is off by at most 2 n^2 eps s^2, within 16 n^2 eps s^2.
+
+EPS = np.finfo(float).eps
+MAGNITUDES = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def split_samples(draw):
+    """A real or complex sample of 2 to 60 values, constant or not, and the
+    sorted positions where it is cut into parts, single values included."""
+    n = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(["real", "complex"]))
+    size = 1 if draw(st.booleans()) else n  # one value repeated: a constant sample
+    re = np.array(draw(st.lists(MAGNITUDES, min_size=size, max_size=size)))
+    im = np.array(draw(st.lists(MAGNITUDES, min_size=size, max_size=size)))
+    values = np.broadcast_to(re if kind == "real" else re + 1j * im, (n,)).copy()
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=5, unique=True))
+    return values, sorted(cuts)
+
+
+def _merged_parts(values, cuts):
+    return functools.reduce(_merged, map(sample_moments, np.split(values, cuts)))
+
+
+@given(split_samples())
+@example((np.array([3.0, -1.0, 0.5]), [1, 2]))  # every part one value
+@example((np.full(7, 0.1 + 0.2j), [1, 3]))  # a constant complex sample
+@settings(max_examples=300, deadline=None, database=None)
+def test_merged_moments_are_the_whole_samples(sample):
+    values, cuts = sample
+    n, mean, m2 = _merged_parts(values, cuts)
+    whole_n, whole_mean, whole_m2 = sample_moments(values)
+    s = float(np.max(np.abs(values)))
+    assert n == whole_n == len(values)
+    assert abs(mean - whole_mean) <= 8 * n * EPS * s
+    assert abs(m2 - whole_m2) <= 16 * n * n * EPS * s * s
+    assert Estimate.from_moments(n, mean, m2).n == n
+
+
+@pytest.mark.parametrize("unit", [1.0, 1j], ids=["real", "complex"])
+def test_merged_moments_that_overflow_raise_the_sample_moment_error(unit):
+    # finite values whose squares leave float64, merged from three parts
+    values = np.array([1e200, -1e200, 3e200, 2e200, -2e200]) * unit
+    with pytest.raises(OverflowError, match="sample moments exceed the float64 range"):
+        Estimate.from_moments(*_merged_parts(values, [1, 3]))
+
+
 @pytest.mark.parametrize(
     "error",
     [EvaluationOverflowError(1 + 0j, 1.0, 800.0),
@@ -231,8 +291,15 @@ def test_zero_integrand_integrates_to_zero(big_ens):
     assert not ito_integral(z, big_ens).any()
 
 
+def _squared_moments(sums):
+    """The moments of |I|^2 over per-path sums, as the sweep reduces them:
+    an inf where a square overflows."""
+    with np.errstate(over="ignore"):
+        return sample_moments(np.abs(sums) ** 2)
+
+
 def _isometry(z, ens):
-    return verify_isometry(z, ens.grid, ito_integral(z, ens))
+    return verify_isometry(z, ens.grid, _squared_moments(ito_integral(z, ens)))
 
 
 def test_isometry_constant_case(big_ens):
@@ -365,7 +432,9 @@ def test_h1_holds_on_randomized_family():
 
 def _h2(y, g, g_tilde, ens):
     z1, z2 = h2_integrands(y, g, g_tilde)
-    return verify_h2(y, ens.grid, ito_integral(z1, ens), ito_integral(z2, ens))
+    return verify_h2(
+        y, ens.grid, _squared_moments(ito_integral(z1, ens)), _squared_moments(ito_integral(z2, ens))
+    )
 
 
 def _h2_budget(chk):
@@ -517,7 +586,9 @@ def test_h2_sums_that_overflow_when_squared_raise_the_sample_moment_error():
     grid = TimeGrid.uniform(1.0, 4)
     y = ProcessElement.constant_one(H_ID)
     with pytest.raises(OverflowError, match="sample moments"):
-        verify_h2(y, grid, np.full(8, 1e200, dtype=complex), np.ones(8))
+        verify_h2(
+            y, grid, _squared_moments(np.full(8, 1e200, dtype=complex)), _squared_moments(np.ones(8))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -632,5 +703,6 @@ def test_lemma2_algebra_entry(c, d):
 
 @pytest.mark.parametrize("c, d", EXPONENT_PAIRS)
 def test_lemma2_mc_entry(c, d, flat_x):
-    _, chk = verify_lemma2(c, d, 1.0, flat_x)
+    samples = evaluate_element(lemma2_element(c, d, 1.0), flat_x)
+    _, chk = verify_lemma2(c, d, 1.0, sample_moments(samples))
     assert chk.lhs <= 4.0 * chk.factor1.stderr + 1e-12
